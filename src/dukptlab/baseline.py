@@ -13,7 +13,7 @@ material and of the KEK being a long-lived secret on both sides.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import tdes
@@ -51,7 +51,6 @@ class MasterSessionContext:
 
     kek: TdeaKey
     random_source: Callable[[int], bytes] = secrets.token_bytes
-    current_session_key: TdeaKey | None = field(default=None, repr=False)
 
 
 def ms_wrap_session(ctx: MasterSessionContext) -> tuple[bytes, TdeaKey]:
@@ -63,10 +62,8 @@ def ms_wrap_session(ctx: MasterSessionContext) -> tuple[bytes, TdeaKey]:
     material = ctx.random_source(16)
     if len(material) != 16:
         raise LengthError("random source must supply 16 bytes")
-    session = TdeaKey.from_bytes(material, KeyRole.TRANSACTION)
-    ctx.current_session_key = session
     wrapped = tdes.ecb_encrypt(ctx.kek.material, material)
-    return wrapped, session
+    return wrapped, TdeaKey.from_bytes(material, KeyRole.TRANSACTION)
 
 
 def ms_unwrap_session(kek: TdeaKey, wrapped: bytes) -> TdeaKey:

@@ -17,7 +17,7 @@ replay policy can be disabled to demonstrate what cloning costs without it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -57,8 +57,8 @@ class HostVerdict:
 
     status: VerdictStatus
     derived_counter: int
-    clear_pin_block: bytes | None = None
-    clear_data: bytes | None = None
+    clear_pin_block: bytes | None = field(default=None, repr=False)
+    clear_data: bytes | None = field(default=None, repr=False)
 
     @property
     def accepted(self) -> bool:
@@ -91,10 +91,6 @@ class HostRegistry:
             if key_set_id in self._bdks and not overwrite:
                 raise DuplicateKeySet(f"key set {key_set_id:06X} already registered")
             self._bdks[key_set_id] = bdk
-
-    def known_key_set(self, key_set_id: int) -> bool:
-        with self._admin_lock:
-            return key_set_id in self._bdks
 
     def last_accepted_counter(self, initial_id: int) -> int:
         """Replay-log position for a device; 0 when never seen."""
@@ -169,8 +165,3 @@ def format_reply(verdict: HostVerdict) -> str:
     if verdict.accepted:
         return f"OK|{verdict.derived_counter}"
     return f"ERR|{verdict.status.value}"
-
-
-def rederive_key(registry: HostRegistry, ksn: Ksn) -> TdeaKey:
-    """Function-style alias for :meth:`HostRegistry.rederive_key`."""
-    return registry.rederive_key(ksn)

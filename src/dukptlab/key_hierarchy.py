@@ -63,22 +63,16 @@ class TdeaKey:
     matches; comparison runs in constant time.
     """
 
-    left_half: bytes
-    right_half: bytes
+    material: bytes
     role: KeyRole
 
     def __post_init__(self) -> None:
-        if len(self.left_half) != 8 or len(self.right_half) != 8:
-            raise LengthError(
-                "key halves must be 8 bytes each, got "
-                f"{len(self.left_half)}/{len(self.right_half)}"
-            )
+        if len(self.material) != 16:
+            raise LengthError(f"key must be 16 bytes, got {len(self.material)}")
 
     @classmethod
     def from_bytes(cls, material: bytes, role: KeyRole = KeyRole.BASE_DERIVATION) -> "TdeaKey":
-        if len(material) != 16:
-            raise LengthError(f"key must be 16 bytes, got {len(material)}")
-        return cls(bytes(material[:8]), bytes(material[8:]), role)
+        return cls(bytes(material), role)
 
     @classmethod
     def from_hex(cls, text: str, role: KeyRole = KeyRole.BASE_DERIVATION) -> "TdeaKey":
@@ -89,10 +83,6 @@ class TdeaKey:
         except ValueError as exc:
             raise HexInputError(f"key is not valid hex: {text!r}") from exc
         return cls.from_bytes(material, role)
-
-    @property
-    def material(self) -> bytes:
-        return self.left_half + self.right_half
 
     @property
     def hex(self) -> str:
@@ -248,17 +238,20 @@ def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
     block = initial_ksn.base.raw[:8]
     left = tdes.encrypt_block(bdk.material, block)
     right = tdes.encrypt_block(tdes.xor_bytes(bdk.material, KEY_HALF_MASK), block)
-    return TdeaKey(left, right, KeyRole.INITIAL)
+    return TdeaKey(left + right, KeyRole.INITIAL)
 
 
-def _one_way_step(material: bytes, message: bytes) -> bytes:
-    """The non-reversible derivation step on raw key material.
+def derive_child(material: bytes, ksn: Ksn, counter: int) -> bytes:
+    """The non-reversible derivation step: the child of ``material`` named by ``counter``.
 
-    ``message`` is the rightmost 8 bytes of the KSN whose counter names the
-    child key. Each half of the output is produced by single-DES under one
-    half-key with pre/post whitening by the other half; recovering the parent
-    from the child requires a key search.
+    The step message is the rightmost 8 bytes of ``ksn`` with its counter
+    bits replaced by ``counter``. Each half of the output is produced by
+    single-DES under one half-key with pre/post whitening by the other half;
+    recovering the parent from the child requires a key search. The host's
+    chain fold and the terminal's register refill both go through here.
     """
+    value = (int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK) | counter
+    message = value.to_bytes(8, "big")
     left, right = material[:8], material[8:]
     new_right = tdes.xor_bytes(
         tdes.des_encrypt_block(left, tdes.xor_bytes(message, right)), right
@@ -279,9 +272,7 @@ def nrkgp(current_key: TdeaKey, ksn: Ksn) -> TdeaKey:
     """
     if ksn.counter == 0:
         raise ValueError("nrkgp needs a KSN with at least one counter bit set")
-    return TdeaKey.from_bytes(
-        _one_way_step(current_key.material, ksn.raw[-8:]), KeyRole.TRANSACTION
-    )
+    return TdeaKey(derive_child(current_key.material, ksn, ksn.counter), KeyRole.TRANSACTION)
 
 
 def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
@@ -308,14 +299,8 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
         bit = 1 << pos
         if counter & bit:
             acc |= bit
-            material = _one_way_step(material, _step_message(ksn, acc))
-    return TdeaKey.from_bytes(material, KeyRole.TRANSACTION)
-
-
-def _step_message(ksn: Ksn, counter: int) -> bytes:
-    """Rightmost 8 KSN bytes with the given counter folded in."""
-    value = (int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK) | counter
-    return value.to_bytes(8, "big")
+            material = derive_child(material, ksn, acc)
+    return TdeaKey(material, KeyRole.TRANSACTION)
 
 
 def variant_pin_key(transaction_key: TdeaKey) -> TdeaKey:

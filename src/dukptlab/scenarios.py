@@ -351,72 +351,71 @@ def run_simulation(
     clear_block = encode_iso0(pin, pan)
     payload = f"AMT={rng.randrange(100, 100000):06d};MERCHANT={rng.randrange(10**8):08d}".encode()
 
-    status_counts: dict[VerdictStatus, int] = {s: 0 for s in VerdictStatus}
-    seen_keys: set[bytes] = set()
-    seen_ciphertexts: set[tuple[bytes | None, bytes | None]] = set()
-    reuse = False
-
+    # each branch provisions (its RNG draws, in this order, fix the report for
+    # a seed) and defines one transaction's terminal side and host side
     if scheme is Scheme.DUKPT:
         registry = HostRegistry()
         term = _provision_dukpt(rng, registry)
-        for _ in range(count):
-            line = encode_wire(term.build_message(clear_pin_block=clear_block, data=payload))
-            msg = parse_wire(line)
-            verdict_msg = registry.process_message(msg)
-            status_counts[verdict_msg.status] += 1
-            if verdict_msg.accepted:
-                seen_keys.add(registry.rederive_key(msg.ksn).material)
-            ct = (msg.encrypted_pin_block, msg.encrypted_data)
-            reuse = reuse or ct in seen_ciphertexts
-            seen_ciphertexts.add(ct)
+
+        def send() -> TransactionMessage:
+            return term.build_message(clear_pin_block=clear_block, data=payload)
+
+        def receive(msg: TransactionMessage) -> tuple[VerdictStatus, bytes | None]:
+            host_verdict = registry.process_message(msg)
+            if not host_verdict.accepted:
+                return host_verdict.status, None
+            return host_verdict.status, registry.rederive_key(msg.ksn).material
+
     elif scheme is Scheme.FIXED:
         key = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         term_fixed = FixedKeyTerminal(key, _random_initial_ksn(rng))
-        seen_keys.add(key.material)
-        for _ in range(count):
-            line = encode_wire(
-                TransactionMessage(
-                    term_fixed.terminal_id,
-                    encrypted_data=fixed_encrypt(term_fixed, payload),
-                    scheme=Scheme.FIXED,
-                )
+
+        def send() -> TransactionMessage:
+            return TransactionMessage(
+                term_fixed.terminal_id,
+                encrypted_data=fixed_encrypt(term_fixed, payload),
+                scheme=Scheme.FIXED,
             )
-            msg = parse_wire(line)
-            try:
-                fixed_decrypt(key, msg.encrypted_data)
-                status_counts[VerdictStatus.ACCEPTED] += 1
-            except DecryptFailed:
-                status_counts[VerdictStatus.DECRYPT_FAILED] += 1
-            ct = (msg.encrypted_pin_block, msg.encrypted_data)
-            reuse = reuse or ct in seen_ciphertexts
-            seen_ciphertexts.add(ct)
+
+        def receive(msg: TransactionMessage) -> tuple[VerdictStatus, bytes | None]:
+            fixed_decrypt(key, msg.encrypted_data)
+            return VerdictStatus.ACCEPTED, key.material
+
     elif scheme is Scheme.MASTER_SESSION:
         kek = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         ctx = MasterSessionContext(kek, random_source=rng.randbytes)
         device_id = _random_initial_ksn(rng)
-        for _ in range(count):
+
+        def send() -> TransactionMessage:
             wrapped, session = ms_wrap_session(ctx)
-            line = encode_wire(
-                TransactionMessage(
-                    device_id,
-                    encrypted_data=tdes.cbc_encrypt(session.material, payload),
-                    scheme=Scheme.MASTER_SESSION,
-                    wrapped_session_key=wrapped,
-                )
+            return TransactionMessage(
+                device_id,
+                encrypted_data=tdes.cbc_encrypt(session.material, payload),
+                scheme=Scheme.MASTER_SESSION,
+                wrapped_session_key=wrapped,
             )
-            msg = parse_wire(line)
+
+        def receive(msg: TransactionMessage) -> tuple[VerdictStatus, bytes | None]:
             host_session = ms_unwrap_session(kek, msg.wrapped_session_key)
-            try:
-                tdes.cbc_decrypt(host_session.material, msg.encrypted_data)
-                status_counts[VerdictStatus.ACCEPTED] += 1
-                seen_keys.add(host_session.material)
-            except DecryptFailed:
-                status_counts[VerdictStatus.DECRYPT_FAILED] += 1
-            ct = (msg.encrypted_pin_block, msg.encrypted_data)
-            reuse = reuse or ct in seen_ciphertexts
-            seen_ciphertexts.add(ct)
+            tdes.cbc_decrypt(host_session.material, msg.encrypted_data)
+            return VerdictStatus.ACCEPTED, host_session.material
+
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+
+    status_counts: dict[VerdictStatus, int] = {s: 0 for s in VerdictStatus}
+    seen_keys: set[bytes] = set()
+    seen_ciphertexts: set[tuple[bytes | None, bytes | None]] = set()
+    for _ in range(count):
+        msg = parse_wire(encode_wire(send()))
+        try:
+            status, material = receive(msg)
+        except DecryptFailed:
+            status, material = VerdictStatus.DECRYPT_FAILED, None
+        status_counts[status] += 1
+        if material is not None:
+            seen_keys.add(material)
+        seen_ciphertexts.add((msg.encrypted_pin_block, msg.encrypted_data))
 
     return SimulationReport(
         scheme=scheme,
@@ -424,7 +423,7 @@ def run_simulation(
         transactions=count,
         status_counts=status_counts,
         distinct_keys=len(seen_keys),
-        ciphertext_reuse=reuse,
+        ciphertext_reuse=len(seen_ciphertexts) < count,
         elapsed_seconds=time.perf_counter() - start,
     )
 

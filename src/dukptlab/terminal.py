@@ -32,8 +32,7 @@ from .key_hierarchy import (
     KeyRole,
     Ksn,
     TdeaKey,
-    _one_way_step,
-    _step_message,
+    derive_child,
     next_counter,
     remaining_counters,
     variant_data_key,
@@ -46,9 +45,7 @@ from .wire import Scheme, TransactionMessage
 class FutureKeyRegister:
     """One slot of the future-key table; slot ``i`` serves counter bit ``i-1``."""
 
-    slot_index: int
-    key_material: bytearray | None = None
-    associated_counter: int | None = None
+    key_material: bytearray | None = field(default=None, repr=False)
 
     @property
     def occupied(self) -> bool:
@@ -58,18 +55,16 @@ class FutureKeyRegister:
     def key(self) -> TdeaKey | None:
         if self.key_material is None:
             return None
-        return TdeaKey.from_bytes(bytes(self.key_material), KeyRole.TRANSACTION)
+        return TdeaKey.from_bytes(self.key_material, KeyRole.TRANSACTION)
 
-    def store(self, material: bytes, counter: int) -> None:
+    def store(self, material: bytes) -> None:
         self.key_material = bytearray(material)
-        self.associated_counter = counter
 
     def wipe(self) -> None:
         """Zero the buffer in place, then release the slot."""
         if self.key_material is not None:
             self.key_material[:] = bytes(16)
             self.key_material = None
-        self.associated_counter = None
 
 
 @dataclass
@@ -119,14 +114,11 @@ class TerminalState:
         for pos in range(bit_pos):
             child = counter | (1 << pos)
             if child.bit_count() <= MAX_COUNTER_WEIGHT:
-                child_material = _one_way_step(
-                    material, _step_message(self.base_ksn, child)
-                )
-                self.registers[pos].store(child_material, child)
+                self.registers[pos].store(derive_child(material, self.base_ksn, child))
         register.wipe()
         return (
             self.base_ksn.with_counter(counter),
-            TdeaKey.from_bytes(material, KeyRole.TRANSACTION),
+            TdeaKey(material, KeyRole.TRANSACTION),
         )
 
     def build_message(
@@ -165,12 +157,9 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
             f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}"
         )
     state = TerminalState(base_ksn=initial_ksn)
-    ipek_material = ipek.material
     for bit_pos in range(COUNTER_BITS):
-        counter = 1 << bit_pos
-        material = _one_way_step(ipek_material, _step_message(initial_ksn, counter))
-        register = FutureKeyRegister(slot_index=bit_pos + 1)
-        register.store(material, counter)
+        register = FutureKeyRegister()
+        register.store(derive_child(ipek.material, initial_ksn, 1 << bit_pos))
         state.registers.append(register)
     return state
 

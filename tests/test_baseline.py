@@ -59,7 +59,6 @@ def test_ms_wrap_unwrap_identity():
     ctx = MasterSessionContext(KEK)
     wrapped, session = ms_wrap_session(ctx)
     assert ms_unwrap_session(KEK, wrapped) == session
-    assert ctx.current_session_key == session
 
 
 def test_ms_wrapped_form_differs_from_clear():

@@ -79,13 +79,34 @@ def test_derive_key_overweight_counter(capsys):
 
 # --- simulate ---------------------------------------------------------------------
 
-def test_simulate_deterministic_stdout(capsys):
-    args = ("simulate", "--scheme", "dukpt", "--profile", "pos", "--count", "200", "--seed", "1")
+# exact records at the default --count and seed 0
+SIMULATE_RECORDS = {
+    "dukpt": (
+        "scheme=DUKPT profile=pos transactions=100 accepted=100 rejected_ReplayRejected=0 "
+        "rejected_OverweightCounterRejected=0 rejected_UnknownKeySet=0 rejected_DecryptFailed=0 "
+        "distinct_keys=100 ciphertext_reuse=no"
+    ),
+    "fixed": (
+        "scheme=FIXED profile=pos transactions=100 accepted=100 rejected_ReplayRejected=0 "
+        "rejected_OverweightCounterRejected=0 rejected_UnknownKeySet=0 rejected_DecryptFailed=0 "
+        "distinct_keys=1 ciphertext_reuse=yes"
+    ),
+    "ms": (
+        "scheme=MS profile=pos transactions=100 accepted=100 rejected_ReplayRejected=0 "
+        "rejected_OverweightCounterRejected=0 rejected_UnknownKeySet=0 rejected_DecryptFailed=0 "
+        "distinct_keys=100 ciphertext_reuse=no"
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SIMULATE_RECORDS))
+def test_simulate_deterministic_stdout(capsys, scheme):
+    args = ("simulate", "--scheme", scheme, "--profile", "pos", "--format", "records",
+            "--seed", "0")
     code_a, out_a, err_a = run(capsys, *args)
     code_b, out_b, _ = run(capsys, *args)
     assert code_a == code_b == 0
-    assert out_a == out_b
-    assert "accepted" in out_a
+    assert out_a == out_b == SIMULATE_RECORDS[scheme] + "\n"
     assert "elapsed_seconds=" in err_a  # wall time goes to stderr only
 
 

@@ -205,6 +205,29 @@ def test_no_bdk_bytes_in_any_reply(registry, terminal, bdk):
     assert bdk.hex.lower() not in blob.lower()
 
 
+def _leaked(text, secrets):
+    return [s for s in secrets if repr(s) in text or s.hex() in text or s.hex().upper() in text]
+
+
+def test_no_key_or_clear_block_in_reprs(registry, terminal):
+    def register_material():
+        return {bytes(r.key_material) for r in terminal.registers if r.occupied}
+
+    material = register_material()
+    assert len(material) == 21
+    assert not _leaked(repr(terminal), material)
+    for _ in range(3):
+        msg = _message(terminal)
+    material |= register_material()
+    assert not _leaked(repr(terminal), material)
+
+    verdict = registry.process_message(msg)
+    assert verdict.accepted
+    clear = {verdict.clear_pin_block, verdict.clear_data}
+    assert clear == {encode_iso0(*CLEAR_BLOCK_ARGS), b"Sale: 42.00 USD"}
+    assert not _leaked(repr(verdict), clear | material)
+
+
 # --- concurrency ----------------------------------------------------------------------
 
 def test_concurrent_devices_process_cleanly(bdk):

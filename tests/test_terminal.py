@@ -44,10 +44,8 @@ def test_init_populates_all_registers(terminal):
 
 
 def test_init_registers_hold_chain_keys(terminal, ipek, initial_ksn):
-    for register in terminal.registers:
-        counter = register.associated_counter
-        assert counter == 1 << (register.slot_index - 1)
-        assert register.key == derive_key_chain(ipek, initial_ksn.with_counter(counter))
+    for i, register in enumerate(terminal.registers):
+        assert register.key == derive_key_chain(ipek, initial_ksn.with_counter(1 << i))
 
 
 def test_init_discards_ipek(terminal, ipek):
@@ -78,7 +76,7 @@ def test_third_transaction_uses_replenished_register(terminal, ipek, initial_ksn
     # key(3) enters register 1 while the counter-2 step runs
     terminal.next_transaction_key()
     terminal.next_transaction_key()
-    assert terminal.registers[0].associated_counter == 3
+    assert terminal.registers[0].key == derive_key_chain(ipek, initial_ksn.with_counter(3))
     ksn, key = terminal.next_transaction_key()
     assert ksn.counter == 3
     assert key == derive_key_chain(ipek, initial_ksn.with_counter(3))
