@@ -67,12 +67,15 @@ class TdeaKey:
     role: KeyRole
 
     def __post_init__(self) -> None:
+        # own an immutable copy, so a caller's bytearray cannot change the key
+        if not isinstance(self.material, bytes):
+            object.__setattr__(self, "material", bytes(self.material))
         if len(self.material) != 16:
             raise LengthError(f"key must be 16 bytes, got {len(self.material)}")
 
     @classmethod
     def from_bytes(cls, material: bytes, role: KeyRole = KeyRole.BASE_DERIVATION) -> "TdeaKey":
-        return cls(bytes(material), role)
+        return cls(material, role)
 
     @classmethod
     def from_hex(cls, text: str, role: KeyRole = KeyRole.BASE_DERIVATION) -> "TdeaKey":
@@ -116,6 +119,8 @@ class Ksn:
     raw: bytes
 
     def __post_init__(self) -> None:
+        if not isinstance(self.raw, bytes):
+            object.__setattr__(self, "raw", bytes(self.raw))
         if len(self.raw) != 10:
             raise LengthError(f"KSN must be 10 bytes, got {len(self.raw)}")
 
@@ -199,9 +204,6 @@ def next_counter(counter: int) -> int:
 
 def _count_weight_limited(limit: int) -> int:
     """How many v in [0, limit] have popcount(v) <= MAX_COUNTER_WEIGHT."""
-    if limit < 0:
-        return 0
-    limit = min(limit, COUNTER_MASK)
     total = 0
     ones = 0
     for pos in range(COUNTER_BITS - 1, -1, -1):
@@ -222,7 +224,8 @@ def remaining_counters(counter: int) -> int:
     """Usable counters strictly greater than ``counter``."""
     if not 0 <= counter <= COUNTER_MASK:
         raise ValueError(f"counter out of 21-bit range: {counter:#x}")
-    return _count_weight_limited(COUNTER_MASK) - _count_weight_limited(counter)
+    # COUNTER_SPACE excludes zero, which _count_weight_limited includes
+    return COUNTER_SPACE + 1 - _count_weight_limited(counter)
 
 
 def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
@@ -254,12 +257,12 @@ def derive_child(material: bytes, ksn: Ksn, counter: int) -> bytes:
     message = value.to_bytes(8, "big")
     left, right = material[:8], material[8:]
     new_right = tdes.xor_bytes(
-        tdes.des_encrypt_block(left, tdes.xor_bytes(message, right)), right
+        tdes.encrypt_block(left, tdes.xor_bytes(message, right)), right
     )
     masked = tdes.xor_bytes(material, KEY_HALF_MASK)
     mleft, mright = masked[:8], masked[8:]
     new_left = tdes.xor_bytes(
-        tdes.des_encrypt_block(mleft, tdes.xor_bytes(message, mright)), mright
+        tdes.encrypt_block(mleft, tdes.xor_bytes(message, mright)), mright
     )
     return new_left + new_right
 

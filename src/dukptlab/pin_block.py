@@ -8,6 +8,7 @@ starts with four zero nibbles, the control nibble, length nibble, and first
 two PIN digits survive the XOR unmasked.
 """
 
+from . import tdes
 from .errors import InvalidPan, InvalidPin, LengthError, MalformedPinBlock
 
 PinBlock = bytes  # 8-byte clear format-0 block
@@ -33,7 +34,7 @@ def encode_iso0(pin: str, pan: str) -> PinBlock:
         raise InvalidPin("PIN must be 4..12 decimal digits")
     field1 = bytes.fromhex(f"0{len(pin):X}{pin}".ljust(16, "F"))
     field2 = _pan_field(pan)
-    return bytes(a ^ b for a, b in zip(field1, field2))
+    return tdes.xor_bytes(field1, field2)
 
 
 def decode_iso0(block: PinBlock, pan: str) -> str:
@@ -47,7 +48,7 @@ def decode_iso0(block: PinBlock, pan: str) -> str:
     if len(block) != 8:
         raise LengthError(f"PIN block must be 8 bytes, got {len(block)}")
     field2 = _pan_field(pan)
-    field1 = bytes(a ^ b for a, b in zip(block, field2)).hex().upper()
+    field1 = tdes.xor_bytes(block, field2).hex().upper()
     if field1[0] != "0":
         raise MalformedPinBlock(f"control nibble is {field1[0]}, expected 0")
     length = int(field1[1], 16)

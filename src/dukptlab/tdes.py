@@ -2,8 +2,9 @@
 
 Everything here works on plain ``bytes``; key objects and role policy live
 one layer up in :mod:`dukptlab.key_hierarchy`. Keys are double-length
-(16 bytes) unless noted. Single-DES is exercised through the EDE construction
-with three equal subkeys, which is the identical permutation.
+(16 bytes) unless noted. An 8-byte key runs single DES through the EDE
+construction with three equal subkeys, which is the identical permutation.
+Every cipher is built by :func:`_cipher`; CBC always uses the zero IV.
 
 Padding is the 0x80-marker scheme: append one 0x80 byte, then 0x00 bytes up
 to the next 8-byte boundary. It is mandatory, so every ciphertext decrypts
@@ -16,7 +17,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, modes
 from .errors import DecryptFailed, EmptyPlaintext, LengthError
 
 BLOCK_SIZE = 8
-ZERO_IV = bytes(BLOCK_SIZE)
+_ECB = modes.ECB()
+_CBC = modes.CBC(bytes(BLOCK_SIZE))  # the zero IV
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -25,52 +27,36 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def _expand(key: bytes) -> bytes:
+def _cipher(key: bytes, mode: modes.Mode) -> Cipher:
     # always hand a full 24-byte bundle to the backend
     if len(key) == 16:
-        return key + key[:8]
-    if len(key) == 8:
-        return key * 3
-    if len(key) == 24:
-        return key
-    raise LengthError(f"TDEA key must be 8, 16 or 24 bytes, got {len(key)}")
+        key = key + key[:8]
+    elif len(key) == 8:
+        key = key * 3
+    elif len(key) != 24:
+        raise LengthError(f"TDEA key must be 8, 16 or 24 bytes, got {len(key)}")
+    return Cipher(TripleDES(key), mode)
 
 
 def encrypt_block(key: bytes, block: bytes) -> bytes:
-    """TDEA-ECB of a single 8-byte block."""
+    """TDEA-ECB of a single 8-byte block; an 8-byte key means single DES."""
     if len(block) != BLOCK_SIZE:
         raise LengthError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    enc = Cipher(TripleDES(_expand(key)), modes.ECB()).encryptor()
-    return enc.update(block) + enc.finalize()
-
-
-def decrypt_block(key: bytes, block: bytes) -> bytes:
-    """Inverse of :func:`encrypt_block`."""
-    if len(block) != BLOCK_SIZE:
-        raise LengthError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    dec = Cipher(TripleDES(_expand(key)), modes.ECB()).decryptor()
-    return dec.update(block) + dec.finalize()
-
-
-def des_encrypt_block(key8: bytes, block: bytes) -> bytes:
-    """Single-DES of one block (K1=K2=K3 degenerate TDEA)."""
-    if len(key8) != 8:
-        raise LengthError(f"DES key must be 8 bytes, got {len(key8)}")
-    return encrypt_block(key8 * 3, block)
+    return ecb_encrypt(key, block)
 
 
 def ecb_encrypt(key: bytes, data: bytes) -> bytes:
     """TDEA-ECB over a whole-block payload (used for key wrapping)."""
     if not data or len(data) % BLOCK_SIZE:
         raise LengthError("ECB payload must be a positive multiple of 8 bytes")
-    enc = Cipher(TripleDES(_expand(key)), modes.ECB()).encryptor()
+    enc = _cipher(key, _ECB).encryptor()
     return enc.update(data) + enc.finalize()
 
 
 def ecb_decrypt(key: bytes, data: bytes) -> bytes:
     if not data or len(data) % BLOCK_SIZE:
         raise LengthError("ECB payload must be a positive multiple of 8 bytes")
-    dec = Cipher(TripleDES(_expand(key)), modes.ECB()).decryptor()
+    dec = _cipher(key, _ECB).decryptor()
     return dec.update(data) + dec.finalize()
 
 
@@ -95,17 +81,17 @@ def unpad(data: bytes) -> bytes:
     return data[: i - 1]
 
 
-def cbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
+def cbc_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """TDEA-CBC with mandatory marker padding applied first."""
     if not plaintext:
         raise EmptyPlaintext("refusing to encrypt an empty payload")
-    enc = Cipher(TripleDES(_expand(key)), modes.CBC(iv)).encryptor()
+    enc = _cipher(key, _CBC).encryptor()
     return enc.update(pad(plaintext)) + enc.finalize()
 
 
-def cbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
+def cbc_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     """Inverse of :func:`cbc_encrypt`; padding violations raise DecryptFailed."""
     if not ciphertext or len(ciphertext) % BLOCK_SIZE:
         raise DecryptFailed("ciphertext must be a positive multiple of 8 bytes")
-    dec = Cipher(TripleDES(_expand(key)), modes.CBC(iv)).decryptor()
+    dec = _cipher(key, _CBC).decryptor()
     return unpad(dec.update(ciphertext) + dec.finalize())

@@ -76,10 +76,6 @@ class TerminalState:
     registers: list[FutureKeyRegister] = field(default_factory=list)
     exhausted: bool = False
 
-    @property
-    def initial_id(self) -> int:
-        return self.base_ksn.initial_id
-
     def occupied_count(self) -> int:
         return sum(1 for r in self.registers if r.occupied)
 
@@ -164,14 +160,8 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
     return state
 
 
-def _require_transaction_key(key: TdeaKey, op: str) -> None:
-    if key.role is not KeyRole.TRANSACTION:
-        raise KeyRoleError(f"{op} requires a Transaction key, got {key.role.value}")
-
-
 def encrypt_pin(key: TdeaKey, clear_pin_block: bytes) -> bytes:
     """Encrypt one clear PIN block under the PIN variant of ``key``."""
-    _require_transaction_key(key, "encrypt_pin")
     if len(clear_pin_block) != 8:
         raise LengthError(f"PIN block must be 8 bytes, got {len(clear_pin_block)}")
     return tdes.encrypt_block(variant_pin_key(key).material, clear_pin_block)
@@ -179,15 +169,13 @@ def encrypt_pin(key: TdeaKey, clear_pin_block: bytes) -> bytes:
 
 def decrypt_pin(key: TdeaKey, encrypted_pin_block: bytes) -> bytes:
     """Inverse of :func:`encrypt_pin`."""
-    _require_transaction_key(key, "decrypt_pin")
     if len(encrypted_pin_block) != 8:
         raise LengthError(f"PIN block must be 8 bytes, got {len(encrypted_pin_block)}")
-    return tdes.decrypt_block(variant_pin_key(key).material, encrypted_pin_block)
+    return tdes.ecb_decrypt(variant_pin_key(key).material, encrypted_pin_block)
 
 
 def encrypt_data(key: TdeaKey, plaintext: bytes) -> bytes:
     """Encrypt a data payload under the data variant (CBC, zero IV, padded)."""
-    _require_transaction_key(key, "encrypt_data")
     if not plaintext:
         raise EmptyPlaintext("refusing to encrypt an empty payload")
     return tdes.cbc_encrypt(variant_data_key(key).material, plaintext)
@@ -195,5 +183,4 @@ def encrypt_data(key: TdeaKey, plaintext: bytes) -> bytes:
 
 def decrypt_data(key: TdeaKey, ciphertext: bytes) -> bytes:
     """Inverse of :func:`encrypt_data`; bad padding raises DecryptFailed."""
-    _require_transaction_key(key, "decrypt_data")
     return tdes.cbc_decrypt(variant_data_key(key).material, ciphertext)

@@ -106,10 +106,6 @@ def generate(
     count: int,
     bdk_hex: str = DEFAULT_BDK_HEX,
     ksn_hex: str = DEFAULT_KSN_HEX,
-    include_ciphertexts: bool = True,
-    pin: str = DEFAULT_PIN,
-    pan: str = DEFAULT_PAN,
-    data: bytes = DEFAULT_DATA,
 ) -> list[VectorRecord]:
     """Walk the first ``count`` usable counters and record every derivation."""
     if count < 1:
@@ -117,7 +113,7 @@ def generate(
     bdk = TdeaKey.from_hex(bdk_hex, KeyRole.BASE_DERIVATION)
     initial_ksn = parse_ksn(ksn_hex).base
     ipek = derive_ipek(bdk, initial_ksn)
-    clear_block = encode_iso0(pin, pan) if include_ciphertexts else None
+    clear_block = encode_iso0(DEFAULT_PIN, DEFAULT_PAN)
     records = []
     counter = 0
     for _ in range(count):
@@ -132,11 +128,11 @@ def generate(
                 key=key.hex,
                 pin_variant=variant_pin_key(key).hex,
                 data_variant=variant_data_key(key).hex,
-                pin=pin if include_ciphertexts else None,
-                pan=pan if include_ciphertexts else None,
-                pin_ct=encrypt_pin(key, clear_block).hex().upper() if clear_block else None,
-                data=data.hex().upper() if include_ciphertexts else None,
-                data_ct=encrypt_data(key, data).hex().upper() if include_ciphertexts else None,
+                pin=DEFAULT_PIN,
+                pan=DEFAULT_PAN,
+                pin_ct=encrypt_pin(key, clear_block).hex().upper(),
+                data=DEFAULT_DATA.hex().upper(),
+                data_ct=encrypt_data(key, DEFAULT_DATA).hex().upper(),
             )
         )
     return records

@@ -65,6 +65,19 @@ def test_key_repr_hides_material():
     assert "0123" not in repr(key)
 
 
+def test_key_and_ksn_own_their_bytes():
+    key_buf = bytearray(range(16))
+    ksn_buf = bytearray(bytes.fromhex(INTEROP_KSN_HEX))
+    key = TdeaKey(key_buf, KeyRole.TRANSACTION)
+    ksn = Ksn(ksn_buf)
+    key_buf[:] = bytes(16)
+    ksn_buf[:] = bytes(10)
+    assert key.material == bytes(range(16))
+    assert ksn.hex == INTEROP_KSN_HEX
+    assert hash(key) == hash(TdeaKey(bytes(range(16)), KeyRole.TRANSACTION))
+    assert hash(ksn) == hash(parse_ksn(INTEROP_KSN_HEX))
+
+
 # --- KSN parsing and views --------------------------------------------------
 
 def test_parse_ksn_counter_zero():

@@ -19,3 +19,19 @@ def test_no_private_name_imported_across_modules():
                     if a.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_one_cipher_builder_and_one_crypto_importer():
+    importers, cipher_calls = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cryptography"):
+                importers.append(path.name)
+            elif isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "cryptography" for a in node.names
+            ):
+                importers.append(path.name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Cipher":
+                cipher_calls.append(f"{path.name}:{node.lineno}")
+    assert set(importers) == {"tdes.py"}
+    assert len(cipher_calls) == 1, cipher_calls
