@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import tdes
-from .errors import EmptyPlaintext, LengthError
+from .errors import LengthError
 from .key_hierarchy import KeyRole, Ksn, TdeaKey
 
 
@@ -31,8 +31,6 @@ class FixedKeyTerminal:
 
 def fixed_encrypt(terminal: FixedKeyTerminal, payload: bytes) -> bytes:
     """CBC under the permanent key; deterministic by construction."""
-    if not payload:
-        raise EmptyPlaintext("refusing to encrypt an empty payload")
     return tdes.cbc_encrypt(terminal.key.material, payload)
 
 

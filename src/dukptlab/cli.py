@@ -103,12 +103,11 @@ def _cmd_derive_ipek(args: argparse.Namespace) -> int:
 def _cmd_derive_key(args: argparse.Namespace) -> int:
     bdk = TdeaKey.from_hex(args.bdk.upper(), KeyRole.BASE_DERIVATION)
     ksn = parse_ksn(args.ksn.upper())
-    key = derive_key_chain(derive_ipek(bdk, ksn.base), ksn)
+    key = derive_key_chain(derive_ipek(bdk, ksn), ksn)
+    print(f"key={key.hex}")
     if ksn.counter == 0:
-        print(f"key={key.hex}")
         print("note=counter is zero; this is the initial key (diagnostic only)")
         return EXIT_OK
-    print(f"key={key.hex}")
     print(f"pin_variant={variant_pin_key(key).hex}")
     print(f"data_variant={variant_data_key(key).hex}")
     return EXIT_OK

@@ -32,7 +32,6 @@ from .key_hierarchy import (
     Ksn,
     MAX_COUNTER_WEIGHT,
     TdeaKey,
-    counter_weight,
     derive_ipek,
     derive_key_chain,
 )
@@ -114,7 +113,7 @@ class HostRegistry:
         bdk = self._bdk_for(ksn)
         if bdk is None:
             raise UnknownKeySet(f"no BDK for key set {ksn.key_set_id:06X}")
-        return derive_key_chain(derive_ipek(bdk, ksn.base), ksn)
+        return derive_key_chain(derive_ipek(bdk, ksn), ksn)
 
     def process_message(self, msg: TransactionMessage) -> HostVerdict:
         """Authenticate-by-derivation: re-derive, decrypt, enforce policy."""
@@ -124,7 +123,7 @@ class HostRegistry:
         bdk = self._bdk_for(msg.ksn)
         if bdk is None:
             return HostVerdict(VerdictStatus.UNKNOWN_KEY_SET, counter)
-        if counter_weight(counter) > MAX_COUNTER_WEIGHT:
+        if counter.bit_count() > MAX_COUNTER_WEIGHT:
             return HostVerdict(VerdictStatus.OVERWEIGHT_COUNTER_REJECTED, counter)
         device = msg.ksn.initial_id
         with self._device_lock(device):
@@ -133,7 +132,7 @@ class HostRegistry:
             # the strictly-greater floor whatever the policy setting
             if counter == 0 or (self.enforce_replay and counter <= last):
                 return HostVerdict(VerdictStatus.REPLAY_REJECTED, counter)
-            key = derive_key_chain(derive_ipek(bdk, msg.ksn.base), msg.ksn)
+            key = derive_key_chain(derive_ipek(bdk, msg.ksn), msg.ksn)
             clear_pin = None
             if msg.encrypted_pin_block is not None:
                 clear_pin = decrypt_pin(key, msg.encrypted_pin_block)

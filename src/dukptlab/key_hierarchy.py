@@ -172,14 +172,9 @@ def parse_ksn(text: str) -> Ksn:
     return Ksn(raw)
 
 
-def counter_weight(counter: int) -> int:
-    """Number of set bits in a counter value."""
-    return int(counter).bit_count()
-
-
 def counter_is_usable(counter: int) -> bool:
     """True when a counter may label a transaction (nonzero, weight <= 10)."""
-    return 0 < counter <= COUNTER_MASK and counter_weight(counter) <= MAX_COUNTER_WEIGHT
+    return 0 < counter <= COUNTER_MASK and counter.bit_count() <= MAX_COUNTER_WEIGHT
 
 
 def next_counter(counter: int) -> int:
@@ -290,10 +285,8 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
     :data:`MAX_COUNTER_WEIGHT` set bits; such KSNs are never honored.
     """
     counter = ksn.counter
-    if counter_weight(counter) > MAX_COUNTER_WEIGHT:
-        raise CounterOverweight(
-            f"counter {counter:#07x} has {counter_weight(counter)} set bits"
-        )
+    if counter.bit_count() > MAX_COUNTER_WEIGHT:
+        raise CounterOverweight(f"counter {counter:#07x} has {counter.bit_count()} set bits")
     if counter == 0:
         return ipek
     material = ipek.material

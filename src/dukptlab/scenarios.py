@@ -41,7 +41,7 @@ from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
 from .host import HostRegistry, VerdictStatus, format_reply
 from .key_hierarchy import COUNTER_MASK, KeyRole, Ksn, TdeaKey, derive_ipek
 from .pin_block import encode_iso0
-from .terminal import TerminalState, init_terminal
+from .terminal import TerminalState, encrypt_data, encrypt_pin, init_terminal
 from .wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
 
@@ -130,8 +130,8 @@ def evaluate_applicability(profile: EndpointProfile) -> ApplicabilityVerdict:
     characteristic dependency; certified devices are applicable outright.
     """
     deps = set(profile.dependencies)
+    se_rule = _SE_RULES.get(profile.secure_key_storage)
     if profile.transaction_origin is TransactionOrigin.SERVER:
-        se_rule = _SE_RULES.get(profile.secure_key_storage)
         if se_rule:
             deps.add(se_rule[0])
         return ApplicabilityVerdict(
@@ -148,7 +148,6 @@ def evaluate_applicability(profile: EndpointProfile) -> ApplicabilityVerdict:
             (ReasonCode.NO_SECURE_IPEK_STORAGE,),
             frozenset(deps),
         )
-    se_rule = _SE_RULES.get(profile.secure_key_storage)
     if se_rule:
         dependency, reason = se_rule
         deps.add(dependency)
@@ -333,7 +332,8 @@ def run_simulation(
     :class:`ProfileIncompatible`. Every transaction in a run carries the
     same (seed-derived) payload, which is what makes the fixed-key scheme's
     ciphertext reuse — and its absence under per-transaction keys —
-    directly observable in the report.
+    directly observable in the report. ``distinct_keys`` counts the keys
+    the senders used for accepted transactions.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -352,53 +352,53 @@ def run_simulation(
     payload = f"AMT={rng.randrange(100, 100000):06d};MERCHANT={rng.randrange(10**8):08d}".encode()
 
     # each branch provisions (its RNG draws, in this order, fix the report for
-    # a seed) and defines one transaction's terminal side and host side
+    # a seed) and defines one transaction's terminal side, which returns the
+    # message with the key it used, and host side
     if scheme is Scheme.DUKPT:
         registry = HostRegistry()
         term = _provision_dukpt(rng, registry)
 
-        def send() -> TransactionMessage:
-            return term.build_message(clear_pin_block=clear_block, data=payload)
+        def send() -> tuple[TransactionMessage, bytes]:
+            ksn, key = term.next_transaction_key()
+            pin_ct, data_ct = encrypt_pin(key, clear_block), encrypt_data(key, payload)
+            return TransactionMessage(ksn, pin_ct, data_ct, Scheme.DUKPT), key.material
 
-        def receive(msg: TransactionMessage) -> tuple[VerdictStatus, bytes | None]:
-            host_verdict = registry.process_message(msg)
-            if not host_verdict.accepted:
-                return host_verdict.status, None
-            return host_verdict.status, registry.rederive_key(msg.ksn).material
+        def receive(msg: TransactionMessage) -> VerdictStatus:
+            return registry.process_message(msg).status
 
     elif scheme is Scheme.FIXED:
         key = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         term_fixed = FixedKeyTerminal(key, _random_initial_ksn(rng))
 
-        def send() -> TransactionMessage:
+        def send() -> tuple[TransactionMessage, bytes]:
             return TransactionMessage(
                 term_fixed.terminal_id,
                 encrypted_data=fixed_encrypt(term_fixed, payload),
                 scheme=Scheme.FIXED,
-            )
+            ), key.material
 
-        def receive(msg: TransactionMessage) -> tuple[VerdictStatus, bytes | None]:
+        def receive(msg: TransactionMessage) -> VerdictStatus:
             fixed_decrypt(key, msg.encrypted_data)
-            return VerdictStatus.ACCEPTED, key.material
+            return VerdictStatus.ACCEPTED
 
     elif scheme is Scheme.MASTER_SESSION:
         kek = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         ctx = MasterSessionContext(kek, random_source=rng.randbytes)
         device_id = _random_initial_ksn(rng)
 
-        def send() -> TransactionMessage:
+        def send() -> tuple[TransactionMessage, bytes]:
             wrapped, session = ms_wrap_session(ctx)
             return TransactionMessage(
                 device_id,
                 encrypted_data=tdes.cbc_encrypt(session.material, payload),
                 scheme=Scheme.MASTER_SESSION,
                 wrapped_session_key=wrapped,
-            )
+            ), session.material
 
-        def receive(msg: TransactionMessage) -> tuple[VerdictStatus, bytes | None]:
+        def receive(msg: TransactionMessage) -> VerdictStatus:
             host_session = ms_unwrap_session(kek, msg.wrapped_session_key)
             tdes.cbc_decrypt(host_session.material, msg.encrypted_data)
-            return VerdictStatus.ACCEPTED, host_session.material
+            return VerdictStatus.ACCEPTED
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -407,13 +407,14 @@ def run_simulation(
     seen_keys: set[bytes] = set()
     seen_ciphertexts: set[tuple[bytes | None, bytes | None]] = set()
     for _ in range(count):
-        msg = parse_wire(encode_wire(send()))
+        sent, material = send()
+        msg = parse_wire(encode_wire(sent))
         try:
-            status, material = receive(msg)
+            status = receive(msg)
         except DecryptFailed:
-            status, material = VerdictStatus.DECRYPT_FAILED, None
+            status = VerdictStatus.DECRYPT_FAILED
         status_counts[status] += 1
-        if material is not None:
+        if status is VerdictStatus.ACCEPTED:
             seen_keys.add(material)
         seen_ciphertexts.add((msg.encrypted_pin_block, msg.encrypted_data))
 
@@ -432,9 +433,6 @@ def run_simulation(
 class CloneAttackReport:
     """Outcome of replaying a device whose full state was copied."""
 
-    n_legit: int
-    n_clone: int
-    replay_policy: bool
     clone_first_accepted: bool
     legit_replay_rejected: bool
     accepted: int
@@ -491,9 +489,6 @@ def clone_attack_demo(
             legit_left -= 1
 
     return CloneAttackReport(
-        n_legit=n_legit,
-        n_clone=n_clone,
-        replay_policy=enforce_replay,
         clone_first_accepted=clone_first is VerdictStatus.ACCEPTED,
         legit_replay_rejected=legit_after is VerdictStatus.REPLAY_REJECTED,
         accepted=counts[VerdictStatus.ACCEPTED],

@@ -176,8 +176,6 @@ def decrypt_pin(key: TdeaKey, encrypted_pin_block: bytes) -> bytes:
 
 def encrypt_data(key: TdeaKey, plaintext: bytes) -> bytes:
     """Encrypt a data payload under the data variant (CBC, zero IV, padded)."""
-    if not plaintext:
-        raise EmptyPlaintext("refusing to encrypt an empty payload")
     return tdes.cbc_encrypt(variant_data_key(key).material, plaintext)
 
 

@@ -145,7 +145,7 @@ def verify(records: Iterable[VectorRecord]) -> list[str]:
         try:
             bdk = TdeaKey.from_hex(record.bdk, KeyRole.BASE_DERIVATION)
             ksn = parse_ksn(record.initial_ksn).with_counter(record.counter)
-            key = derive_key_chain(derive_ipek(bdk, ksn.base), ksn)
+            key = derive_key_chain(derive_ipek(bdk, ksn), ksn)
         except Exception as exc:  # derivation itself may reject a bad record
             failures.append(f"record {index}: derivation failed: {exc}")
             continue

@@ -32,7 +32,7 @@ class TransactionMessage:
 
     Weight policy on the counter is deliberately *not* enforced here: the
     host must be able to receive (and reject) a forged overweight KSN, so
-    only the payload-presence invariant is structural.
+    only the payload invariants (presence and block lengths) are structural.
     """
 
     ksn: Ksn
@@ -94,8 +94,6 @@ def parse_wire(line: str) -> TransactionMessage:
     except (ValueError, WireFormatError) as exc:
         raise WireFormatError(f"bad KSN field: {exc}") from exc
     pin_ct = _parse_payload(fields[2], "pinblock")
-    if pin_ct is not None and len(pin_ct) != 8:
-        raise WireFormatError("pinblock field must be 16 hex characters")
     data_ct = _parse_payload(fields[3], "data")
     try:
         scheme = Scheme(fields[4])

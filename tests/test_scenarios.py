@@ -2,6 +2,7 @@
 
 import pytest
 
+from dukptlab import key_hierarchy
 from dukptlab.errors import ProfileFormatError, ProfileIncompatible
 from dukptlab.scenarios import (
     BUILTIN_PROFILES,
@@ -179,6 +180,24 @@ def test_report_renderings_exclude_elapsed_time():
     assert report.elapsed_seconds > 0
     assert "elapsed" not in report.record_line()
     assert "elapsed" not in report.table()
+
+
+def test_dukpt_simulation_derives_each_host_key_once(monkeypatch):
+    # the host's fold looks derive_child up as a key_hierarchy global, so this
+    # counts the host's steps; terminal.py binds the name at import, so the
+    # terminal's register refills are not counted
+    calls = 0
+    real_derive_child = key_hierarchy.derive_child
+
+    def counting_derive_child(*args):
+        nonlocal calls
+        calls += 1
+        return real_derive_child(*args)
+
+    monkeypatch.setattr(key_hierarchy, "derive_child", counting_derive_child)
+    report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 100, seed=0)
+    assert calls == sum(c.bit_count() for c in range(1, 101))
+    assert report.distinct_keys == 100
 
 
 def test_simulation_rejects_bad_count():

@@ -73,6 +73,8 @@ def test_message_validates_payload_shapes():
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-",
         "DUKPT1|FFFF9876543210E0000|AAAAAAAAAAAAAAAA|-|DUKPT",
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAA|-|DUKPT",
+        "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAA|-|DUKPT",
+        "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAAAA|-|DUKPT",
         "DUKPT1|FFFF9876543210E00001|-|-|DUKPT",
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|ABC|DUKPT",
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-|TLS",
