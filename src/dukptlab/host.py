@@ -3,10 +3,21 @@
 The registry is a software stand-in for the HSM that would normally hold
 base derivation keys: BDKs go in through :meth:`HostRegistry.register_bdk`
 and never come out through any reply, verdict, or log. For each incoming
-message the host recomputes the device's initial key from the registered
-BDK and the counter-zeroed KSN, folds the derivation chain to the
-transaction key, and decrypts — the same route the terminal took, which is
-the whole point of the scheme.
+message the host folds the derivation chain to the transaction key and
+decrypts — the same route the terminal took, which is the whole point of
+the scheme.
+
+The fold does not always start from the device's initial key. For each of
+up to :data:`CHAIN_CACHE_DEVICES` recently served devices the registry
+keeps the chain of the last accepted counter: one key per MSB-first prefix
+of it, at most ten. A new counter restarts the fold from the longest prefix
+it shares with that counter, so in-order traffic costs one one-way step per
+message instead of an IPEK and a full fold; only an empty shared prefix
+goes back to the BDK. The chain is replaced only after a message is
+accepted. The trade-off: those chain keys stay in host memory until the
+device is evicted (least recently served first) or its BDK is replaced,
+and are zero-overwritten then. Each opens only the counters that extend
+its prefix with lower bits; no IPEK or BDK copy is cached.
 
 Two policies guard the counter: KSNs whose counter exceeds the weight bound
 are rejected outright, and each device's accepted counters must be strictly
@@ -17,6 +28,7 @@ replay policy can be disabled to demonstrate what cloning costs without it.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,18 +40,24 @@ from .errors import (
     WireFormatError,
 )
 from .key_hierarchy import (
+    COUNTER_BITS,
     KeyRole,
     Ksn,
     MAX_COUNTER_WEIGHT,
     TdeaKey,
     derive_ipek,
     derive_key_chain,
+    fold_chain,
 )
 from .pin_block import structure_ok
 from .terminal import decrypt_data, decrypt_pin
 from .wire import Scheme, TransactionMessage, parse_wire
 
 KEY_SET_ID_BITS = 24
+# the device part of the 59-bit initial-KSN identifier, below the key-set id
+DEVICE_ID_BITS = 80 - COUNTER_BITS - KEY_SET_ID_BITS
+# devices whose last accepted chain is kept; host_scattered's 682 fit
+CHAIN_CACHE_DEVICES = 1024
 
 
 class VerdictStatus(Enum):
@@ -70,7 +88,8 @@ class HostRegistry:
     Message processing for distinct devices may run concurrently; the
     check-and-update of one device's counter is serialized under a
     per-device lock, and the decrypt happens inside it so an accept and its
-    log update are atomic.
+    log update are atomic. While a message is open its device's cached chain
+    is out of the cache, so no eviction or BDK replacement can wipe it.
     """
 
     def __init__(self, enforce_replay: bool = True):
@@ -79,6 +98,8 @@ class HostRegistry:
         self._device_log: dict[int, int] = {}
         self._admin_lock = threading.Lock()
         self._device_locks: dict[int, threading.Lock] = {}
+        # device -> (last accepted counter, 16 bytes per prefix key), LRU order
+        self._chains: OrderedDict[int, tuple[int, bytearray]] = OrderedDict()
 
     def register_bdk(self, key_set_id: int, bdk: TdeaKey, overwrite: bool = False) -> None:
         """Install the base derivation key serving one key-set identifier."""
@@ -90,6 +111,9 @@ class HostRegistry:
             if key_set_id in self._bdks and not overwrite:
                 raise DuplicateKeySet(f"key set {key_set_id:06X} already registered")
             self._bdks[key_set_id] = bdk
+            # chains folded under a replaced BDK would open nothing under the new one
+            for device in [d for d in self._chains if d >> DEVICE_ID_BITS == key_set_id]:
+                _wipe(self._chains.pop(device)[1])
 
     def last_accepted_counter(self, initial_id: int) -> int:
         """Replay-log position for a device; 0 when never seen."""
@@ -132,20 +156,37 @@ class HostRegistry:
             # the strictly-greater floor whatever the policy setting
             if counter == 0 or (self.enforce_replay and counter <= last):
                 return HostVerdict(VerdictStatus.REPLAY_REJECTED, counter)
-            key = derive_key_chain(derive_ipek(bdk, msg.ksn), msg.ksn)
-            clear_pin = None
-            if msg.encrypted_pin_block is not None:
-                clear_pin = decrypt_pin(key, msg.encrypted_pin_block)
-                if not structure_ok(clear_pin):
-                    return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
-            clear_data = None
-            if msg.encrypted_data is not None:
-                try:
-                    clear_data = decrypt_data(key, msg.encrypted_data)
-                except DecryptFailed:
-                    return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
+            with self._admin_lock:
+                cached = self._chains.pop(device, None)
+            old_counter, old_chain = cached or (0, bytearray())
+            shift = (old_counter ^ counter).bit_length()
+            prefix = counter >> shift << shift
+            chain = old_chain[: 16 * prefix.bit_count()]
+            start = bytes(chain[-16:]) if prefix else derive_ipek(bdk, msg.ksn).material
+            key = TdeaKey(fold_chain(start, msg.ksn, prefix, chain), KeyRole.TRANSACTION)
+            try:
+                clear_pin, clear_data = _open(key, msg)
+            except DecryptFailed:
+                self._keep_chain(device, bdk, cached, chain)
+                return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
             self._device_log[device] = max(last, counter)
+            self._keep_chain(device, bdk, (counter, chain), old_chain)
             return HostVerdict(VerdictStatus.ACCEPTED, counter, clear_pin, clear_data)
+
+    def _keep_chain(self, device: int, bdk: TdeaKey,
+                    keep: tuple[int, bytearray] | None, drop: bytearray) -> None:
+        """Cache ``keep`` as the device's chain and wipe ``drop``; evict past the bound."""
+        _wipe(drop)
+        if keep is None:
+            return
+        with self._admin_lock:
+            # a BDK replaced while the message was open invalidated this chain
+            if self._bdks.get(device >> DEVICE_ID_BITS) is not bdk:
+                _wipe(keep[1])
+                return
+            self._chains[device] = keep
+            while len(self._chains) > CHAIN_CACHE_DEVICES:
+                _wipe(self._chains.popitem(last=False)[1][1])
 
     def handle_wire_line(self, line: str) -> str:
         """Process one transport line and produce the reply line."""
@@ -157,6 +198,23 @@ class HostRegistry:
             return "ERR|UnsupportedScheme"
         verdict = self.process_message(msg)
         return format_reply(verdict)
+
+
+def _open(key: TdeaKey, msg: TransactionMessage) -> tuple[bytes | None, bytes | None]:
+    """Clear PIN block and data; :class:`DecryptFailed` when either fails its check."""
+    clear_pin = None
+    if msg.encrypted_pin_block is not None:
+        clear_pin = decrypt_pin(key, msg.encrypted_pin_block)
+        if not structure_ok(clear_pin):
+            raise DecryptFailed("PIN block fails the format-0 structure check")
+    clear_data = None
+    if msg.encrypted_data is not None:
+        clear_data = decrypt_data(key, msg.encrypted_data)
+    return clear_pin, clear_data
+
+
+def _wipe(buffer: bytearray) -> None:
+    buffer[:] = bytes(len(buffer))
 
 
 def format_reply(verdict: HostVerdict) -> str:

@@ -14,7 +14,8 @@ transaction counter. Counters with more than ten set bits are skipped,
 which is exactly what lets a device cover the whole space with a 21-slot
 future-key table.
 
-All functions here are pure; state lives in :mod:`dukptlab.terminal` and
+All functions here are pure, except that :func:`fold_chain` appends to the
+buffer it is handed; state lives in :mod:`dukptlab.terminal` and
 :mod:`dukptlab.host`.
 """
 
@@ -289,14 +290,29 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
         raise CounterOverweight(f"counter {counter:#07x} has {counter.bit_count()} set bits")
     if counter == 0:
         return ipek
-    material = ipek.material
-    acc = 0
-    for pos in range(COUNTER_BITS - 1, -1, -1):
-        bit = 1 << pos
-        if counter & bit:
-            acc |= bit
-            material = derive_child(material, ksn, acc)
-    return TdeaKey(material, KeyRole.TRANSACTION)
+    return TdeaKey(fold_chain(ipek.material, ksn, 0, bytearray()), KeyRole.TRANSACTION)
+
+
+def fold_chain(material: bytes, ksn: Ksn, prefix: int, chain: bytearray) -> bytes:
+    """Fold from ``key(prefix) = material`` to the key of the KSN's counter.
+
+    ``prefix`` is the counter with zero or more of its low set bits cleared
+    (0 names the IPEK). One step is taken per remaining set bit, MSB first,
+    and each key derived is appended to ``chain``; the last is returned.
+    This is the only fold: :func:`derive_key_chain` starts it from the IPEK,
+    and the host from the longest prefix it still holds.
+    """
+    counter = ksn.counter
+    rest = counter ^ prefix
+    if prefix & rest or (prefix and rest >= prefix & -prefix):
+        raise ValueError(f"{prefix:#07x} is not a prefix of counter {counter:#07x}")
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        rest ^= bit
+        prefix |= bit
+        material = derive_child(material, ksn, prefix)
+        chain += material
+    return material
 
 
 def variant_pin_key(transaction_key: TdeaKey) -> TdeaKey:

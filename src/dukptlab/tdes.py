@@ -69,18 +69,6 @@ def pad(data: bytes) -> bytes:
     return padded
 
 
-def unpad(data: bytes) -> bytes:
-    """Strip marker padding; raise :class:`DecryptFailed` if it is absent."""
-    if not data or len(data) % BLOCK_SIZE:
-        raise DecryptFailed("padded data must be a positive multiple of 8 bytes")
-    i = len(data)
-    while i > 0 and data[i - 1] == 0x00:
-        i -= 1
-    if i == 0 or data[i - 1] != 0x80 or len(data) - i >= BLOCK_SIZE:
-        raise DecryptFailed("padding marker missing or malformed")
-    return data[: i - 1]
-
-
 def cbc_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """TDEA-CBC with mandatory marker padding applied first."""
     if not plaintext:
@@ -94,4 +82,11 @@ def cbc_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     if not ciphertext or len(ciphertext) % BLOCK_SIZE:
         raise DecryptFailed("ciphertext must be a positive multiple of 8 bytes")
     dec = _cipher(key, _CBC).decryptor()
-    return unpad(dec.update(ciphertext) + dec.finalize())
+    data = dec.update(ciphertext) + dec.finalize()
+    # strip the marker padding: trailing zeros, then 0x80, all within the last block
+    i = len(data)
+    while i > 0 and data[i - 1] == 0x00:
+        i -= 1
+    if i == 0 or data[i - 1] != 0x80 or len(data) - i >= BLOCK_SIZE:
+        raise DecryptFailed("padding marker missing or malformed")
+    return data[: i - 1]

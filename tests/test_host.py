@@ -1,21 +1,26 @@
 """Host engine: registry, re-derivation, replay policy, wire handling."""
 
+import random
+import sys
 import threading
 
 import pytest
 
+from dukptlab import host
 from dukptlab.errors import CounterOverweight, DuplicateKeySet, KeyRoleError, UnknownKeySet
 from dukptlab.host import HostRegistry, VerdictStatus, format_reply
 from dukptlab.key_hierarchy import (
     KeyRole,
     Ksn,
     TdeaKey,
+    counter_is_usable,
     derive_ipek,
     derive_key_chain,
+    next_counter,
     parse_ksn,
 )
 from dukptlab.pin_block import encode_iso0
-from dukptlab.terminal import encrypt_pin, init_terminal
+from dukptlab.terminal import encrypt_data, encrypt_pin, init_terminal
 from dukptlab.wire import Scheme, TransactionMessage, encode_wire
 
 from conftest import INTEROP_PAN, INTEROP_PIN, OTHER_BDK_HEX
@@ -226,6 +231,9 @@ def test_no_key_or_clear_block_in_reprs(registry, terminal):
     clear = {verdict.clear_pin_block, verdict.clear_data}
     assert clear == {encode_iso0(*CLEAR_BLOCK_ARGS), b"Sale: 42.00 USD"}
     assert not _leaked(repr(verdict), clear | material)
+    chain_keys = set(_prefix_keys(registry.rederive_key, msg.ksn))
+    assert len(chain_keys) == msg.ksn.counter.bit_count()
+    assert not _leaked(repr(registry), chain_keys | material)
 
 
 # --- concurrency ----------------------------------------------------------------------
@@ -256,3 +264,185 @@ def test_concurrent_devices_process_cleanly(bdk):
         t.join()
     for replies in results.values():
         assert all(reply.startswith("OK|") for reply in replies)
+
+
+# --- chain cache ----------------------------------------------------------------------
+
+def _prefix_keys(derive, ksn):
+    """Reference key of each MSB-first prefix of the KSN's counter."""
+    counter, keys = ksn.counter, []
+    for pos in range(20, -1, -1):
+        if counter >> pos & 1:
+            keys.append(derive(ksn.with_counter(counter >> pos << pos)).material)
+    return keys
+
+
+def _cache(registry):
+    return [(d, c, bytes(chain)) for d, (c, chain) in registry._chains.items()]
+
+
+def _assert_cache_matches_reference(registry):
+    for device, counter, chain in _cache(registry):
+        ksn = Ksn(((device << 21) | counter).to_bytes(10, "big"))
+        assert chain == b"".join(_prefix_keys(registry.rederive_key, ksn))
+
+
+def _reference_message(ipek, ksn, rng):
+    key = derive_key_chain(ipek, ksn)
+    block = encode_iso0(str(rng.randrange(10**4, 10**6)), INTEROP_PAN)
+    data = rng.randbytes(rng.randrange(1, 40))
+    msg = TransactionMessage(ksn, encrypt_pin(key, block), encrypt_data(key, data))
+    return msg, (block, data)
+
+
+def _device_ksn(key_set_id, device_index):
+    return Ksn(((key_set_id << 56) | (device_index << 21)).to_bytes(10, "big"))
+
+
+def _next_counter(rng, last):
+    """A random, gapped, consecutive, out-of-order or repeated successor of ``last``."""
+    kind = rng.choices(["random", "gapped", "consecutive", "earlier", "repeated"],
+                       weights=[1, 2, 3, 2, 1])[0]
+    c = {
+        "random": rng.randrange(1, 1 << 21),
+        "gapped": min(last + rng.randrange(2, 300), 0x1FF800),
+        "consecutive": next_counter(min(last, 0x1FF7FF)),
+        "earlier": max(last - rng.randrange(1, 300), 1),
+        "repeated": max(last, 1),
+    }[kind]
+    while not counter_is_usable(c):
+        c = rng.randrange(1, 1 << 21)
+    return c
+
+
+@pytest.mark.parametrize("enforce", [True, False])
+def test_cached_folds_match_reference(monkeypatch, bdk, enforce):
+    monkeypatch.setattr(host, "CHAIN_CACHE_DEVICES", 3)
+    rng = random.Random(5)
+    registry = HostRegistry(enforce_replay=enforce)
+    registry.register_bdk(0x5A5A5A, bdk)
+    devices = [_device_ksn(0x5A5A5A, i) for i in range(7)]  # more than the bound
+    ipeks = [derive_ipek(bdk, ksn) for ksn in devices]
+    last = [0] * len(devices)
+    floor = [0] * len(devices)
+    accepted = 0
+    for n in range(150):
+        # skewed device choice: some chains survive in the cache, others are evicted
+        i = rng.choices(range(len(devices)), weights=[6, 4, 3, 1, 1, 1, 1])[0]
+        last[i] = counter = _next_counter(rng, last[i])
+        msg, sent = _reference_message(ipeks[i], devices[i].with_counter(counter), rng)
+        verdict = registry.process_message(msg)
+        if enforce and counter <= floor[i]:
+            assert verdict.status is VerdictStatus.REPLAY_REJECTED
+            continue
+        assert verdict.accepted
+        assert (verdict.clear_pin_block, verdict.clear_data) == sent
+        floor[i] = max(floor[i], counter)
+        accepted += 1
+        if n % 5 == 0:
+            before = _cache(registry)
+            registry.rederive_key(devices[i].with_counter(_next_counter(rng, counter)))
+            assert _cache(registry) == before
+    assert accepted > 150 // 3
+    assert len(registry._chains) == 3
+    _assert_cache_matches_reference(registry)
+
+
+def test_rejected_message_leaves_cached_chain(registry, terminal, initial_ksn):
+    for _ in range(3):
+        assert registry.process_message(_message(terminal)).accepted
+    before = _cache(registry)
+    msg = _message(terminal)
+    tampered = TransactionMessage(msg.ksn, msg.encrypted_pin_block, b"\x00" * 16)
+    assert registry.process_message(tampered).status is VerdictStatus.DECRYPT_FAILED
+    overweight = TransactionMessage(initial_ksn.with_counter(0x7FF), b"\x42" * 8)
+    assert registry.process_message(overweight).status is VerdictStatus.OVERWEIGHT_COUNTER_REJECTED
+    replayed = TransactionMessage(initial_ksn.with_counter(1), b"\x42" * 8)
+    assert registry.process_message(replayed).status is VerdictStatus.REPLAY_REJECTED
+    unknown = TransactionMessage(parse_ksn("0000000000000000000A").with_counter(4), b"\x42" * 8)
+    assert registry.process_message(unknown).status is VerdictStatus.UNKNOWN_KEY_SET
+    assert _cache(registry) == before
+    assert registry.process_message(msg).accepted
+
+
+def test_bdk_replacement_drops_cached_chains(registry, terminal, initial_ksn):
+    for _ in range(4):
+        assert registry.process_message(_message(terminal)).accepted
+    (_, chain), = registry._chains.values()
+    other = TdeaKey.from_hex(OTHER_BDK_HEX, KeyRole.BASE_DERIVATION)
+    registry.register_bdk(initial_ksn.key_set_id, other, overwrite=True)
+    assert not registry._chains and not any(chain)
+    # counter 5 shares counter 4's prefix, so a kept chain would fold from the old BDK
+    rekeyed = init_terminal(derive_ipek(other, initial_ksn), initial_ksn)
+    for _ in range(4):
+        rekeyed.next_transaction_key()
+    msg = _message(rekeyed)
+    assert msg.ksn.counter == 5
+    assert registry.process_message(msg).accepted
+
+
+def test_bdk_replaced_while_a_message_is_open_drops_its_chain(monkeypatch, registry,
+                                                              terminal, initial_ksn):
+    other = TdeaKey.from_hex(OTHER_BDK_HEX, KeyRole.BASE_DERIVATION)
+    real_open = host._open
+    calls = []
+
+    def open_then_rekey(key, msg):
+        registry.register_bdk(initial_ksn.key_set_id, other, overwrite=True)
+        calls.append(msg.ksn.counter)
+        return real_open(key, msg)
+
+    monkeypatch.setattr(host, "_open", open_then_rekey)
+    assert registry.process_message(_message(terminal)).accepted
+    assert calls == [1] and not registry._chains
+
+
+def test_evicted_and_replaced_chains_are_wiped(monkeypatch, bdk):
+    monkeypatch.setattr(host, "CHAIN_CACHE_DEVICES", 2)
+    registry = HostRegistry()
+    registry.register_bdk(0x5A5A5A, bdk)
+    terminals = [init_terminal(derive_ipek(bdk, ksn), ksn)
+                 for ksn in (_device_ksn(0x5A5A5A, i) for i in range(3))]
+    for _ in range(3):  # counter 3: a two-key chain
+        assert registry.process_message(_message(terminals[0])).accepted
+    first = next(iter(registry._chains.values()))[1]
+    assert len(first) == 32 and any(first)
+    assert registry.process_message(_message(terminals[0])).accepted
+    assert not any(first)  # replaced by counter 4's chain
+    replaced = next(iter(registry._chains.values()))[1]
+    for t in terminals[1:]:
+        assert registry.process_message(_message(t)).accepted
+    assert len(registry._chains) == 2 and not any(replaced)  # evicted, least recent first
+
+
+def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
+    monkeypatch.setattr(host, "CHAIN_CACHE_DEVICES", 5)
+    registry = HostRegistry()
+    registry.register_bdk(0x5A5A5A, bdk)
+    per_thread = []
+    for t in range(4):
+        devices = [_device_ksn(0x5A5A5A, 8 * t + i) for i in range(8)]
+        terminals = [init_terminal(derive_ipek(bdk, ksn), ksn) for ksn in devices]
+        # round-robin over this thread's devices, each in counter order
+        per_thread.append([encode_wire(_message(term)) for _ in range(12) for term in terminals])
+    results: dict[int, list[str]] = {}
+
+    def run(index, lines):
+        results[index] = [registry.handle_wire_line(line) for line in lines]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=item) for item in enumerate(per_thread)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    for replies in results.values():
+        assert replies == [f"OK|{n}" for n in range(1, 13) for _ in range(8)]
+    assert len(registry._chains) == 5
+    _assert_cache_matches_reference(registry)
