@@ -58,6 +58,8 @@ KEY_SET_ID_BITS = 24
 DEVICE_ID_BITS = 80 - COUNTER_BITS - KEY_SET_ID_BITS
 # devices whose last accepted chain is kept; host_scattered's 682 fit
 CHAIN_CACHE_DEVICES = 1024
+# fixed pool of device locks; devices that share a stripe only serialize
+DEVICE_LOCK_STRIPES = 64
 
 
 class VerdictStatus(Enum):
@@ -86,10 +88,13 @@ class HostRegistry:
     """BDK store plus per-device replay log.
 
     Message processing for distinct devices may run concurrently; the
-    check-and-update of one device's counter is serialized under a
-    per-device lock, and the decrypt happens inside it so an accept and its
-    log update are atomic. While a message is open its device's cached chain
-    is out of the cache, so no eviction or BDK replacement can wipe it.
+    check-and-update of one device's counter is serialized under its
+    device's lock, and the decrypt happens inside it so an accept and its
+    log update are atomic. The locks are a fixed tuple of
+    :data:`DEVICE_LOCK_STRIPES` stripes indexed by device id, so unknown
+    device ids cannot grow it; devices sharing a stripe only serialize.
+    While a message is open its device's cached chain is out of the cache,
+    so no eviction or BDK replacement can wipe it.
     """
 
     def __init__(self, enforce_replay: bool = True):
@@ -97,7 +102,7 @@ class HostRegistry:
         self._bdks: dict[int, TdeaKey] = {}
         self._device_log: dict[int, int] = {}
         self._admin_lock = threading.Lock()
-        self._device_locks: dict[int, threading.Lock] = {}
+        self._device_locks = tuple(threading.Lock() for _ in range(DEVICE_LOCK_STRIPES))
         # device -> (last accepted counter, 16 bytes per prefix key), LRU order
         self._chains: OrderedDict[int, tuple[int, bytearray]] = OrderedDict()
 
@@ -124,10 +129,6 @@ class HostRegistry:
         with self._admin_lock:
             return self._bdks.get(ksn.key_set_id)
 
-    def _device_lock(self, initial_id: int) -> threading.Lock:
-        with self._admin_lock:
-            return self._device_locks.setdefault(initial_id, threading.Lock())
-
     def rederive_key(self, ksn: Ksn) -> TdeaKey:
         """Recompute the transaction key named by a KSN, with no side effects.
 
@@ -150,7 +151,7 @@ class HostRegistry:
         if counter.bit_count() > MAX_COUNTER_WEIGHT:
             return HostVerdict(VerdictStatus.OVERWEIGHT_COUNTER_REJECTED, counter)
         device = msg.ksn.initial_id
-        with self._device_lock(device):
+        with self._device_locks[device % DEVICE_LOCK_STRIPES]:
             last = self._device_log.get(device, 0)
             # counter 0 names the initial key, never a transaction; it fails
             # the strictly-greater floor whatever the policy setting

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hmac
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,9 +92,6 @@ class TdeaKey:
     @property
     def hex(self) -> str:
         return self.material.hex().upper()
-
-    def xor_mask(self, mask: bytes, role: KeyRole) -> "TdeaKey":
-        return TdeaKey.from_bytes(tdes.xor_bytes(self.material, mask), role)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TdeaKey):
@@ -240,27 +238,41 @@ def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
     return TdeaKey(left + right, KeyRole.INITIAL)
 
 
-def derive_child(material: bytes, ksn: Ksn, counter: int) -> bytes:
-    """The non-reversible derivation step: the child of ``material`` named by ``counter``.
+def derive_children(material: bytes, ksn: Ksn, counters: Iterable[int]) -> list[bytes]:
+    """The non-reversible derivation step: the children of ``material`` named by ``counters``.
 
-    The step message is the rightmost 8 bytes of ``ksn`` with its counter
-    bits replaced by ``counter``. Each half of the output is produced by
-    single-DES under one half-key with pre/post whitening by the other half;
-    recovering the parent from the child requires a key search. The host's
-    chain fold and the terminal's register refill both go through here.
+    Each step message is the rightmost 8 bytes of ``ksn`` with its counter
+    bits replaced by one counter. Each half of a child is single-DES under
+    one half-key of the parent, with pre/post whitening by the other half;
+    recovering the parent from a child requires a key search. Those keys
+    depend on the parent alone, so one ECB pass per half over the
+    concatenated messages derives every child, and no counter builds a
+    cipher of its own. Children come back in the order of ``counters``; an
+    empty ``counters`` builds no cipher.
     """
-    value = (int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK) | counter
-    message = value.to_bytes(8, "big")
-    left, right = material[:8], material[8:]
-    new_right = tdes.xor_bytes(
-        tdes.encrypt_block(left, tdes.xor_bytes(message, right)), right
-    )
-    masked = tdes.xor_bytes(material, KEY_HALF_MASK)
-    mleft, mright = masked[:8], masked[8:]
-    new_left = tdes.xor_bytes(
-        tdes.encrypt_block(mleft, tdes.xor_bytes(message, mright)), mright
-    )
-    return new_left + new_right
+    base = int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK
+    messages = b"".join((base | counter).to_bytes(8, "big") for counter in counters)
+    if not messages:
+        return []
+    blocks = len(messages) // 8
+    halves = []
+    # the left half of a child comes from the masked parent, the right from the parent
+    for key in (tdes.xor_bytes(material, KEY_HALF_MASK), material):
+        whitening = key[8:] * blocks
+        halves.append(tdes.xor_bytes(
+            tdes.ecb_encrypt(key[:8], tdes.xor_bytes(messages, whitening)), whitening))
+    left, right = halves
+    return [left[i : i + 8] + right[i : i + 8] for i in range(0, len(messages), 8)]
+
+
+def derive_child(material: bytes, ksn: Ksn, counter: int) -> bytes:
+    """The one-way step for one counter: :func:`derive_children` of ``(counter,)``.
+
+    The host's chain fold takes its steps one at a time through here, since
+    each step's parent is the previous child. The terminal's register refill
+    is one batched :func:`derive_children` call per issuance instead.
+    """
+    return derive_children(material, ksn, (counter,))[0]
 
 
 def nrkgp(current_key: TdeaKey, ksn: Ksn) -> TdeaKey:
@@ -321,7 +333,8 @@ def variant_pin_key(transaction_key: TdeaKey) -> TdeaKey:
         raise KeyRoleError(
             f"PIN variant requires a Transaction key, got {transaction_key.role.value}"
         )
-    return transaction_key.xor_mask(PIN_VARIANT_MASK, KeyRole.PIN_VARIANT)
+    material = tdes.xor_bytes(transaction_key.material, PIN_VARIANT_MASK)
+    return TdeaKey(material, KeyRole.PIN_VARIANT)
 
 
 def variant_data_key(transaction_key: TdeaKey) -> TdeaKey:
@@ -330,4 +343,5 @@ def variant_data_key(transaction_key: TdeaKey) -> TdeaKey:
         raise KeyRoleError(
             f"data variant requires a Transaction key, got {transaction_key.role.value}"
         )
-    return transaction_key.xor_mask(DATA_VARIANT_MASK, KeyRole.DATA_VARIANT)
+    material = tdes.xor_bytes(transaction_key.material, DATA_VARIANT_MASK)
+    return TdeaKey(material, KeyRole.DATA_VARIANT)

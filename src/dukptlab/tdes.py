@@ -24,7 +24,7 @@ _CBC = modes.CBC(bytes(BLOCK_SIZE))  # the zero IV
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise LengthError(f"xor operands differ in length: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def _cipher(key: bytes, mode: modes.Mode) -> Cipher:

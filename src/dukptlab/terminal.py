@@ -4,7 +4,10 @@ A device is initialized once with its IPEK and immediately converts it into
 21 future keys, one per counter bit position; the IPEK itself is never
 stored. Each transaction consumes the register addressed by the lowest set
 bit of the freshly advanced counter, derives replacement keys into every
-register below that bit, and wipes the consumed slot. The register table is
+register below that bit, and wipes the consumed slot. All those children
+share one parent, so a refill is one batched one-way step
+(:func:`~dukptlab.key_hierarchy.derive_children`): one single-DES pass per
+key half, whatever the number of children. The register table is
 an optimization, not a different derivation: every key it ever hands out
 equals the direct derivation chain for the same counter, and the tests hold
 it to that.
@@ -32,7 +35,7 @@ from .key_hierarchy import (
     KeyRole,
     Ksn,
     TdeaKey,
-    derive_child,
+    derive_children,
     next_counter,
     remaining_counters,
     variant_data_key,
@@ -107,10 +110,13 @@ class TerminalState:
         if not register.occupied:
             raise RuntimeError(f"future-key register {bit_pos + 1} is empty")
         material = bytes(register.key_material)
-        for pos in range(bit_pos):
-            child = counter | (1 << pos)
-            if child.bit_count() <= MAX_COUNTER_WEIGHT:
-                self.registers[pos].store(derive_child(material, self.base_ksn, child))
+        # the bits below the consumed one are clear, so every child adds one
+        # set bit: either all of them fit under the weight bound or none do
+        if bit_pos and counter.bit_count() < MAX_COUNTER_WEIGHT:
+            children = derive_children(
+                material, self.base_ksn, [counter | 1 << pos for pos in range(bit_pos)])
+            for below, child in zip(self.registers, children):
+                below.store(child)
         register.wipe()
         return (
             self.base_ksn.with_counter(counter),
@@ -153,9 +159,10 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
             f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}"
         )
     state = TerminalState(base_ksn=initial_ksn)
-    for bit_pos in range(COUNTER_BITS):
+    bits = [1 << pos for pos in range(COUNTER_BITS)]
+    for child in derive_children(ipek.material, initial_ksn, bits):
         register = FutureKeyRegister()
-        register.store(derive_child(ipek.material, initial_ksn, 1 << bit_pos))
+        register.store(child)
         state.registers.append(register)
     return state
 

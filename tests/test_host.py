@@ -266,6 +266,19 @@ def test_concurrent_devices_process_cleanly(bdk):
         assert all(reply.startswith("OK|") for reply in replies)
 
 
+def test_fresh_device_ids_leave_the_lock_table_as_it_was(bdk):
+    registry = HostRegistry()
+    registry.register_bdk(0x5A5A5A, bdk)
+    locks = registry._device_locks
+    size = len(locks)
+    # forged PIN-only lines of zeros, each from a device id never seen before
+    for device_index in range(2000):
+        ksn = _device_ksn(0x5A5A5A, device_index).with_counter(1)
+        registry.handle_wire_line(encode_wire(TransactionMessage(ksn, bytes(8))))
+    assert registry._device_locks is locks
+    assert len(registry._device_locks) == size
+
+
 # --- chain cache ----------------------------------------------------------------------
 
 def _prefix_keys(derive, ksn):

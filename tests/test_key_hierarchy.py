@@ -4,8 +4,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from dukptlab import tdes
 from dukptlab.errors import (
     CounterExhausted,
     CounterOverweight,
@@ -21,6 +22,7 @@ from dukptlab.key_hierarchy import (
     Ksn,
     TdeaKey,
     counter_is_usable,
+    derive_children,
     derive_ipek,
     derive_key_chain,
     next_counter,
@@ -230,6 +232,38 @@ def test_nrkgp_distinguishes_counters(ipek, initial_ksn):
 def test_nrkgp_rejects_zero_counter(ipek, initial_ksn):
     with pytest.raises(ValueError):
         nrkgp(ipek, initial_ksn)
+
+
+def _reference_child(material, ksn, counter):
+    """The one-way step written out per child: two single-DES blocks, byte-wise XOR."""
+    def xor(a, b):
+        return bytes(x ^ y for x, y in zip(a, b))
+
+    value = (int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK) | counter
+    message = value.to_bytes(8, "big")
+    left, right = material[:8], material[8:]
+    new_right = xor(tdes.encrypt_block(left, xor(message, right)), right)
+    masked = xor(material, bytes.fromhex("C0C0C0C000000000C0C0C0C000000000"))
+    mleft, mright = masked[:8], masked[8:]
+    new_left = xor(tdes.encrypt_block(mleft, xor(message, mright)), mright)
+    return new_left + new_right
+
+
+# a small pool next to the full range makes duplicate counters common
+_counters = st.one_of(st.integers(0, COUNTER_MASK), st.sampled_from([0, 1, 0x4000, COUNTER_MASK]))
+
+
+@given(
+    material=st.binary(min_size=16, max_size=16),
+    raw_ksn=st.binary(min_size=10, max_size=10),
+    counters=st.lists(_counters, max_size=21),
+)
+@example(material=bytes(16), raw_ksn=bytes(10), counters=[])
+@example(material=bytes(range(16)), raw_ksn=bytes(10), counters=[5, 5, 1 << 20, 5])
+def test_derive_children_matches_per_child_reference(material, raw_ksn, counters):
+    ksn = Ksn(raw_ksn)
+    children = derive_children(material, ksn, counters)
+    assert children == [_reference_child(material, ksn, c) for c in counters]
 
 
 @pytest.mark.parametrize("counter,expected", sorted(FROZEN_KEYS.items()))

@@ -184,8 +184,8 @@ def test_report_renderings_exclude_elapsed_time():
 
 def test_dukpt_simulation_takes_one_host_step_per_message(monkeypatch):
     # the host's fold looks derive_child up as a key_hierarchy global, so this
-    # counts the host's steps; terminal.py binds the name at import, so the
-    # terminal's register refills are not counted. In-order counters share
+    # counts the host's steps; the terminal's register refills are batched
+    # derive_children calls, so they are not counted. In-order counters share
     # all but their lowest set bit with the last accepted one, so the host's
     # chain cache leaves one step per message (a full fold would take 319).
     calls = 0

@@ -82,6 +82,21 @@ def test_third_transaction_uses_replenished_register(terminal, ipek, initial_ksn
     assert key == derive_key_chain(ipek, initial_ksn.with_counter(3))
 
 
+def test_worst_case_refill_matches_direct_chain(terminal, ipek, initial_ksn):
+    # 0x3FF0 is the last usable counter below 0x4000, and register 15 still
+    # holds its initial key(0x4000): only counters from 0x8000 up refill it
+    terminal.counter = 0x3FF0
+    untouched = [bytes(r.key_material) for r in terminal.registers[15:]]
+    ksn, key = terminal.next_transaction_key()
+    assert ksn.counter == 0x4000
+    assert key == derive_key_chain(ipek, ksn)
+    for pos in range(14):
+        expected = derive_key_chain(ipek, initial_ksn.with_counter(0x4000 | 1 << pos))
+        assert terminal.registers[pos].key == expected
+    assert not terminal.registers[14].occupied
+    assert [bytes(r.key_material) for r in terminal.registers[15:]] == untouched
+
+
 def test_issued_keys_match_direct_chain_sweep(terminal, ipek, initial_ksn):
     for _ in range(2_000):
         ksn, key = terminal.next_transaction_key()
