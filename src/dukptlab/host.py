@@ -8,16 +8,24 @@ decrypts — the same route the terminal took, which is the whole point of
 the scheme.
 
 The fold does not always start from the device's initial key. For each of
-up to :data:`CHAIN_CACHE_DEVICES` recently served devices the registry
-keeps the chain of the last accepted counter: one key per MSB-first prefix
-of it, at most ten. A new counter restarts the fold from the longest prefix
-it shares with that counter, so in-order traffic costs one one-way step per
-message instead of an IPEK and a full fold; only an empty shared prefix
-goes back to the BDK. The chain is replaced only after a message is
-accepted. The trade-off: those chain keys stay in host memory until the
+up to :data:`TABLE_CACHE_DEVICES` recently served devices the registry
+keeps a lazy mirror of the device's own future-key table in one
+:data:`TABLE_BYTES` buffer: slot :data:`KEY_SLOT` holds the key of the last
+accepted counter ``L``, and slot ``q``, for each zero bit ``q`` of ``L``
+above its lowest set bit, the key of counter ``(L >> q+1 << q+1) | 1 << q``
+(at most 21 keys). A later counter starts from ``key(L)`` when it extends
+``L``, else from the slot of the highest bit where the two differ, and each
+step of its fold also derives the step's right siblings into the table, as
+the terminal's register refill does. In-order traffic then derives on odd
+counters only; a device's first message, an evicted device and (with the
+replay policy off) an earlier counter start from the BDK. The table changes
+only when a message is accepted, and every slot it does not use is zero.
+
+The trade-off: the table holds what the device itself holds, keys that
+open this device's *later* counters and never earlier ones, until the
 device is evicted (least recently served first) or its BDK is replaced,
-and are zero-overwritten then. Each opens only the counters that extend
-its prefix with lower bits; no IPEK or BDK copy is cached.
+and is zero-overwritten then. It holds no IPEK or BDK copy, and the BDK
+the registry already holds opens every one of these keys anyway.
 
 Two policies guard the counter: KSNs whose counter exceeds the weight bound
 are rejected outright, and each device's accepted counters must be strictly
@@ -56,8 +64,11 @@ from .wire import Scheme, TransactionMessage, parse_wire
 KEY_SET_ID_BITS = 24
 # the device part of the 59-bit initial-KSN identifier, below the key-set id
 DEVICE_ID_BITS = 80 - COUNTER_BITS - KEY_SET_ID_BITS
-# devices whose last accepted chain is kept; host_scattered's 682 fit
-CHAIN_CACHE_DEVICES = 1024
+# devices whose key table is kept; host_scattered's 682 fit
+TABLE_CACHE_DEVICES = 1024
+# a table's slot of the last accepted counter's key, after one slot per counter bit
+KEY_SLOT = COUNTER_BITS
+TABLE_BYTES = 16 * (KEY_SLOT + 1)
 # fixed pool of device locks; devices that share a stripe only serialize
 DEVICE_LOCK_STRIPES = 64
 
@@ -85,16 +96,18 @@ class HostVerdict:
 
 
 class HostRegistry:
-    """BDK store plus per-device replay log.
+    """BDK store, per-device replay log and per-device key tables.
 
     Message processing for distinct devices may run concurrently; the
     check-and-update of one device's counter is serialized under its
-    device's lock, and the decrypt happens inside it so an accept and its
-    log update are atomic. The locks are a fixed tuple of
+    device's lock, and the decrypt happens inside it so an accept, its log
+    update and its table update are atomic. The locks are a fixed tuple of
     :data:`DEVICE_LOCK_STRIPES` stripes indexed by device id, so unknown
     device ids cannot grow it; devices sharing a stripe only serialize.
-    While a message is open its device's cached chain is out of the cache,
-    so no eviction or BDK replacement can wipe it.
+    While a message is open its device's key table is out of the cache, so
+    no eviction or BDK replacement can wipe it; the walk derives into a
+    scratch buffer that is copied into the table only on an accept, so any
+    other verdict leaves the table byte-identical.
     """
 
     def __init__(self, enforce_replay: bool = True):
@@ -103,8 +116,8 @@ class HostRegistry:
         self._device_log: dict[int, int] = {}
         self._admin_lock = threading.Lock()
         self._device_locks = tuple(threading.Lock() for _ in range(DEVICE_LOCK_STRIPES))
-        # device -> (last accepted counter, 16 bytes per prefix key), LRU order
-        self._chains: OrderedDict[int, tuple[int, bytearray]] = OrderedDict()
+        # device -> (last accepted counter, its TABLE_BYTES key table), LRU order
+        self._tables: OrderedDict[int, tuple[int, bytearray]] = OrderedDict()
 
     def register_bdk(self, key_set_id: int, bdk: TdeaKey, overwrite: bool = False) -> None:
         """Install the base derivation key serving one key-set identifier."""
@@ -116,9 +129,9 @@ class HostRegistry:
             if key_set_id in self._bdks and not overwrite:
                 raise DuplicateKeySet(f"key set {key_set_id:06X} already registered")
             self._bdks[key_set_id] = bdk
-            # chains folded under a replaced BDK would open nothing under the new one
-            for device in [d for d in self._chains if d >> DEVICE_ID_BITS == key_set_id]:
-                _wipe(self._chains.pop(device)[1])
+            # tables derived under a replaced BDK would open nothing under the new one
+            for device in [d for d in self._tables if d >> DEVICE_ID_BITS == key_set_id]:
+                _wipe(self._tables.pop(device)[1])
 
     def last_accepted_counter(self, initial_id: int) -> int:
         """Replay-log position for a device; 0 when never seen."""
@@ -158,36 +171,42 @@ class HostRegistry:
             if counter == 0 or (self.enforce_replay and counter <= last):
                 return HostVerdict(VerdictStatus.REPLAY_REJECTED, counter)
             with self._admin_lock:
-                cached = self._chains.pop(device, None)
-            old_counter, old_chain = cached or (0, bytearray())
-            shift = (old_counter ^ counter).bit_length()
-            prefix = counter >> shift << shift
-            chain = old_chain[: 16 * prefix.bit_count()]
-            start = bytes(chain[-16:]) if prefix else derive_ipek(bdk, msg.ksn).material
-            key = TdeaKey(fold_chain(start, msg.ksn, prefix, chain), KeyRole.TRANSACTION)
+                cached = self._tables.pop(device, None)
+            known, table = cached or (0, bytearray(TABLE_BYTES))
+            prefix, slot = _walk_start(known, counter)
+            if slot is None:
+                start = derive_ipek(bdk, msg.ksn).material
+            else:
+                start = bytes(table[16 * slot : 16 * slot + 16])
+            # the walk rewrites every slot at and below its start's lowest set bit
+            fresh = bytearray(16 * ((prefix & -prefix).bit_length() or COUNTER_BITS))
+            key = TdeaKey(fold_chain(start, msg.ksn, prefix, fresh), KeyRole.TRANSACTION)
             try:
                 clear_pin, clear_data = _open(key, msg)
             except DecryptFailed:
-                self._keep_chain(device, bdk, cached, chain)
+                _wipe(fresh)
+                self._keep_table(device, bdk, cached)
                 return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
             self._device_log[device] = max(last, counter)
-            self._keep_chain(device, bdk, (counter, chain), old_chain)
+            table[: len(fresh)] = fresh
+            table[16 * KEY_SLOT :] = key.material
+            _wipe(fresh)
+            self._keep_table(device, bdk, (counter, table))
             return HostVerdict(VerdictStatus.ACCEPTED, counter, clear_pin, clear_data)
 
-    def _keep_chain(self, device: int, bdk: TdeaKey,
-                    keep: tuple[int, bytearray] | None, drop: bytearray) -> None:
-        """Cache ``keep`` as the device's chain and wipe ``drop``; evict past the bound."""
-        _wipe(drop)
+    def _keep_table(self, device: int, bdk: TdeaKey,
+                    keep: tuple[int, bytearray] | None) -> None:
+        """Cache ``keep`` as the device's table; evict past the bound."""
         if keep is None:
             return
         with self._admin_lock:
-            # a BDK replaced while the message was open invalidated this chain
+            # a BDK replaced while the message was open invalidated this table
             if self._bdks.get(device >> DEVICE_ID_BITS) is not bdk:
                 _wipe(keep[1])
                 return
-            self._chains[device] = keep
-            while len(self._chains) > CHAIN_CACHE_DEVICES:
-                _wipe(self._chains.popitem(last=False)[1][1])
+            self._tables[device] = keep
+            while len(self._tables) > TABLE_CACHE_DEVICES:
+                _wipe(self._tables.popitem(last=False)[1][1])
 
     def handle_wire_line(self, line: str) -> str:
         """Process one transport line and produce the reply line."""
@@ -212,6 +231,21 @@ def _open(key: TdeaKey, msg: TransactionMessage) -> tuple[bytes | None, bytes | 
     if msg.encrypted_data is not None:
         clear_data = decrypt_data(key, msg.encrypted_data)
     return clear_pin, clear_data
+
+
+def _walk_start(known: int, counter: int) -> tuple[int, int | None]:
+    """The prefix and table slot that the fold to ``counter`` starts from.
+
+    ``known`` is the table's last accepted counter; slot ``None`` is the
+    IPEK (no table, or an earlier counter with the replay policy off).
+    """
+    if not known or counter < known:
+        return 0, None
+    diff = counter ^ known
+    if diff < known & -known:  # counter extends known, or is known
+        return known, KEY_SLOT
+    high = diff.bit_length() - 1
+    return counter >> high << high, high
 
 
 def _wipe(buffer: bytearray) -> None:

@@ -14,9 +14,9 @@ transaction counter. Counters with more than ten set bits are skipped,
 which is exactly what lets a device cover the whole space with a 21-slot
 future-key table.
 
-All functions here are pure, except that :func:`fold_chain` appends to the
-buffer it is handed; state lives in :mod:`dukptlab.terminal` and
-:mod:`dukptlab.host`.
+All functions here are pure, except that :func:`fold_chain` writes the
+siblings it derives into the buffer it is handed; state lives in
+:mod:`dukptlab.terminal` and :mod:`dukptlab.host`.
 """
 
 from __future__ import annotations
@@ -266,12 +266,7 @@ def derive_children(material: bytes, ksn: Ksn, counters: Iterable[int]) -> list[
 
 
 def derive_child(material: bytes, ksn: Ksn, counter: int) -> bytes:
-    """The one-way step for one counter: :func:`derive_children` of ``(counter,)``.
-
-    The host's chain fold takes its steps one at a time through here, since
-    each step's parent is the previous child. The terminal's register refill
-    is one batched :func:`derive_children` call per issuance instead.
-    """
+    """The one-way step for one counter: :func:`derive_children` of ``(counter,)``."""
     return derive_children(material, ksn, (counter,))[0]
 
 
@@ -302,28 +297,45 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
         raise CounterOverweight(f"counter {counter:#07x} has {counter.bit_count()} set bits")
     if counter == 0:
         return ipek
+    # no room for siblings: a one-off key derives none
     return TdeaKey(fold_chain(ipek.material, ksn, 0, bytearray()), KeyRole.TRANSACTION)
 
 
-def fold_chain(material: bytes, ksn: Ksn, prefix: int, chain: bytearray) -> bytes:
+def fold_chain(material: bytes, ksn: Ksn, prefix: int, siblings: bytearray) -> bytes:
     """Fold from ``key(prefix) = material`` to the key of the KSN's counter.
 
     ``prefix`` is the counter with zero or more of its low set bits cleared
-    (0 names the IPEK). One step is taken per remaining set bit, MSB first,
-    and each key derived is appended to ``chain``; the last is returned.
+    (0 names the IPEK). Each remaining set bit, MSB first, is one node of
+    the walk and one :func:`derive_children` batch under the node's key:
+    the child on the way down plus its right siblings, the node's children
+    at the bits between that child's and the node's lowest set bit. Those
+    siblings are the later counters a device's future-key table holds: the
+    key of counter ``(c >> q+1 << q+1) | 1 << q`` goes to 16-byte slot ``q``
+    of ``siblings``, and only the slots the buffer holds are derived, so an
+    empty buffer makes this a plain fold. The counter's key is returned.
     This is the only fold: :func:`derive_key_chain` starts it from the IPEK,
-    and the host from the longest prefix it still holds.
+    and the host from the nearest key its table still holds.
     """
     counter = ksn.counter
     rest = counter ^ prefix
-    if prefix & rest or (prefix and rest >= prefix & -prefix):
+    low = prefix & -prefix
+    if prefix & rest or (prefix and rest >= low):
         raise ValueError(f"{prefix:#07x} is not a prefix of counter {counter:#07x}")
+    top = low.bit_length() - 1 if prefix else COUNTER_BITS
+    room = len(siblings) // 16
     while rest:
-        bit = 1 << (rest.bit_length() - 1)
-        rest ^= bit
-        prefix |= bit
-        material = derive_child(material, ksn, prefix)
-        chain += material
+        bit = rest.bit_length() - 1
+        rest ^= 1 << bit
+        stop = min(top, room)  # the right siblings are at bits bit+1 .. stop-1
+        if stop > bit + 1:
+            counters = [prefix | 1 << q for q in range(bit, stop)]
+        else:  # no comprehension for one child: a plain fold pays this per step
+            counters = [prefix | 1 << bit]
+        material, *right = derive_children(material, ksn, counters)
+        if right:
+            siblings[16 * (bit + 1) : 16 * stop] = b"".join(right)
+        prefix |= 1 << bit
+        top = bit
     return material
 
 

@@ -154,18 +154,24 @@ def verify(records: Iterable[VectorRecord]) -> list[str]:
             ("pin_variant", record.pin_variant, variant_pin_key(key).hex),
             ("data_variant", record.data_variant, variant_data_key(key).hex),
         ]
+        legs = []
         if record.pin_ct is not None:
             if record.pin is None or record.pan is None:
                 failures.append(f"record {index}: pin_ct present without pin/pan")
             else:
-                actual = encrypt_pin(key, encode_iso0(record.pin, record.pan)).hex().upper()
-                checks.append(("pin_ct", record.pin_ct, actual))
+                legs.append(("pin_ct", record.pin_ct,
+                             lambda: encrypt_pin(key, encode_iso0(record.pin, record.pan))))
         if record.data_ct is not None:
             if record.data is None:
                 failures.append(f"record {index}: data_ct present without data")
             else:
-                actual = encrypt_data(key, bytes.fromhex(record.data)).hex().upper()
-                checks.append(("data_ct", record.data_ct, actual))
+                legs.append(("data_ct", record.data_ct,
+                             lambda: encrypt_data(key, bytes.fromhex(record.data))))
+        for name, expected, leg in legs:
+            try:  # a bad pin, pan or data field fails this record, not the run
+                checks.append((name, expected, leg().hex().upper()))
+            except ValueError as exc:
+                failures.append(f"record {index}: {name} inputs rejected: {exc}")
         for name, expected, actual in checks:
             if expected != actual:
                 failures.append(

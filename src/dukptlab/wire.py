@@ -71,16 +71,17 @@ def encode_wire(msg: TransactionMessage) -> str:
     return "|".join(fields)
 
 
-_HEX_CHARS = frozenset("0123456789abcdefABCDEF")
-
-
 def _parse_payload(field: str, name: str) -> bytes | None:
     if field == "-":
         return None
-    # bytes.fromhex tolerates embedded whitespace; the wire format does not
-    if not field or len(field) % 2 or not set(field) <= _HEX_CHARS:
-        raise WireFormatError(f"{name} is not valid even-length hex: {field!r}")
-    return bytes.fromhex(field)
+    # bytes.fromhex tolerates embedded whitespace and isalnum() passes
+    # non-ASCII digits; the wire format takes neither
+    if field and not len(field) % 2 and field.isascii() and field.isalnum():
+        try:
+            return bytes.fromhex(field)
+        except ValueError:
+            pass
+    raise WireFormatError(f"{name} is not valid even-length hex: {field!r}")
 
 
 def parse_wire(line: str) -> TransactionMessage:

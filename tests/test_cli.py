@@ -161,6 +161,18 @@ def test_vectors_verify_names_corrupt_record(capsys, tmp_path):
     assert "record 2" in out and "FAIL" in out
 
 
+def test_vectors_verify_goes_on_past_a_non_hex_data_field(capsys, tmp_path):
+    out_path = tmp_path / "v.txt"
+    run(capsys, "vectors", "generate", "--count", "3", "--out", str(out_path))
+    lines = out_path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace(" data=", " data=ZZ", 1)  # the second record
+    out_path.write_text("".join(lines))
+    code, out, _ = run(capsys, "vectors", "verify", "--file", str(out_path))
+    assert code == 1
+    assert "record 2: data_ct inputs rejected" in out
+    assert "FAIL: 1 mismatch(es) in 3 record(s)" in out
+
+
 def test_vectors_generate_stdout(capsys):
     code, out, _ = run(capsys, "vectors", "generate", "--count", "2")
     assert code == 0

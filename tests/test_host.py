@@ -231,9 +231,10 @@ def test_no_key_or_clear_block_in_reprs(registry, terminal):
     clear = {verdict.clear_pin_block, verdict.clear_data}
     assert clear == {encode_iso0(*CLEAR_BLOCK_ARGS), b"Sale: 42.00 USD"}
     assert not _leaked(repr(verdict), clear | material)
-    chain_keys = set(_prefix_keys(registry.rederive_key, msg.ksn))
-    assert len(chain_keys) == msg.ksn.counter.bit_count()
-    assert not _leaked(repr(registry), chain_keys | material)
+    (_, table), = registry._tables.values()
+    table_keys = {_slot(table, q) for q in range(host.KEY_SLOT + 1)} - {bytes(16)}
+    assert len(table_keys) == len(_table_counters(msg.ksn.counter))
+    assert not _leaked(repr(registry), table_keys | material)
 
 
 # --- concurrency ----------------------------------------------------------------------
@@ -279,25 +280,37 @@ def test_fresh_device_ids_leave_the_lock_table_as_it_was(bdk):
     assert len(registry._device_locks) == size
 
 
-# --- chain cache ----------------------------------------------------------------------
+# --- key table cache ------------------------------------------------------------------
 
-def _prefix_keys(derive, ksn):
-    """Reference key of each MSB-first prefix of the KSN's counter."""
-    counter, keys = ksn.counter, []
-    for pos in range(20, -1, -1):
-        if counter >> pos & 1:
-            keys.append(derive(ksn.with_counter(counter >> pos << pos)).material)
-    return keys
+def _table_counters(counter):
+    """Slot -> counter of each key held by the table of last accepted ``counter``."""
+    low = (counter & -counter).bit_length() - 1
+    slots = {q: (counter >> q + 1 << q + 1) | 1 << q
+             for q in range(low + 1, 21) if not counter >> q & 1}
+    slots[host.KEY_SLOT] = counter
+    return slots
+
+
+def _reference_table(derive, ksn):
+    """The table bytes for the KSN's counter: reference keys, zero where no key is held."""
+    slots = _table_counters(ksn.counter)
+    return b"".join(derive(ksn.with_counter(slots[q])).material if q in slots else bytes(16)
+                    for q in range(host.KEY_SLOT + 1))
+
+
+def _slot(table, q):
+    return bytes(table[16 * q : 16 * q + 16])
 
 
 def _cache(registry):
-    return [(d, c, bytes(chain)) for d, (c, chain) in registry._chains.items()]
+    return [(d, c, bytes(table)) for d, (c, table) in registry._tables.items()]
 
 
 def _assert_cache_matches_reference(registry):
-    for device, counter, chain in _cache(registry):
+    for device, counter, table in _cache(registry):
         ksn = Ksn(((device << 21) | counter).to_bytes(10, "big"))
-        assert chain == b"".join(_prefix_keys(registry.rederive_key, ksn))
+        assert len(table) == host.TABLE_BYTES == 16 * 22
+        assert table == _reference_table(registry.rederive_key, ksn)
 
 
 def _reference_message(ipek, ksn, rng):
@@ -330,7 +343,7 @@ def _next_counter(rng, last):
 
 @pytest.mark.parametrize("enforce", [True, False])
 def test_cached_folds_match_reference(monkeypatch, bdk, enforce):
-    monkeypatch.setattr(host, "CHAIN_CACHE_DEVICES", 3)
+    monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 3)
     rng = random.Random(5)
     registry = HostRegistry(enforce_replay=enforce)
     registry.register_bdk(0x5A5A5A, bdk)
@@ -340,7 +353,7 @@ def test_cached_folds_match_reference(monkeypatch, bdk, enforce):
     floor = [0] * len(devices)
     accepted = 0
     for n in range(150):
-        # skewed device choice: some chains survive in the cache, others are evicted
+        # skewed device choice: some tables survive in the cache, others are evicted
         i = rng.choices(range(len(devices)), weights=[6, 4, 3, 1, 1, 1, 1])[0]
         last[i] = counter = _next_counter(rng, last[i])
         msg, sent = _reference_message(ipeks[i], devices[i].with_counter(counter), rng)
@@ -357,7 +370,7 @@ def test_cached_folds_match_reference(monkeypatch, bdk, enforce):
             registry.rederive_key(devices[i].with_counter(_next_counter(rng, counter)))
             assert _cache(registry) == before
     assert accepted > 150 // 3
-    assert len(registry._chains) == 3
+    assert len(registry._tables) == 3
     _assert_cache_matches_reference(registry)
 
 
@@ -368,6 +381,9 @@ def test_rejected_message_leaves_cached_chain(registry, terminal, initial_ksn):
     msg = _message(terminal)
     tampered = TransactionMessage(msg.ksn, msg.encrypted_pin_block, b"\x00" * 16)
     assert registry.process_message(tampered).status is VerdictStatus.DECRYPT_FAILED
+    # a far counter whose walk derives fresh siblings before the decrypt fails
+    far = TransactionMessage(initial_ksn.with_counter(0x1234), b"\x42" * 8, b"\x00" * 16)
+    assert registry.process_message(far).status is VerdictStatus.DECRYPT_FAILED
     overweight = TransactionMessage(initial_ksn.with_counter(0x7FF), b"\x42" * 8)
     assert registry.process_message(overweight).status is VerdictStatus.OVERWEIGHT_COUNTER_REJECTED
     replayed = TransactionMessage(initial_ksn.with_counter(1), b"\x42" * 8)
@@ -381,11 +397,11 @@ def test_rejected_message_leaves_cached_chain(registry, terminal, initial_ksn):
 def test_bdk_replacement_drops_cached_chains(registry, terminal, initial_ksn):
     for _ in range(4):
         assert registry.process_message(_message(terminal)).accepted
-    (_, chain), = registry._chains.values()
+    (_, table), = registry._tables.values()
     other = TdeaKey.from_hex(OTHER_BDK_HEX, KeyRole.BASE_DERIVATION)
     registry.register_bdk(initial_ksn.key_set_id, other, overwrite=True)
-    assert not registry._chains and not any(chain)
-    # counter 5 shares counter 4's prefix, so a kept chain would fold from the old BDK
+    assert not registry._tables and not any(table)
+    # counter 5 extends counter 4, so a kept table would start from the old BDK's key(4)
     rekeyed = init_terminal(derive_ipek(other, initial_ksn), initial_ksn)
     for _ in range(4):
         rekeyed.next_transaction_key()
@@ -407,29 +423,35 @@ def test_bdk_replaced_while_a_message_is_open_drops_its_chain(monkeypatch, regis
 
     monkeypatch.setattr(host, "_open", open_then_rekey)
     assert registry.process_message(_message(terminal)).accepted
-    assert calls == [1] and not registry._chains
+    assert calls == [1] and not registry._tables
 
 
-def test_evicted_and_replaced_chains_are_wiped(monkeypatch, bdk):
-    monkeypatch.setattr(host, "CHAIN_CACHE_DEVICES", 2)
+def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
+    monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 2)
     registry = HostRegistry()
     registry.register_bdk(0x5A5A5A, bdk)
     terminals = [init_terminal(derive_ipek(bdk, ksn), ksn)
                  for ksn in (_device_ksn(0x5A5A5A, i) for i in range(3))]
-    for _ in range(3):  # counter 3: a two-key chain
+    for _ in range(5):
         assert registry.process_message(_message(terminals[0])).accepted
-    first = next(iter(registry._chains.values()))[1]
-    assert len(first) == 32 and any(first)
-    assert registry.process_message(_message(terminals[0])).accepted
-    assert not any(first)  # replaced by counter 4's chain
-    replaced = next(iter(registry._chains.values()))[1]
+    (last, table), = registry._tables.values()
+    key_5, key_6, key_8 = _slot(table, host.KEY_SLOT), _slot(table, 1), _slot(table, 3)
+    assert last == 5 and all(key != bytes(16) for key in (key_5, key_6, key_8))
+    for _ in range(2):  # counters 6 and 7 never reach the host
+        terminals[0].next_transaction_key()
+    assert registry.process_message(_message(terminals[0])).derived_counter == 8
+    assert registry._tables[terminals[0].base_ksn.initial_id] == (8, table)  # in place
+    # counter 8 came from slot 3, which is consumed; slot 1 (counter 6) is stale
+    assert _slot(table, 3) == _slot(table, 1) == bytes(16)
+    assert _slot(table, host.KEY_SLOT) == key_8
+    assert key_5 not in bytes(table) and key_6 not in bytes(table)
     for t in terminals[1:]:
         assert registry.process_message(_message(t)).accepted
-    assert len(registry._chains) == 2 and not any(replaced)  # evicted, least recent first
+    assert len(registry._tables) == 2 and not any(table)  # evicted, least recent first
 
 
 def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
-    monkeypatch.setattr(host, "CHAIN_CACHE_DEVICES", 5)
+    monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 5)
     registry = HostRegistry()
     registry.register_bdk(0x5A5A5A, bdk)
     per_thread = []
@@ -457,5 +479,5 @@ def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
     assert len(results) == 4
     for replies in results.values():
         assert replies == [f"OK|{n}" for n in range(1, 13) for _ in range(8)]
-    assert len(registry._chains) == 5
+    assert len(registry._tables) == 5
     _assert_cache_matches_reference(registry)

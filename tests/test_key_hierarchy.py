@@ -25,6 +25,7 @@ from dukptlab.key_hierarchy import (
     derive_children,
     derive_ipek,
     derive_key_chain,
+    fold_chain,
     next_counter,
     nrkgp,
     parse_ksn,
@@ -264,6 +265,52 @@ def test_derive_children_matches_per_child_reference(material, raw_ksn, counters
     ksn = Ksn(raw_ksn)
     children = derive_children(material, ksn, counters)
     assert children == [_reference_child(material, ksn, c) for c in counters]
+
+
+def _reference_key(material, ksn, counter):
+    """key(counter) from key(0) = material, one reference step per set bit, MSB first."""
+    prefix = 0
+    for pos in range(20, -1, -1):
+        if counter >> pos & 1:
+            prefix |= 1 << pos
+            material = _reference_child(material, ksn, prefix)
+    return material
+
+
+_weighted_counters = st.integers(1, COUNTER_MASK).filter(
+    lambda c: c.bit_count() <= MAX_COUNTER_WEIGHT)
+
+
+@given(counter=_weighted_counters, kept=st.integers(0, MAX_COUNTER_WEIGHT),
+       room=st.integers(0, 21))
+@example(counter=1, kept=0, room=21)
+@example(counter=0x1FF800, kept=3, room=21)
+@example(counter=0x5A5A5, kept=2, room=0)
+def test_fold_chain_writes_the_right_siblings_its_buffer_holds(ipek, initial_ksn, counter,
+                                                               kept, room):
+    ksn = initial_ksn.with_counter(counter)
+    bits = [pos for pos in range(20, -1, -1) if counter >> pos & 1]
+    prefix = sum(1 << pos for pos in bits[:min(kept, len(bits) - 1)])
+    top = (prefix & -prefix).bit_length() - 1 if prefix else 21
+    siblings = bytearray(16 * room)
+    start = _reference_key(ipek.material, ksn, prefix)
+    assert fold_chain(start, ksn, prefix, siblings) == _reference_key(ipek.material, ksn, counter)
+    assert len(siblings) == 16 * room
+    low = (counter & -counter).bit_length() - 1
+    for q in range(room):
+        slot = bytes(siblings[16 * q : 16 * q + 16])
+        if low < q < top and not counter >> q & 1:
+            sibling = (counter >> q + 1 << q + 1) | 1 << q
+            assert slot == _reference_key(ipek.material, ksn, sibling)
+        else:
+            assert slot == bytes(16)
+
+
+def test_fold_chain_rejects_a_non_prefix(ipek, initial_ksn):
+    ksn = initial_ksn.with_counter(0b1010)
+    for prefix in (0b0100, 0b0010, 0b1011, 0b10000):
+        with pytest.raises(ValueError):
+            fold_chain(ipek.material, ksn, prefix, bytearray(16 * 21))
 
 
 @pytest.mark.parametrize("counter,expected", sorted(FROZEN_KEYS.items()))

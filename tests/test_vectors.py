@@ -45,6 +45,21 @@ def test_corrupted_ciphertext_is_named():
     assert len(failures) == 1 and "pin_ct" in failures[0]
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("data", "5A5G", "data_ct"),
+    ("pin", "12", "pin_ct"),
+    ("pan", "40123456789X9", "pin_ct"),
+])
+def test_bad_record_inputs_are_named_and_the_walk_goes_on(field, value, named):
+    records = vectors.generate(3)
+    bad = vectors.VectorRecord(**{**records[1].__dict__, field: value})
+    corrupted = vectors.VectorRecord(**{**records[2].__dict__, "key": "00" * 16})
+    failures = vectors.verify([records[0], bad, records[2], corrupted])
+    assert len(failures) == 2
+    assert failures[0].startswith(f"record 2: {named} inputs rejected")
+    assert "record 4" in failures[1] and "key" in failures[1]
+
+
 def test_file_round_trip(tmp_path):
     records = vectors.generate(7)
     path = tmp_path / "vectors.txt"

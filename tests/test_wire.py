@@ -66,6 +66,29 @@ def test_message_validates_payload_shapes():
         TransactionMessage(KSN, encrypted_data=b"")
 
 
+_DUKPT_FIELDS = ["DUKPT1", "FFFF9876543210E00001", "AAAAAAAAAAAAAAAA", "0011223344556677", "DUKPT"]
+_MS_FIELDS = ["DUKPT1", "FFFF9876543210E00001", "-", "0011223344556677", "MS",
+              "00112233445566778899AABBCCDDEEFF"]
+_HEX_FIELDS = [(_DUKPT_FIELDS, 1), (_DUKPT_FIELDS, 2), (_DUKPT_FIELDS, 3), (_MS_FIELDS, 5)]
+# whitespace between byte pairs, which bytes.fromhex would skip; a non-ASCII
+# digit, which str.isalnum() accepts; and a letter that is not hex
+_SPOILERS = [
+    lambda f: f[:2] + " " + f[2:4] + " " + f[4:],
+    lambda f: f[:2] + "\t" + f[2:4] + "\t" + f[4:],
+    lambda f: "\u0660" + f[1:],
+    lambda f: f[:-1] + "G",
+]
+
+
+def _spoiled(fields, index, spoil):
+    return "|".join(spoil(f) if i == index else f for i, f in enumerate(fields))
+
+
+def test_unspoiled_lines_parse():
+    for fields in (_DUKPT_FIELDS, _MS_FIELDS):
+        parse_wire("|".join(fields))
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -82,6 +105,7 @@ def test_message_validates_payload_shapes():
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-|DUKPT|EXTRA",
         "DUKPT1|FFFF9876543210E00001|AAAA AAAAAAAAAAAA|-|DUKPT",
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA||DUKPT",
+        *(_spoiled(fields, index, spoil) for fields, index in _HEX_FIELDS for spoil in _SPOILERS),
     ],
 )
 def test_parse_rejects_malformed(line):
