@@ -13,10 +13,12 @@ keeps a lazy mirror of the device's own future-key table in one
 :data:`TABLE_BYTES` buffer: slot :data:`KEY_SLOT` holds the key of the last
 accepted counter ``L``, and slot ``q``, for each zero bit ``q`` of ``L``
 above its lowest set bit, the key of counter ``(L >> q+1 << q+1) | 1 << q``
-(at most 21 keys). A later counter starts from ``key(L)`` when it extends
-``L``, else from the slot of the highest bit where the two differ, and each
-step of its fold also derives the step's right siblings into the table, as
-the terminal's register refill does. In-order traffic then derives on odd
+(at most 21 keys). Slots 0-20 share the layout of the terminal's table, so
+above ``L``'s lowest set bit the two hold the same bytes. A later counter
+starts from ``key(L)`` when it extends ``L``, else from the slot of the
+highest bit where the two differ, and each step of its fold also derives
+the step's right siblings into the table, one batch per step as in the
+terminal's refill. In-order traffic then derives on odd
 counters only; a device's first message, an evicted device and (with the
 replay policy off) an earlier counter start from the BDK. The table changes
 only when a message is accepted, and every slot it does not use is zero.

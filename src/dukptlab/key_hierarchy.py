@@ -171,11 +171,6 @@ def parse_ksn(text: str) -> Ksn:
     return Ksn(raw)
 
 
-def counter_is_usable(counter: int) -> bool:
-    """True when a counter may label a transaction (nonzero, weight <= 10)."""
-    return 0 < counter <= COUNTER_MASK and counter.bit_count() <= MAX_COUNTER_WEIGHT
-
-
 def next_counter(counter: int) -> int:
     """Advance to the next usable counter value.
 
@@ -238,7 +233,7 @@ def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
     return TdeaKey(left + right, KeyRole.INITIAL)
 
 
-def derive_children(material: bytes, ksn: Ksn, counters: Iterable[int]) -> list[bytes]:
+def derive_children(material: bytes, ksn: Ksn, counters: Iterable[int]) -> bytes:
     """The non-reversible derivation step: the children of ``material`` named by ``counters``.
 
     Each step message is the rightmost 8 bytes of ``ksn`` with its counter
@@ -247,13 +242,14 @@ def derive_children(material: bytes, ksn: Ksn, counters: Iterable[int]) -> list[
     recovering the parent from a child requires a key search. Those keys
     depend on the parent alone, so one ECB pass per half over the
     concatenated messages derives every child, and no counter builds a
-    cipher of its own. Children come back in the order of ``counters``; an
-    empty ``counters`` builds no cipher.
+    cipher of its own. The children come back as one run of 16-byte slots
+    in the order of ``counters``, the layout of a future-key table (see
+    :func:`fold_chain`); an empty ``counters`` builds no cipher.
     """
     base = int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK
     messages = b"".join((base | counter).to_bytes(8, "big") for counter in counters)
     if not messages:
-        return []
+        return b""
     blocks = len(messages) // 8
     halves = []
     # the left half of a child comes from the masked parent, the right from the parent
@@ -262,12 +258,7 @@ def derive_children(material: bytes, ksn: Ksn, counters: Iterable[int]) -> list[
         halves.append(tdes.xor_bytes(
             tdes.ecb_encrypt(key[:8], tdes.xor_bytes(messages, whitening)), whitening))
     left, right = halves
-    return [left[i : i + 8] + right[i : i + 8] for i in range(0, len(messages), 8)]
-
-
-def derive_child(material: bytes, ksn: Ksn, counter: int) -> bytes:
-    """The one-way step for one counter: :func:`derive_children` of ``(counter,)``."""
-    return derive_children(material, ksn, (counter,))[0]
+    return b"".join([left[i : i + 8] + right[i : i + 8] for i in range(0, len(messages), 8)])
 
 
 def nrkgp(current_key: TdeaKey, ksn: Ksn) -> TdeaKey:
@@ -278,7 +269,8 @@ def nrkgp(current_key: TdeaKey, ksn: Ksn) -> TdeaKey:
     """
     if ksn.counter == 0:
         raise ValueError("nrkgp needs a KSN with at least one counter bit set")
-    return TdeaKey(derive_child(current_key.material, ksn, ksn.counter), KeyRole.TRANSACTION)
+    material = derive_children(current_key.material, ksn, (ksn.counter,))
+    return TdeaKey(material, KeyRole.TRANSACTION)
 
 
 def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
@@ -287,7 +279,7 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
     ``key(0)`` is the IPEK itself; for each set bit, taken from most to
     least significant, the accumulated counter names one derivation step.
     This is the host-side route to any transaction key and the reference
-    the terminal's register table must agree with.
+    the terminal's future-key table must agree with.
 
     Raises :class:`CounterOverweight` for counters with more than
     :data:`MAX_COUNTER_WEIGHT` set bits; such KSNs are never honored.
@@ -328,12 +320,11 @@ def fold_chain(material: bytes, ksn: Ksn, prefix: int, siblings: bytearray) -> b
         rest ^= 1 << bit
         stop = min(top, room)  # the right siblings are at bits bit+1 .. stop-1
         if stop > bit + 1:
-            counters = [prefix | 1 << q for q in range(bit, stop)]
+            children = derive_children(material, ksn, [prefix | 1 << q for q in range(bit, stop)])
+            siblings[16 * (bit + 1) : 16 * stop] = children[16:]
         else:  # no comprehension for one child: a plain fold pays this per step
-            counters = [prefix | 1 << bit]
-        material, *right = derive_children(material, ksn, counters)
-        if right:
-            siblings[16 * (bit + 1) : 16 * stop] = b"".join(right)
+            children = derive_children(material, ksn, [prefix | 1 << bit])
+        material = children[:16]
         prefix |= 1 << bit
         top = bit
     return material

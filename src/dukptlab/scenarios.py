@@ -170,36 +170,21 @@ BUILTIN_PROFILES: dict[str, EndpointProfile] = {
 }
 
 
+# each kind parses from its printed value, case-insensitively, or one short name
 _STORAGE_TOKENS = {
-    "certifieddevice": SecureStorage.CERTIFIED_DEVICE,
-    "certified_device": SecureStorage.CERTIFIED_DEVICE,
+    **{s.value.casefold(): s for s in SecureStorage},
     "certified": SecureStorage.CERTIFIED_DEVICE,
-    "simse": SecureStorage.SIM_SE,
     "sim_se": SecureStorage.SIM_SE,
-    "sim": SecureStorage.SIM_SE,
-    "embeddedse": SecureStorage.EMBEDDED_SE,
     "embedded_se": SecureStorage.EMBEDDED_SE,
-    "embedded": SecureStorage.EMBEDDED_SE,
-    "microsdse": SecureStorage.MICRO_SD_SE,
-    "micro_sd_se": SecureStorage.MICRO_SD_SE,
     "micro_sd": SecureStorage.MICRO_SD_SE,
-    "microsd": SecureStorage.MICRO_SD_SE,
-    "none": SecureStorage.NONE,
 }
 
-_ORIGIN_TOKENS = {
-    "device": TransactionOrigin.DEVICE,
-    "server": TransactionOrigin.SERVER,
-}
+_ORIGIN_TOKENS = {o.value.casefold(): o for o in TransactionOrigin}
 
 _DEPENDENCY_TOKENS = {
-    "mobilenetworkoperator": Dependency.MOBILE_NETWORK_OPERATOR,
+    **{d.value.casefold(): d for d in Dependency},
     "operator": Dependency.MOBILE_NETWORK_OPERATOR,
-    "mno": Dependency.MOBILE_NETWORK_OPERATOR,
-    "devicemanufacturer": Dependency.DEVICE_MANUFACTURER,
     "manufacturer": Dependency.DEVICE_MANUFACTURER,
-    "walletprovider": Dependency.WALLET_PROVIDER,
-    "wallet_provider": Dependency.WALLET_PROVIDER,
     "wallet": Dependency.WALLET_PROVIDER,
 }
 

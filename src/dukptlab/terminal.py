@@ -1,20 +1,22 @@
-"""Terminal-side engine: future-key registers and per-transaction issuance.
+"""Terminal-side engine: the future-key table and per-transaction issuance.
 
 A device is initialized once with its IPEK and immediately converts it into
 21 future keys, one per counter bit position; the IPEK itself is never
-stored. Each transaction consumes the register addressed by the lowest set
-bit of the freshly advanced counter, derives replacement keys into every
-register below that bit, and wipes the consumed slot. All those children
-share one parent, so a refill is one batched one-way step
+stored. The keys live in one table of 16-byte slots, in the layout of the
+host's mirror of it (the slot rule is stated once, at
+:func:`~dukptlab.key_hierarchy.fold_chain`): slot ``q`` serves counter bit
+``q``, and an all-zero slot is empty. Each transaction consumes the slot of
+the lowest set bit of the freshly advanced counter, refills every slot
+below it, and zeroes the consumed slot. All those children share one
+parent, so a refill is one batched one-way step
 (:func:`~dukptlab.key_hierarchy.derive_children`): one single-DES pass per
-key half, whatever the number of children. The register table is
-an optimization, not a different derivation: every key it ever hands out
-equals the direct derivation chain for the same counter, and the tests hold
-it to that.
+key half, whatever the number of children. The table is an optimization,
+not a different derivation: every key it ever hands out equals the direct
+derivation chain for the same counter, and the tests hold it to that.
 
-Key erasure is modeled by zero-overwriting the stored byte buffer before the
-slot is emptied; tamper-resistant hardware is out of scope, but the visible
-contract (no spent key material remains reachable from the state) is real.
+Key erasure is modeled by zero-overwriting the table in place;
+tamper-resistant hardware is out of scope, but the visible contract (no
+spent key material remains reachable from the state) is real.
 """
 
 from __future__ import annotations
@@ -45,42 +47,21 @@ from .wire import Scheme, TransactionMessage
 
 
 @dataclass
-class FutureKeyRegister:
-    """One slot of the future-key table; slot ``i`` serves counter bit ``i-1``."""
-
-    key_material: bytearray | None = field(default=None, repr=False)
-
-    @property
-    def occupied(self) -> bool:
-        return self.key_material is not None
-
-    @property
-    def key(self) -> TdeaKey | None:
-        if self.key_material is None:
-            return None
-        return TdeaKey.from_bytes(self.key_material, KeyRole.TRANSACTION)
-
-    def store(self, material: bytes) -> None:
-        self.key_material = bytearray(material)
-
-    def wipe(self) -> None:
-        """Zero the buffer in place, then release the slot."""
-        if self.key_material is not None:
-            self.key_material[:] = bytes(16)
-            self.key_material = None
-
-
-@dataclass
 class TerminalState:
-    """Single-owner mutable device state; one transaction at a time."""
+    """Single-owner mutable device state; one transaction at a time.
+
+    ``table`` is the future-key table, ``16 * COUNTER_BITS`` bytes in the
+    slot layout of :func:`~dukptlab.key_hierarchy.fold_chain`; it never
+    shows in the repr.
+    """
 
     base_ksn: Ksn
     counter: int = 0
-    registers: list[FutureKeyRegister] = field(default_factory=list)
+    table: bytearray = field(default_factory=lambda: bytearray(16 * COUNTER_BITS), repr=False)
     exhausted: bool = False
 
     def occupied_count(self) -> int:
-        return sum(1 for r in self.registers if r.occupied)
+        return sum(1 for q in range(0, len(self.table), 16) if any(self.table[q : q + 16]))
 
     def remaining_transactions(self) -> int:
         """Usable counters this device can still burn."""
@@ -91,11 +72,11 @@ class TerminalState:
     def next_transaction_key(self) -> tuple[Ksn, TdeaKey]:
         """Advance the counter and issue the key for it.
 
-        The consumed register first seeds every register below its bit
-        position with the children this key can still reach (skipping
-        counters that would exceed the weight bound, which are never
-        visited), then is wiped. Exhaustion is permanent: all registers are
-        destroyed and the device refuses further traffic.
+        The consumed slot first seeds every slot below it with the children
+        this key can still reach (skipping counters that would exceed the
+        weight bound, which are never visited), then is zeroed. Exhaustion
+        is permanent: the whole table is zeroed and the device refuses
+        further traffic.
         """
         if self.exhausted:
             raise CounterExhausted("terminal is spent; re-injection required")
@@ -105,19 +86,16 @@ class TerminalState:
             self._retire()
             raise
         self.counter = counter
-        bit_pos = (counter & -counter).bit_length() - 1
-        register = self.registers[bit_pos]
-        if not register.occupied:
-            raise RuntimeError(f"future-key register {bit_pos + 1} is empty")
-        material = bytes(register.key_material)
+        low = (counter & -counter).bit_length() - 1
+        material = bytes(self.table[16 * low : 16 * low + 16])
+        if not any(material):
+            raise RuntimeError(f"future-key slot {low} is empty")
         # the bits below the consumed one are clear, so every child adds one
         # set bit: either all of them fit under the weight bound or none do
-        if bit_pos and counter.bit_count() < MAX_COUNTER_WEIGHT:
-            children = derive_children(
-                material, self.base_ksn, [counter | 1 << pos for pos in range(bit_pos)])
-            for below, child in zip(self.registers, children):
-                below.store(child)
-        register.wipe()
+        if low and counter.bit_count() < MAX_COUNTER_WEIGHT:
+            self.table[: 16 * low] = derive_children(
+                material, self.base_ksn, [counter | 1 << q for q in range(low)])
+        self.table[16 * low : 16 * low + 16] = bytes(16)
         return (
             self.base_ksn.with_counter(counter),
             TdeaKey(material, KeyRole.TRANSACTION),
@@ -131,7 +109,7 @@ class TerminalState:
         """Run one full transaction: draw a key, encrypt, assemble the message.
 
         The drawn key and its variants exist only inside this call; the
-        register copy is already wiped by the time the message returns.
+        table's copy is already zeroed by the time the message returns.
         """
         if clear_pin_block is None and data is None:
             raise EmptyPlaintext("transaction needs a PIN block or data to send")
@@ -141,8 +119,7 @@ class TerminalState:
         return TransactionMessage(ksn, pin_ct, data_ct, Scheme.DUKPT)
 
     def _retire(self) -> None:
-        for register in self.registers:
-            register.wipe()
+        self.table[:] = bytes(len(self.table))
         self.exhausted = True
 
 
@@ -158,13 +135,8 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
         raise NonZeroCounter(
             f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}"
         )
-    state = TerminalState(base_ksn=initial_ksn)
-    bits = [1 << pos for pos in range(COUNTER_BITS)]
-    for child in derive_children(ipek.material, initial_ksn, bits):
-        register = FutureKeyRegister()
-        register.store(child)
-        state.registers.append(register)
-    return state
+    children = derive_children(ipek.material, initial_ksn, [1 << q for q in range(COUNTER_BITS)])
+    return TerminalState(initial_ksn, table=bytearray(children))
 
 
 def encrypt_pin(key: TdeaKey, clear_pin_block: bytes) -> bytes:

@@ -156,9 +156,9 @@ def test_c06_forward_erasure(ipek, initial_ksn):
     while terminal.counter < 64:
         terminal.next_transaction_key()
         current = terminal.counter
-        for register in terminal.registers:
-            if register.occupied:
-                material = bytes(register.key_material)
+        for q in range(21):
+            material = bytes(terminal.table[16 * q : 16 * q + 16])
+            if material != bytes(16):  # an all-zero slot is empty
                 past = spent_key_material.get(material)
                 assert past is None or past > current
                 assert material != ipek.material

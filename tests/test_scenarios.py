@@ -110,6 +110,21 @@ def test_parse_profile_line_rejects(line):
         parse_profile_line(line)
 
 
+def test_printed_profile_values_parse_back():
+    everyone = EndpointProfile("everyone", SecureStorage.CERTIFIED_DEVICE,
+                               TransactionOrigin.DEVICE, frozenset(Dependency))
+    rows = [row.split() for row in applicability_table(
+        [*BUILTIN_PROFILES.values(), everyone]).splitlines()[1:]]
+    for name, storage, origin, _, dependencies, _ in rows:
+        profile = parse_profile_line(f"{name},{storage},{origin},{dependencies}")
+        assert profile.secure_key_storage.value == storage
+        assert profile.transaction_origin.value == origin
+        assert ("+".join(sorted(d.value for d in profile.dependencies)) or "-") == dependencies
+    assert {row[1] for row in rows} == {s.value for s in SecureStorage}
+    assert {row[2] for row in rows} == {o.value for o in TransactionOrigin}
+    assert {row[4] for row in rows} >= {d.value for d in Dependency}
+
+
 def test_load_profiles_file(tmp_path):
     path = tmp_path / "profiles.txt"
     path.write_text(
@@ -185,7 +200,7 @@ def test_report_renderings_exclude_elapsed_time():
 def test_dukpt_simulation_host_derives_on_odd_counters_only(monkeypatch):
     # the host's walk (key_hierarchy.fold_chain) looks derive_children up as a
     # key_hierarchy global, so this counts the host's batches; the terminal
-    # imported its own binding, so its register refills are not counted. The
+    # imported its own binding, so its table refills are not counted. The
     # host's table already holds every even counter's key as a sibling, so
     # counters 1-100 take the IPEK batch for counter 1 plus one batch for each
     # odd counter 3-99 (a fold per message from the IPEK would take 319 steps).

@@ -1,4 +1,4 @@
-"""Terminal engine: register table, issuance, erasure, payload crypto."""
+"""Terminal engine: future-key table, issuance, erasure, payload crypto."""
 
 import pytest
 
@@ -18,6 +18,7 @@ from dukptlab.key_hierarchy import (
 )
 from dukptlab.pin_block import encode_iso0
 from dukptlab.terminal import (
+    TerminalState,
     decrypt_data,
     decrypt_pin,
     encrypt_data,
@@ -35,6 +36,15 @@ from conftest import (
 )
 
 
+def _slot(terminal, q):
+    return bytes(terminal.table[16 * q : 16 * q + 16])
+
+
+def _stored(terminal):
+    """Every key the table holds; all-zero slots are empty."""
+    return {_slot(terminal, q) for q in range(21)} - {bytes(16)}
+
+
 # --- initialization -----------------------------------------------------------
 
 def test_init_populates_all_registers(terminal):
@@ -44,13 +54,13 @@ def test_init_populates_all_registers(terminal):
 
 
 def test_init_registers_hold_chain_keys(terminal, ipek, initial_ksn):
-    for i, register in enumerate(terminal.registers):
-        assert register.key == derive_key_chain(ipek, initial_ksn.with_counter(1 << i))
+    for q in range(21):
+        expected = derive_key_chain(ipek, initial_ksn.with_counter(1 << q))
+        assert _slot(terminal, q) == expected.material
 
 
 def test_init_discards_ipek(terminal, ipek):
-    stored = [bytes(r.key_material) for r in terminal.registers if r.occupied]
-    assert ipek.material not in stored
+    assert ipek.material not in _stored(terminal)
 
 
 def test_init_rejects_nonzero_counter(ipek, initial_ksn):
@@ -73,28 +83,28 @@ def test_first_transaction(terminal, ipek, initial_ksn):
 
 
 def test_third_transaction_uses_replenished_register(terminal, ipek, initial_ksn):
-    # key(3) enters register 1 while the counter-2 step runs
+    # key(3) enters slot 0 while the counter-2 step runs
     terminal.next_transaction_key()
     terminal.next_transaction_key()
-    assert terminal.registers[0].key == derive_key_chain(ipek, initial_ksn.with_counter(3))
+    assert _slot(terminal, 0) == derive_key_chain(ipek, initial_ksn.with_counter(3)).material
     ksn, key = terminal.next_transaction_key()
     assert ksn.counter == 3
     assert key == derive_key_chain(ipek, initial_ksn.with_counter(3))
 
 
 def test_worst_case_refill_matches_direct_chain(terminal, ipek, initial_ksn):
-    # 0x3FF0 is the last usable counter below 0x4000, and register 15 still
+    # 0x3FF0 is the last usable counter below 0x4000, and slot 14 still
     # holds its initial key(0x4000): only counters from 0x8000 up refill it
     terminal.counter = 0x3FF0
-    untouched = [bytes(r.key_material) for r in terminal.registers[15:]]
+    untouched = bytes(terminal.table[16 * 15 :])
     ksn, key = terminal.next_transaction_key()
     assert ksn.counter == 0x4000
     assert key == derive_key_chain(ipek, ksn)
     for pos in range(14):
         expected = derive_key_chain(ipek, initial_ksn.with_counter(0x4000 | 1 << pos))
-        assert terminal.registers[pos].key == expected
-    assert not terminal.registers[14].occupied
-    assert [bytes(r.key_material) for r in terminal.registers[15:]] == untouched
+        assert _slot(terminal, pos) == expected.material
+    assert _slot(terminal, 14) == bytes(16)
+    assert terminal.table[16 * 15 :] == untouched
 
 
 def test_issued_keys_match_direct_chain_sweep(terminal, ipek, initial_ksn):
@@ -118,7 +128,7 @@ def test_forward_erasure_exhaustive_small_range(terminal, ipek, initial_ksn):
     while terminal.counter < 64:
         _, key = terminal.next_transaction_key()
         past_keys.add(key.material)
-        stored = {bytes(r.key_material) for r in terminal.registers if r.occupied}
+        stored = _stored(terminal)
         assert not stored & past_keys
         assert ipek.material not in stored
 
@@ -127,6 +137,18 @@ def test_register_occupancy_never_exceeds_slots(terminal):
     for _ in range(500):
         terminal.next_transaction_key()
         assert terminal.occupied_count() <= 21
+
+
+def test_an_empty_slot_is_never_issued(ipek, initial_ksn):
+    # an all-zero slot is empty: issuing from it would hand out a zero key
+    with pytest.raises(RuntimeError, match="slot 0 is empty"):
+        TerminalState(initial_ksn).next_transaction_key()
+    terminal = init_terminal(ipek, initial_ksn)
+    terminal.next_transaction_key()
+    terminal.next_transaction_key()
+    terminal.table[:16] = bytes(16)
+    with pytest.raises(RuntimeError, match="slot 0 is empty"):
+        terminal.next_transaction_key()
 
 
 def test_remaining_transactions_counts_down(terminal):
@@ -225,6 +247,5 @@ def test_build_message_consumes_its_register(terminal, ipek):
     msg = terminal.build_message(data=b"payload")
     consumed = msg.ksn.counter
     chain_key = derive_key_chain(ipek, msg.ksn)
-    stored = {bytes(r.key_material) for r in terminal.registers if r.occupied}
-    assert chain_key.material not in stored
+    assert chain_key.material not in _stored(terminal)
     assert consumed == terminal.counter
