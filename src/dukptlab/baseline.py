@@ -8,12 +8,17 @@ Master/Session: a pre-shared key-encrypting key (the "master") wraps a
 randomly generated session key which travels in-band with each message.
 Fresh keys per transaction, but at the cost of transporting wrapped key
 material and of the KEK being a long-lived secret on both sides.
+
+Both long-lived keys are loaded once, as a real terminal holds them: each
+holder keeps a :class:`~dukptlab.tdes.TdeaCipher` of its key, so a
+transaction pays no key setup for it. The host-side calls take a plain
+``TdeaKey`` and are one-shot.
 """
 
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import tdes
@@ -21,17 +26,26 @@ from .errors import LengthError
 from .key_hierarchy import KeyRole, Ksn, TdeaKey
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedKeyTerminal:
-    """A terminal welded to one key for its whole service life."""
+    """A terminal welded to one key for its whole service life.
+
+    ``cipher`` is that key, loaded once at construction; it never shows in
+    the repr. The holder is frozen, so the loaded key cannot fall out of
+    step with ``key``.
+    """
 
     key: TdeaKey
     terminal_id: Ksn
+    cipher: tdes.TdeaCipher = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cipher", tdes.TdeaCipher(self.key.material))
 
 
 def fixed_encrypt(terminal: FixedKeyTerminal, payload: bytes) -> bytes:
     """CBC under the permanent key; deterministic by construction."""
-    return tdes.cbc_encrypt(terminal.key.material, payload)
+    return terminal.cipher.cbc_encrypt(payload)
 
 
 def fixed_decrypt(key: TdeaKey, ciphertext: bytes) -> bytes:
@@ -39,16 +53,22 @@ def fixed_decrypt(key: TdeaKey, ciphertext: bytes) -> bytes:
     return tdes.cbc_decrypt(key.material, ciphertext)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MasterSessionContext:
     """Holder of the pre-shared KEK on the terminal side.
 
     ``random_source`` defaults to the OS CSPRNG; simulations inject a
-    seeded source so their reports are reproducible.
+    seeded source so their reports are reproducible. ``cipher`` is the KEK,
+    loaded once at construction; it never shows in the repr. The holder is
+    frozen, so the loaded key cannot fall out of step with ``kek``.
     """
 
     kek: TdeaKey
     random_source: Callable[[int], bytes] = secrets.token_bytes
+    cipher: tdes.TdeaCipher = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cipher", tdes.TdeaCipher(self.kek.material))
 
 
 def ms_wrap_session(ctx: MasterSessionContext) -> tuple[bytes, TdeaKey]:
@@ -60,7 +80,7 @@ def ms_wrap_session(ctx: MasterSessionContext) -> tuple[bytes, TdeaKey]:
     material = ctx.random_source(16)
     if len(material) != 16:
         raise LengthError("random source must supply 16 bytes")
-    wrapped = tdes.ecb_encrypt(ctx.kek.material, material)
+    wrapped = ctx.cipher.ecb_encrypt(material)
     return wrapped, TdeaKey.from_bytes(material, KeyRole.TRANSACTION)
 
 

@@ -32,9 +32,7 @@ from . import tdes
 from .baseline import (
     FixedKeyTerminal,
     MasterSessionContext,
-    fixed_decrypt,
     fixed_encrypt,
-    ms_unwrap_session,
     ms_wrap_session,
 )
 from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
@@ -354,6 +352,7 @@ def run_simulation(
     elif scheme is Scheme.FIXED:
         key = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         term_fixed = FixedKeyTerminal(key, _random_initial_ksn(rng))
+        host_key = tdes.TdeaCipher(key.material)
 
         def send() -> tuple[TransactionMessage, bytes]:
             return TransactionMessage(
@@ -363,13 +362,14 @@ def run_simulation(
             ), key.material
 
         def receive(msg: TransactionMessage) -> VerdictStatus:
-            fixed_decrypt(key, msg.encrypted_data)
+            host_key.cbc_decrypt(msg.encrypted_data)
             return VerdictStatus.ACCEPTED
 
     elif scheme is Scheme.MASTER_SESSION:
         kek = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         ctx = MasterSessionContext(kek, random_source=rng.randbytes)
         device_id = _random_initial_ksn(rng)
+        host_kek = tdes.TdeaCipher(kek.material)
 
         def send() -> tuple[TransactionMessage, bytes]:
             wrapped, session = ms_wrap_session(ctx)
@@ -381,8 +381,8 @@ def run_simulation(
             ), session.material
 
         def receive(msg: TransactionMessage) -> VerdictStatus:
-            host_session = ms_unwrap_session(kek, msg.wrapped_session_key)
-            tdes.cbc_decrypt(host_session.material, msg.encrypted_data)
+            # parse_wire has checked the wrapped key's length, as ms_unwrap_session would
+            tdes.cbc_decrypt(host_kek.ecb_decrypt(msg.wrapped_session_key), msg.encrypted_data)
             return VerdictStatus.ACCEPTED
 
     else:

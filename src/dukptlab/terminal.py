@@ -52,13 +52,19 @@ class TerminalState:
 
     ``table`` is the future-key table, ``16 * COUNTER_BITS`` bytes in the
     slot layout of :func:`~dukptlab.key_hierarchy.fold_chain`; it never
-    shows in the repr.
+    shows in the repr. ``counter`` is read-only: only issuance moves it,
+    together with the table.
     """
 
     base_ksn: Ksn
-    counter: int = 0
+    _counter: int = field(default=0, init=False)
     table: bytearray = field(default_factory=lambda: bytearray(16 * COUNTER_BITS), repr=False)
     exhausted: bool = False
+
+    @property
+    def counter(self) -> int:
+        """The counter of the last issued key; 0 before the first."""
+        return self._counter
 
     def occupied_count(self) -> int:
         return sum(1 for q in range(0, len(self.table), 16) if any(self.table[q : q + 16]))
@@ -67,7 +73,7 @@ class TerminalState:
         """Usable counters this device can still burn."""
         if self.exhausted:
             return 0
-        return remaining_counters(self.counter)
+        return remaining_counters(self._counter)
 
     def next_transaction_key(self) -> tuple[Ksn, TdeaKey]:
         """Advance the counter and issue the key for it.
@@ -81,11 +87,11 @@ class TerminalState:
         if self.exhausted:
             raise CounterExhausted("terminal is spent; re-injection required")
         try:
-            counter = next_counter(self.counter)
+            counter = next_counter(self._counter)
         except CounterExhausted:
             self._retire()
             raise
-        self.counter = counter
+        self._counter = counter
         low = (counter & -counter).bit_length() - 1
         material = bytes(self.table[16 * low : 16 * low + 16])
         if not any(material):

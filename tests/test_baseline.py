@@ -1,5 +1,6 @@
 """Predecessor schemes: fixed key and Master/Session."""
 
+import dataclasses
 import random
 
 import pytest
@@ -99,3 +100,13 @@ def test_ms_kek_never_in_outputs():
 def test_ms_unwrap_validates_length():
     with pytest.raises(LengthError):
         ms_unwrap_session(KEK, b"\x00" * 15)
+
+
+def test_holders_load_their_key_out_of_sight(fixed_terminal):
+    ctx = MasterSessionContext(KEK)
+    for holder, name, key in ((fixed_terminal, "key", KEY), (ctx, "kek", KEK)):
+        for text in (repr(holder), repr(holder.cipher)):
+            assert key.hex not in text.upper() and repr(key.material)[2:-1] not in text
+        # a reassigned key would leave the loaded one behind
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(holder, name, KEY if key is KEK else KEK)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dukptlab import key_hierarchy
+from dukptlab import key_hierarchy, tdes
 from dukptlab.errors import ProfileFormatError, ProfileIncompatible
 from dukptlab.scenarios import (
     BUILTIN_PROFILES,
@@ -216,6 +216,26 @@ def test_dukpt_simulation_host_derives_on_odd_counters_only(monkeypatch):
     report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 100, seed=0)
     assert calls == 50
     assert report.distinct_keys == 100
+
+
+@pytest.mark.parametrize("scheme,builds", [
+    (Scheme.DUKPT, 606),  # per-transaction keys: every use builds its cipher
+    (Scheme.FIXED, 2),  # the key, loaded once by the terminal and once by the host
+    (Scheme.MASTER_SESSION, 202),  # the KEK, loaded on each side, plus two per session key
+])
+def test_simulation_cipher_builds(monkeypatch, scheme, builds):
+    calls = 0
+    real_cipher = tdes._cipher
+
+    def counting_cipher(*args):
+        nonlocal calls
+        calls += 1
+        return real_cipher(*args)
+
+    monkeypatch.setattr(tdes, "_cipher", counting_cipher)
+    report = run_simulation(scheme, BUILTIN_PROFILES["pos"], 100, seed=0)
+    assert calls == builds
+    assert report.accepted == 100
 
 
 def test_simulation_rejects_bad_count():

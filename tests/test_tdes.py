@@ -1,6 +1,8 @@
 """Raw TDEA primitives: known answers, key forms, modes, padding and errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dukptlab import tdes
 from dukptlab.errors import DecryptFailed, EmptyPlaintext, LengthError
@@ -62,3 +64,34 @@ def test_decrypt_failures():
         tdes.cbc_decrypt(KEY16, bad_padding)
     with pytest.raises(DecryptFailed):
         tdes.cbc_decrypt(KEY16, bytes(12))
+
+
+# --- loaded keys --------------------------------------------------------------
+
+_whole_blocks = st.integers(1, 4).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n))
+_messages = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["ecb_encrypt", "ecb_decrypt"]), _whole_blocks),
+    st.tuples(st.sampled_from(["cbc_encrypt", "cbc_decrypt"]), st.binary(min_size=1, max_size=40)),
+), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from([8, 16, 24]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+       before=_messages, after=_messages)
+def test_loaded_key_matches_one_shot_calls(key, before, after):
+    # kept CBC contexts chain across messages; each message must still start
+    # from the zero IV, also after a ciphertext the loaded key refused
+    loaded = tdes.TdeaCipher(key)
+
+    def check(messages):
+        for name, data in messages:
+            if name == "cbc_decrypt":
+                data = tdes.cbc_encrypt(key, data)
+            assert getattr(loaded, name)(data) == getattr(tdes, name)(key, data)
+
+    check(before)
+    for refused in (bytes(12), tdes.ecb_encrypt(key, bytes(8))):  # wrong length, bad padding
+        with pytest.raises(DecryptFailed):
+            loaded.cbc_decrypt(refused)
+    check(after + [("cbc_decrypt", b"last"), ("cbc_encrypt", b"last")])
+

@@ -94,8 +94,10 @@ def test_third_transaction_uses_replenished_register(terminal, ipek, initial_ksn
 
 def test_worst_case_refill_matches_direct_chain(terminal, ipek, initial_ksn):
     # 0x3FF0 is the last usable counter below 0x4000, and slot 14 still
-    # holds its initial key(0x4000): only counters from 0x8000 up refill it
-    terminal.counter = 0x3FF0
+    # holds its initial key(0x4000): only counters from 0x8000 up refill it.
+    # So the fresh table already holds the key this jump issues next, and
+    # setting the private counter keeps the two in step.
+    terminal._counter = 0x3FF0
     untouched = bytes(terminal.table[16 * 15 :])
     ksn, key = terminal.next_transaction_key()
     assert ksn.counter == 0x4000
@@ -151,6 +153,13 @@ def test_an_empty_slot_is_never_issued(ipek, initial_ksn):
         terminal.next_transaction_key()
 
 
+def test_counter_is_read_only(terminal):
+    # a counter set apart from the table would label one key with another's counter
+    with pytest.raises(AttributeError):
+        terminal.counter = 5
+    assert terminal.counter == 0
+
+
 def test_remaining_transactions_counts_down(terminal):
     assert terminal.remaining_transactions() == COUNTER_SPACE
     terminal.next_transaction_key()
@@ -158,7 +167,9 @@ def test_remaining_transactions_counts_down(terminal):
 
 
 def test_exhaustion_is_permanent(terminal):
-    terminal.counter = 0x1FF800  # one step before the end of the counter space
+    # one step before the end of the counter space; no key is issued past it,
+    # so the fresh table already holds every key this test can reach
+    terminal._counter = 0x1FF800
     with pytest.raises(CounterExhausted):
         terminal.next_transaction_key()
     assert terminal.exhausted
