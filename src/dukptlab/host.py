@@ -8,7 +8,7 @@ decrypts — the same route the terminal took, which is the whole point of
 the scheme.
 
 The fold does not always start from the device's initial key. For each of
-up to :data:`TABLE_CACHE_DEVICES` recently served devices the registry
+up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
 keeps a lazy mirror of the device's own future-key table in one
 :data:`TABLE_BYTES` buffer: slot :data:`KEY_SLOT` holds the key of the last
 accepted counter ``L``, and slot ``q``, for each zero bit ``q`` of ``L``
@@ -25,7 +25,7 @@ only when a message is accepted, and every slot it does not use is zero.
 
 The trade-off: the table holds what the device itself holds, keys that
 open this device's *later* counters and never earlier ones, until the
-device is evicted (least recently served first) or its BDK is replaced,
+device is evicted (least recently accepted first) or its BDK is replaced,
 and is zero-overwritten then. It holds no IPEK or BDK copy, and the BDK
 the registry already holds opens every one of these keys anyway.
 
@@ -71,8 +71,6 @@ TABLE_CACHE_DEVICES = 1024
 # a table's slot of the last accepted counter's key, after one slot per counter bit
 KEY_SLOT = COUNTER_BITS
 TABLE_BYTES = 16 * (KEY_SLOT + 1)
-# fixed pool of device locks; devices that share a stripe only serialize
-DEVICE_LOCK_STRIPES = 64
 
 
 class VerdictStatus(Enum):
@@ -100,24 +98,21 @@ class HostVerdict:
 class HostRegistry:
     """BDK store, per-device replay log and per-device key tables.
 
-    Message processing for distinct devices may run concurrently; the
-    check-and-update of one device's counter is serialized under its
-    device's lock, and the decrypt happens inside it so an accept, its log
-    update and its table update are atomic. The locks are a fixed tuple of
-    :data:`DEVICE_LOCK_STRIPES` stripes indexed by device id, so unknown
-    device ids cannot grow it; devices sharing a stripe only serialize.
-    While a message is open its device's key table is out of the cache, so
-    no eviction or BDK replacement can wipe it; the walk derives into a
-    scratch buffer that is copied into the table only on an accept, so any
-    other verdict leaves the table byte-identical.
+    One lock guards all three. :meth:`process_message` holds it from the BDK
+    lookup to the commit, so a device's counter check, its decrypt, its log
+    update and its table update are atomic, and no BDK replacement or
+    eviction can touch a table while a message is open. Messages therefore
+    run one at a time; the interpreter's global lock serializes the host's
+    work anyway. The walk derives into a scratch buffer that is copied into
+    the table only on an accept, so any other verdict leaves the table
+    byte-identical and its place in the eviction order unchanged.
     """
 
     def __init__(self, enforce_replay: bool = True):
         self.enforce_replay = enforce_replay
         self._bdks: dict[int, TdeaKey] = {}
         self._device_log: dict[int, int] = {}
-        self._admin_lock = threading.Lock()
-        self._device_locks = tuple(threading.Lock() for _ in range(DEVICE_LOCK_STRIPES))
+        self._lock = threading.Lock()
         # device -> (last accepted counter, its TABLE_BYTES key table), LRU order
         self._tables: OrderedDict[int, tuple[int, bytearray]] = OrderedDict()
 
@@ -127,7 +122,7 @@ class HostRegistry:
             raise ValueError(f"key-set id out of 24-bit range: {key_set_id:#x}")
         if bdk.role is not KeyRole.BASE_DERIVATION:
             raise KeyRoleError(f"registry stores BaseDerivation keys, got {bdk.role.value}")
-        with self._admin_lock:
+        with self._lock:
             if key_set_id in self._bdks and not overwrite:
                 raise DuplicateKeySet(f"key set {key_set_id:06X} already registered")
             self._bdks[key_set_id] = bdk
@@ -137,12 +132,8 @@ class HostRegistry:
 
     def last_accepted_counter(self, initial_id: int) -> int:
         """Replay-log position for a device; 0 when never seen."""
-        with self._admin_lock:
+        with self._lock:
             return self._device_log.get(initial_id, 0)
-
-    def _bdk_for(self, ksn: Ksn) -> TdeaKey | None:
-        with self._admin_lock:
-            return self._bdks.get(ksn.key_set_id)
 
     def rederive_key(self, ksn: Ksn) -> TdeaKey:
         """Recompute the transaction key named by a KSN, with no side effects.
@@ -150,7 +141,8 @@ class HostRegistry:
         Diagnostic path: does not consult or update the replay log. A zero
         counter yields the device's initial key.
         """
-        bdk = self._bdk_for(ksn)
+        with self._lock:
+            bdk = self._bdks.get(ksn.key_set_id)
         if bdk is None:
             raise UnknownKeySet(f"no BDK for key set {ksn.key_set_id:06X}")
         return derive_key_chain(derive_ipek(bdk, ksn), ksn)
@@ -160,21 +152,19 @@ class HostRegistry:
         if msg.scheme is not Scheme.DUKPT:
             raise ValueError(f"host engine processes DUKPT messages, got {msg.scheme.value}")
         counter = msg.ksn.counter
-        bdk = self._bdk_for(msg.ksn)
-        if bdk is None:
-            return HostVerdict(VerdictStatus.UNKNOWN_KEY_SET, counter)
-        if counter.bit_count() > MAX_COUNTER_WEIGHT:
-            return HostVerdict(VerdictStatus.OVERWEIGHT_COUNTER_REJECTED, counter)
         device = msg.ksn.initial_id
-        with self._device_locks[device % DEVICE_LOCK_STRIPES]:
+        with self._lock:
+            bdk = self._bdks.get(msg.ksn.key_set_id)
+            if bdk is None:
+                return HostVerdict(VerdictStatus.UNKNOWN_KEY_SET, counter)
+            if counter.bit_count() > MAX_COUNTER_WEIGHT:
+                return HostVerdict(VerdictStatus.OVERWEIGHT_COUNTER_REJECTED, counter)
             last = self._device_log.get(device, 0)
             # counter 0 names the initial key, never a transaction; it fails
             # the strictly-greater floor whatever the policy setting
             if counter == 0 or (self.enforce_replay and counter <= last):
                 return HostVerdict(VerdictStatus.REPLAY_REJECTED, counter)
-            with self._admin_lock:
-                cached = self._tables.pop(device, None)
-            known, table = cached or (0, bytearray(TABLE_BYTES))
+            known, table = self._tables.get(device) or (0, bytearray(TABLE_BYTES))
             prefix, slot = _walk_start(known, counter)
             if slot is None:
                 start = derive_ipek(bdk, msg.ksn).material
@@ -187,28 +177,16 @@ class HostRegistry:
                 clear_pin, clear_data = _open(key, msg)
             except DecryptFailed:
                 _wipe(fresh)
-                self._keep_table(device, bdk, cached)
                 return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
             self._device_log[device] = max(last, counter)
             table[: len(fresh)] = fresh
             table[16 * KEY_SLOT :] = key.material
             _wipe(fresh)
-            self._keep_table(device, bdk, (counter, table))
-            return HostVerdict(VerdictStatus.ACCEPTED, counter, clear_pin, clear_data)
-
-    def _keep_table(self, device: int, bdk: TdeaKey,
-                    keep: tuple[int, bytearray] | None) -> None:
-        """Cache ``keep`` as the device's table; evict past the bound."""
-        if keep is None:
-            return
-        with self._admin_lock:
-            # a BDK replaced while the message was open invalidated this table
-            if self._bdks.get(device >> DEVICE_ID_BITS) is not bdk:
-                _wipe(keep[1])
-                return
-            self._tables[device] = keep
+            self._tables[device] = (counter, table)
+            self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:
                 _wipe(self._tables.popitem(last=False)[1][1])
+            return HostVerdict(VerdictStatus.ACCEPTED, counter, clear_pin, clear_data)
 
     def handle_wire_line(self, line: str) -> str:
         """Process one transport line and produce the reply line."""

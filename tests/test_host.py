@@ -265,7 +265,9 @@ def test_concurrent_devices_process_cleanly(bdk):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
     for replies in results.values():
         assert all(reply.startswith("OK|") for reply in replies)
 
@@ -273,14 +275,19 @@ def test_concurrent_devices_process_cleanly(bdk):
 def test_fresh_device_ids_leave_the_lock_table_as_it_was(bdk):
     registry = HostRegistry()
     registry.register_bdk(0x5A5A5A, bdk)
-    locks = registry._device_locks
-    size = len(locks)
+    lock = registry._lock
     # forged PIN-only lines of zeros, each from a device id never seen before
     for device_index in range(2000):
         ksn = _device_ksn(0x5A5A5A, device_index).with_counter(1)
         registry.handle_wire_line(encode_wire(TransactionMessage(ksn, bytes(8))))
-    assert registry._device_locks is locks
-    assert len(registry._device_locks) == size
+    lock_type = type(threading.Lock())
+    assert registry._lock is lock
+    assert [name for name, value in vars(registry).items()
+            if isinstance(value, lock_type)] == ["_lock"]
+    for value in vars(registry).values():
+        if isinstance(value, (dict, list, tuple, set, frozenset)):
+            items = value.values() if isinstance(value, dict) else value
+            assert not any(isinstance(item, lock_type) for item in items)
 
 
 # --- key table cache ------------------------------------------------------------------
@@ -431,16 +438,39 @@ def test_bdk_replaced_while_a_message_is_open_drops_its_chain(monkeypatch, regis
                                                               terminal, initial_ksn):
     other = TdeaKey.from_hex(OTHER_BDK_HEX, KeyRole.BASE_DERIVATION)
     real_open = host._open
-    calls = []
+    opened, release = threading.Event(), threading.Event()
+    verdicts = []
 
-    def open_then_rekey(key, msg):
-        registry.register_bdk(initial_ksn.key_set_id, other, overwrite=True)
-        calls.append(msg.ksn.counter)
+    def open_and_wait(key, msg):
+        opened.set()
+        release.wait(timeout=120)
         return real_open(key, msg)
 
-    monkeypatch.setattr(host, "_open", open_then_rekey)
-    assert registry.process_message(_message(terminal)).accepted
-    assert calls == [1] and not registry._tables
+    monkeypatch.setattr(host, "_open", open_and_wait)
+    message = threading.Thread(
+        target=lambda: verdicts.append(registry.process_message(_message(terminal))))
+    rekey = threading.Thread(
+        target=registry.register_bdk, args=(initial_ksn.key_set_id, other, True))
+    message.start()
+    try:
+        assert opened.wait(timeout=120)
+        rekey.start()
+        rekey.join(timeout=0.2)
+        blocked = rekey.is_alive()  # the replacement waits for the open message
+    finally:
+        release.set()
+        message.join(timeout=120)
+    rekey.join(timeout=120)
+    assert blocked and not message.is_alive() and not rekey.is_alive()
+    assert [v.status for v in verdicts] == [VerdictStatus.ACCEPTED]
+    assert not [d for d in registry._tables if d >> host.DEVICE_ID_BITS == initial_ksn.key_set_id]
+    # counter 5 walks from slot 2 of counter 1's table: a kept table holds the old BDK's key(4)
+    rekeyed = init_terminal(derive_ipek(other, initial_ksn), initial_ksn)
+    for _ in range(4):
+        rekeyed.next_transaction_key()
+    msg = _message(rekeyed)
+    assert msg.ksn.counter == 5
+    assert registry.process_message(msg).accepted
 
 
 def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
@@ -465,6 +495,32 @@ def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
     for t in terminals[1:]:
         assert registry.process_message(_message(t)).accepted
     assert len(registry._tables) == 2 and not any(table)  # evicted, least recent first
+
+
+@pytest.mark.parametrize("rejection", [VerdictStatus.DECRYPT_FAILED,
+                                       VerdictStatus.REPLAY_REJECTED], ids=lambda s: s.value)
+def test_rejected_line_keeps_its_device_in_eviction_order(monkeypatch, bdk, rejection):
+    monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 2)
+    registry = HostRegistry()
+    registry.register_bdk(0x5A5A5A, bdk)
+    a, b, c = (init_terminal(derive_ipek(bdk, ksn), ksn)
+               for ksn in (_device_ksn(0x5A5A5A, i) for i in range(3)))
+    first = _message(a)
+    for msg in (first, _message(b)):
+        assert registry.process_message(msg).accepted
+    (_, table_a), (_, table_b) = registry._tables.values()
+    if rejection is VerdictStatus.DECRYPT_FAILED:
+        msg = _message(a)
+        rejected = TransactionMessage(msg.ksn, msg.encrypted_pin_block, b"\x00" * 16)
+    else:
+        rejected = first
+    assert registry.process_message(rejected).status is rejection
+    assert registry.process_message(_message(c)).accepted
+    # eviction follows the least recently accepted device, not the last one seen
+    devices = [t.base_ksn.initial_id for t in (a, b, c)]
+    assert list(registry._tables) == devices[1:]
+    assert not any(table_a)
+    assert registry._tables[devices[1]][1] is table_b and any(table_b)
 
 
 def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
