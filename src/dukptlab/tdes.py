@@ -4,7 +4,14 @@ Everything here works on plain ``bytes``; key objects and role policy live
 one layer up in :mod:`dukptlab.key_hierarchy`. Keys are double-length
 (16 bytes) unless noted. An 8-byte key runs single DES through the EDE
 construction with three equal subkeys, which is the identical permutation.
-Every cipher is built by :func:`_cipher`; CBC always uses the zero IV.
+Every cipher context is built by :func:`_cipher`; CBC always uses the zero IV.
+It calls the backend factory (``create_encryption_ctx`` or
+``create_decryption_ctx`` of ``cryptography.hazmat.bindings._rust.openssl.ciphers``)
+that ``Cipher(...).encryptor()`` and ``.decryptor()`` end in, skipping their two
+lookups through cryptography's deprecation-wrapped ``modes`` module: about two
+thirds of a build, which every per-transaction key pays per use. The factory is
+private API, verified on cryptography 48.0.0 (the declared floor); without it,
+importing this module raises ``ImportError`` naming the installed version.
 
 A :class:`TdeaCipher` is a loaded key: it builds each cipher context it
 needs once and keeps it for every later message. Only long-lived keys are
@@ -24,10 +31,23 @@ to the next 8-byte boundary. It is mandatory, so every ciphertext decrypts
 to a checkable shape.
 """
 
+import cryptography
 from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
-from cryptography.hazmat.primitives.ciphers import Cipher, modes
+from cryptography.hazmat.primitives.ciphers import CipherContext, modes
 
 from .errors import DecryptFailed, EmptyPlaintext, LengthError
+
+try:
+    from cryptography.hazmat.bindings._rust import openssl as _openssl
+
+    _create_encryption_ctx = _openssl.ciphers.create_encryption_ctx
+    _create_decryption_ctx = _openssl.ciphers.create_decryption_ctx
+except (ImportError, AttributeError) as exc:
+    raise ImportError(
+        "dukptlab.tdes needs cryptography.hazmat.bindings._rust.openssl.ciphers"
+        ".create_encryption_ctx and .create_decryption_ctx (verified on cryptography"
+        f" 48.0.0); the installed cryptography {cryptography.__version__} lacks them"
+    ) from exc
 
 BLOCK_SIZE = 8
 _ECB = modes.ECB()
@@ -40,8 +60,10 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def _cipher(key: bytes, mode: modes.Mode) -> Cipher:
-    return Cipher(TripleDES(key), mode)
+def _cipher(key: bytes, mode: modes.Mode, encrypt: bool) -> CipherContext:
+    if encrypt:
+        return _create_encryption_ctx(TripleDES(key), mode)
+    return _create_decryption_ctx(TripleDES(key), mode)
 
 
 class TdeaCipher:
@@ -71,7 +93,7 @@ class TdeaCipher:
             raise LengthError("ECB payload must be a positive multiple of 8 bytes")
         enc = self._ecb_enc
         if enc is None:
-            enc = self._ecb_enc = _cipher(self._key, _ECB).encryptor()
+            enc = self._ecb_enc = _cipher(self._key, _ECB, True)
         return enc.update(data)
 
     def ecb_decrypt(self, data: bytes) -> bytes:
@@ -79,7 +101,7 @@ class TdeaCipher:
             raise LengthError("ECB payload must be a positive multiple of 8 bytes")
         dec = self._ecb_dec
         if dec is None:
-            dec = self._ecb_dec = _cipher(self._key, _ECB).decryptor()
+            dec = self._ecb_dec = _cipher(self._key, _ECB, False)
         return dec.update(data)
 
     def cbc_encrypt(self, plaintext: bytes) -> bytes:
@@ -89,7 +111,7 @@ class TdeaCipher:
         data = pad(plaintext)
         enc = self._cbc_enc
         if enc is None:
-            enc = self._cbc_enc = _cipher(self._key, _CBC).encryptor()
+            enc = self._cbc_enc = _cipher(self._key, _CBC, True)
         else:
             # the context chains from its last output block: cancel it
             data = xor_bytes(data[:BLOCK_SIZE], self._enc_prev[-BLOCK_SIZE:]) + data[BLOCK_SIZE:]
@@ -102,7 +124,7 @@ class TdeaCipher:
             raise DecryptFailed("ciphertext must be a positive multiple of 8 bytes")
         dec = self._cbc_dec
         if dec is None:
-            dec = self._cbc_dec = _cipher(self._key, _CBC).decryptor()
+            dec = self._cbc_dec = _cipher(self._key, _CBC, False)
             data = dec.update(ciphertext)
         else:
             # the context chains from the last block it was fed: cancel it

@@ -1,6 +1,12 @@
 """Raw TDEA primitives: known answers, key forms, modes, padding and errors."""
 
+import importlib.util
+
+import cryptography
 import pytest
+from cryptography.hazmat.bindings._rust import openssl as _openssl
+from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+from cryptography.hazmat.primitives.ciphers import Cipher, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +74,7 @@ def test_decrypt_failures():
 
 # --- loaded keys --------------------------------------------------------------
 
+_keys = st.sampled_from([8, 16, 24]).flatmap(lambda n: st.binary(min_size=n, max_size=n))
 _whole_blocks = st.integers(1, 4).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n))
 _messages = st.lists(st.one_of(
     st.tuples(st.sampled_from(["ecb_encrypt", "ecb_decrypt"]), _whole_blocks),
@@ -76,8 +83,7 @@ _messages = st.lists(st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(key=st.sampled_from([8, 16, 24]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
-       before=_messages, after=_messages)
+@given(key=_keys, before=_messages, after=_messages)
 def test_loaded_key_matches_one_shot_calls(key, before, after):
     # kept CBC contexts chain across messages; each message must still start
     # from the zero IV, also after a ciphertext the loaded key refused
@@ -95,3 +101,22 @@ def test_loaded_key_matches_one_shot_calls(key, before, after):
             loaded.cbc_decrypt(refused)
     check(after + [("cbc_decrypt", b"last"), ("cbc_encrypt", b"last")])
 
+
+# --- the backend factory ------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::cryptography.utils.CryptographyDeprecationWarning")  # 8/16-byte keys
+@settings(max_examples=100, deadline=None)
+@given(key=_keys, data=_whole_blocks, cbc=st.booleans())
+def test_factory_matches_public_cipher(key, data, cbc):
+    # the public Cipher path is the oracle for the private factory _cipher calls
+    mode = modes.CBC(bytes(8)) if cbc else modes.ECB()
+    public = Cipher(TripleDES(key), mode)
+    assert tdes._cipher(key, mode, True).update(data) == public.encryptor().update(data)
+    assert tdes._cipher(key, mode, False).update(data) == public.decryptor().update(data)
+
+
+def test_missing_factory_fails_at_import(monkeypatch):
+    monkeypatch.delattr(_openssl, "ciphers")
+    spec = importlib.util.spec_from_file_location("dukptlab._tdes_without_factory", tdes.__file__)
+    with pytest.raises(ImportError, match=f"create_encryption_ctx.*{cryptography.__version__}"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
