@@ -39,6 +39,7 @@ from .key_hierarchy import (
 )
 from .scenarios import (
     BUILTIN_PROFILES,
+    EndpointProfile,
     applicability_table,
     load_profiles_file,
     run_simulation,
@@ -94,15 +95,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _builtin_profile(name: str) -> EndpointProfile:
+    if name not in BUILTIN_PROFILES:
+        raise ValueError(f"unknown profile {name!r}; known: {', '.join(BUILTIN_PROFILES)}")
+    return BUILTIN_PROFILES[name]
+
+
 def _cmd_derive_ipek(args: argparse.Namespace) -> int:
-    bdk = TdeaKey.from_hex(args.bdk.upper(), KeyRole.BASE_DERIVATION)
-    print(derive_ipek(bdk, parse_ksn(args.ksn.upper())).hex)
+    bdk = TdeaKey.from_hex(args.bdk, KeyRole.BASE_DERIVATION)
+    print(derive_ipek(bdk, parse_ksn(args.ksn)).hex)
     return EXIT_OK
 
 
 def _cmd_derive_key(args: argparse.Namespace) -> int:
-    bdk = TdeaKey.from_hex(args.bdk.upper(), KeyRole.BASE_DERIVATION)
-    ksn = parse_ksn(args.ksn.upper())
+    bdk = TdeaKey.from_hex(args.bdk, KeyRole.BASE_DERIVATION)
+    ksn = parse_ksn(args.ksn)
     key = derive_key_chain(derive_ipek(bdk, ksn), ksn)
     print(f"key={key.hex}")
     if ksn.counter == 0:
@@ -114,11 +121,7 @@ def _cmd_derive_key(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    profile = BUILTIN_PROFILES.get(args.profile)
-    if profile is None:
-        print(f"unknown profile {args.profile!r}; known: "
-              f"{', '.join(BUILTIN_PROFILES)}", file=sys.stderr)
-        return EXIT_INPUT
+    profile = _builtin_profile(args.profile)
     report = run_simulation(_SCHEME_FLAGS[args.scheme], profile, args.count, args.seed)
     print(report.table() if args.format == "table" else report.record_line())
     print(f"elapsed_seconds={report.elapsed_seconds:.3f}", file=sys.stderr)
@@ -127,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_vectors(args: argparse.Namespace) -> int:
     if args.vectors_command == "generate":
-        records = vectors_mod.generate(args.count, args.bdk.upper(), args.ksn.upper())
+        records = vectors_mod.generate(args.count, args.bdk, args.ksn)
         if args.out:
             with open(args.out, "w", encoding="ascii") as fh:
                 vectors_mod.write_file(records, fh)
@@ -146,18 +149,12 @@ def _cmd_vectors(args: argparse.Namespace) -> int:
 
 
 def _cmd_applicability(args: argparse.Namespace) -> int:
+    profiles = None  # the built-in set
     if args.profile is not None:
-        profile = BUILTIN_PROFILES.get(args.profile)
-        if profile is None:
-            print(f"unknown profile {args.profile!r}; known: "
-                  f"{', '.join(BUILTIN_PROFILES)}", file=sys.stderr)
-            return EXIT_INPUT
-        print(applicability_table([profile]))
-        return EXIT_OK
-    if args.profiles_file is not None:
-        print(applicability_table(load_profiles_file(args.profiles_file)))
-        return EXIT_OK
-    print(applicability_table())
+        profiles = [_builtin_profile(args.profile)]
+    elif args.profiles_file is not None:
+        profiles = load_profiles_file(args.profiles_file)
+    print(applicability_table(profiles))
     return EXIT_OK
 
 

@@ -18,10 +18,9 @@ above ``L``'s lowest set bit the two hold the same bytes. A later counter
 starts from ``key(L)`` when it extends ``L``, else from the slot of the
 highest bit where the two differ, and each step of its fold also derives
 the step's right siblings into the table, one batch per step as in the
-terminal's refill. In-order traffic then derives on odd
-counters only; a device's first message, an evicted device and (with the
-replay policy off) an earlier counter start from the BDK. The table changes
-only when a message is accepted, and every slot it does not use is zero.
+terminal's refill. In-order traffic then derives on odd counters only; a
+device's first message and an evicted device start from the BDK. Only an
+accepted message changes the table, and every slot it does not use is zero.
 
 The trade-off: the table holds what the device itself holds, keys that
 open this device's *later* counters and never earlier ones, until the
@@ -29,10 +28,10 @@ device is evicted (least recently accepted first) or its BDK is replaced,
 and is zero-overwritten then. It holds no IPEK or BDK copy, and the BDK
 the registry already holds opens every one of these keys anyway.
 
-Two policies guard the counter: KSNs whose counter exceeds the weight bound
-are rejected outright, and each device's accepted counters must be strictly
-increasing (replay and reordering both surface as ``ReplayRejected``). The
-replay policy can be disabled to demonstrate what cloning costs without it.
+Two policies guard the counter, and neither can be turned off: KSNs whose
+counter exceeds the weight bound are rejected outright, and each device's
+accepted counters must be strictly increasing (replay and reordering both
+surface as ``ReplayRejected``).
 """
 
 from __future__ import annotations
@@ -108,13 +107,12 @@ class HostRegistry:
     byte-identical and its place in the eviction order unchanged.
     """
 
-    def __init__(self, enforce_replay: bool = True):
-        self.enforce_replay = enforce_replay
+    def __init__(self) -> None:
         self._bdks: dict[int, TdeaKey] = {}
         self._device_log: dict[int, int] = {}
         self._lock = threading.Lock()
-        # device -> (last accepted counter, its TABLE_BYTES key table), LRU order
-        self._tables: OrderedDict[int, tuple[int, bytearray]] = OrderedDict()
+        # device -> its TABLE_BYTES key table at the logged counter, LRU order
+        self._tables: OrderedDict[int, bytearray] = OrderedDict()
 
     def register_bdk(self, key_set_id: int, bdk: TdeaKey, overwrite: bool = False) -> None:
         """Install the base derivation key serving one key-set identifier."""
@@ -128,7 +126,7 @@ class HostRegistry:
             self._bdks[key_set_id] = bdk
             # tables derived under a replaced BDK would open nothing under the new one
             for device in [d for d in self._tables if d >> DEVICE_ID_BITS == key_set_id]:
-                _wipe(self._tables.pop(device)[1])
+                _wipe(self._tables.pop(device))
 
     def last_accepted_counter(self, initial_id: int) -> int:
         """Replay-log position for a device; 0 when never seen."""
@@ -159,16 +157,16 @@ class HostRegistry:
                 return HostVerdict(VerdictStatus.UNKNOWN_KEY_SET, counter)
             if counter.bit_count() > MAX_COUNTER_WEIGHT:
                 return HostVerdict(VerdictStatus.OVERWEIGHT_COUNTER_REJECTED, counter)
+            # counter 0 names the initial key, never a transaction: it fails too
             last = self._device_log.get(device, 0)
-            # counter 0 names the initial key, never a transaction; it fails
-            # the strictly-greater floor whatever the policy setting
-            if counter == 0 or (self.enforce_replay and counter <= last):
+            if counter <= last:
                 return HostVerdict(VerdictStatus.REPLAY_REJECTED, counter)
-            known, table = self._tables.get(device) or (0, bytearray(TABLE_BYTES))
-            prefix, slot = _walk_start(known, counter)
-            if slot is None:
-                start = derive_ipek(bdk, msg.ksn).material
+            table = self._tables.get(device)
+            if table is None:
+                table = bytearray(TABLE_BYTES)
+                prefix, start = 0, derive_ipek(bdk, msg.ksn).material
             else:
+                prefix, slot = _walk_start(last, counter)
                 start = bytes(table[16 * slot : 16 * slot + 16])
             # the walk rewrites every slot at and below its start's lowest set bit
             fresh = bytearray(16 * ((prefix & -prefix).bit_length() or COUNTER_BITS))
@@ -178,14 +176,14 @@ class HostRegistry:
             except DecryptFailed:
                 _wipe(fresh)
                 return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
-            self._device_log[device] = max(last, counter)
+            self._device_log[device] = counter
             table[: len(fresh)] = fresh
             table[16 * KEY_SLOT :] = key.material
             _wipe(fresh)
-            self._tables[device] = (counter, table)
+            self._tables[device] = table
             self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:
-                _wipe(self._tables.popitem(last=False)[1][1])
+                _wipe(self._tables.popitem(last=False)[1])
             return HostVerdict(VerdictStatus.ACCEPTED, counter, clear_pin, clear_data)
 
     def handle_wire_line(self, line: str) -> str:
@@ -213,17 +211,15 @@ def _open(key: TdeaKey, msg: TransactionMessage) -> tuple[bytes | None, bytes | 
     return clear_pin, clear_data
 
 
-def _walk_start(known: int, counter: int) -> tuple[int, int | None]:
+def _walk_start(last: int, counter: int) -> tuple[int, int]:
     """The prefix and table slot that the fold to ``counter`` starts from.
 
-    ``known`` is the table's last accepted counter; slot ``None`` is the
-    IPEK (no table, or an earlier counter with the replay policy off).
+    ``last`` is the device's last accepted counter, the one its table was
+    derived at; ``counter`` is above it.
     """
-    if not known or counter < known:
-        return 0, None
-    diff = counter ^ known
-    if diff < known & -known:  # counter extends known, or is known
-        return known, KEY_SLOT
+    diff = counter ^ last
+    if diff < last & -last:  # counter extends last
+        return last, KEY_SLOT
     high = diff.bit_length() - 1
     return counter >> high << high, high
 

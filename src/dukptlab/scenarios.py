@@ -295,11 +295,16 @@ def _random_initial_ksn(rng: random.Random) -> Ksn:
     return Ksn(value.to_bytes(10, "big"))
 
 
-def _provision_dukpt(rng: random.Random, registry: HostRegistry) -> TerminalState:
+def _provision_dukpt(rng: random.Random) -> tuple[TdeaKey, TerminalState]:
     bdk = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
     initial_ksn = _random_initial_ksn(rng)
-    registry.register_bdk(initial_ksn.key_set_id, bdk)
-    return init_terminal(derive_ipek(bdk, initial_ksn), initial_ksn)
+    return bdk, init_terminal(derive_ipek(bdk, initial_ksn), initial_ksn)
+
+
+def _host_for(bdk: TdeaKey, term: TerminalState) -> HostRegistry:
+    registry = HostRegistry()
+    registry.register_bdk(term.base_ksn.key_set_id, bdk)
+    return registry
 
 
 def run_simulation(
@@ -338,8 +343,8 @@ def run_simulation(
     # a seed) and defines one transaction's terminal side, which returns the
     # message with the key it used, and host side
     if scheme is Scheme.DUKPT:
-        registry = HostRegistry()
-        term = _provision_dukpt(rng, registry)
+        bdk, term = _provision_dukpt(rng)
+        registry = _host_for(bdk, term)
 
         def send() -> tuple[TransactionMessage, bytes]:
             ksn, key = term.next_transaction_key()
@@ -437,22 +442,23 @@ def clone_attack_demo(
     cryptographically indistinguishable from the original's and the host
     accepts it. What *does* make cloning visible is counter policy: once
     both devices walk the same counter sequence, every collision leaves
-    exactly one side accepted and the other replay-rejected. With the
-    policy disabled nothing is rejected at all — derivation alone cannot
-    tell the devices apart.
+    exactly one side accepted and the other replay-rejected. Without it (a
+    fresh registry per message, so no counter is kept) nothing is rejected
+    at all — derivation alone cannot tell the devices apart.
     """
     if n_legit < 1:
         raise ValueError("n_legit must be at least 1")
     rng = random.Random(seed)
-    registry = HostRegistry(enforce_replay=enforce_replay)
-    legit = _provision_dukpt(rng, registry)
+    bdk, legit = _provision_dukpt(rng)
+    registry = _host_for(bdk, legit)
     payload = b"checkout-request"
     replies: list[str] = []
     counts = {status: 0 for status in VerdictStatus}
 
     def send(term: TerminalState) -> VerdictStatus:
         line = encode_wire(term.build_message(data=payload))
-        verdict = registry.process_message(parse_wire(line))
+        host = registry if enforce_replay else _host_for(bdk, legit)
+        verdict = host.process_message(parse_wire(line))
         replies.append(format_reply(verdict))
         counts[verdict.status] += 1
         return verdict.status

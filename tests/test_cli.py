@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dukptlab import vectors
 from dukptlab.cli import main
 
 from conftest import (
@@ -178,6 +179,17 @@ def test_vectors_generate_stdout(capsys):
     assert code == 0
     assert out.count("\n") == 3  # header comment + two records
     assert "counter=000002" in out
+
+
+def test_vectors_generate_accepts_lowercase_hex(capsys):
+    _, default_out, _ = run(capsys, "vectors", "generate", "--count", "3")
+    code, out, _ = run(
+        capsys, "vectors", "generate", "--count", "3",
+        "--bdk", vectors.DEFAULT_BDK_HEX.lower(), "--ksn", vectors.DEFAULT_KSN_HEX.lower(),
+    )
+    assert code == 0
+    assert vectors.DEFAULT_BDK_HEX != vectors.DEFAULT_BDK_HEX.lower()
+    assert out == default_out
 
 
 def test_vectors_missing_file(capsys):

@@ -110,19 +110,9 @@ def test_forged_overweight_counter_rejected(registry, initial_ksn):
     )
 
 
-def test_replay_policy_can_be_disabled(bdk, ipek, initial_ksn):
-    registry = HostRegistry(enforce_replay=False)
-    registry.register_bdk(initial_ksn.key_set_id, bdk)
-    terminal = init_terminal(ipek, initial_ksn)
-    msg = _message(terminal)
-    assert registry.process_message(msg).status is VerdictStatus.ACCEPTED
-    assert registry.process_message(msg).status is VerdictStatus.ACCEPTED
-
-
-@pytest.mark.parametrize("enforce", [True, False])
-def test_counter_zero_message_always_rejected(bdk, initial_ksn, enforce):
+def test_counter_zero_message_always_rejected(bdk, initial_ksn):
     # counter 0 names the initial key; no transaction may carry it
-    registry = HostRegistry(enforce_replay=enforce)
+    registry = HostRegistry()
     registry.register_bdk(initial_ksn.key_set_id, bdk)
     msg = TransactionMessage(initial_ksn, encrypted_pin_block=b"\x42" * 8)
     assert registry.process_message(msg).status is VerdictStatus.REPLAY_REJECTED
@@ -234,7 +224,7 @@ def test_no_key_or_clear_block_in_reprs(registry, terminal):
     clear = {verdict.clear_pin_block, verdict.clear_data}
     assert clear == {encode_iso0(*CLEAR_BLOCK_ARGS), b"Sale: 42.00 USD"}
     assert not _leaked(repr(verdict), clear | material)
-    (_, table), = registry._tables.values()
+    table, = registry._tables.values()
     table_keys = {_slot(table, q) for q in range(host.KEY_SLOT + 1)} - {bytes(16)}
     assert len(table_keys) == len(_table_counters(msg.ksn.counter))
     assert not _leaked(repr(registry), table_keys | material)
@@ -313,7 +303,8 @@ def _slot(table, q):
 
 
 def _cache(registry):
-    return [(d, c, bytes(table)) for d, (c, table) in registry._tables.items()]
+    return [(d, registry.last_accepted_counter(d), bytes(table))
+            for d, table in registry._tables.items()]
 
 
 def _assert_cache_matches_reference(registry):
@@ -351,11 +342,10 @@ def _next_counter(rng, last):
     return c
 
 
-@pytest.mark.parametrize("enforce", [True, False])
-def test_cached_folds_match_reference(monkeypatch, bdk, enforce):
+def test_cached_folds_match_reference(monkeypatch, bdk):
     monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 3)
     rng = random.Random(5)
-    registry = HostRegistry(enforce_replay=enforce)
+    registry = HostRegistry()
     registry.register_bdk(0x5A5A5A, bdk)
     devices = [_device_ksn(0x5A5A5A, i) for i in range(7)]  # more than the bound
     ipeks = [derive_ipek(bdk, ksn) for ksn in devices]
@@ -368,7 +358,7 @@ def test_cached_folds_match_reference(monkeypatch, bdk, enforce):
         last[i] = counter = _next_counter(rng, last[i])
         msg, sent = _reference_message(ipeks[i], devices[i].with_counter(counter), rng)
         verdict = registry.process_message(msg)
-        if enforce and counter <= floor[i]:
+        if counter <= floor[i]:
             assert verdict.status is VerdictStatus.REPLAY_REJECTED
             continue
         assert verdict.accepted
@@ -392,7 +382,8 @@ def test_host_table_mirrors_the_terminal_table(registry, terminal):
     for _ in range(5_000):
         verdict = registry.process_message(terminal.build_message(data=b"tx"))
         assert verdict.accepted
-        counter, table = registry._tables[device]
+        table = registry._tables[device]
+        counter = registry.last_accepted_counter(device)
         assert counter == terminal.counter == verdict.derived_counter
         above = slice(16 * (counter & -counter).bit_length(), 16 * 21)
         assert table[above] == terminal.table[above]
@@ -421,7 +412,7 @@ def test_rejected_message_leaves_cached_chain(registry, terminal, initial_ksn):
 def test_bdk_replacement_drops_cached_chains(registry, terminal, initial_ksn):
     for _ in range(4):
         assert registry.process_message(_message(terminal)).accepted
-    (_, table), = registry._tables.values()
+    table, = registry._tables.values()
     other = TdeaKey.from_hex(OTHER_BDK_HEX, KeyRole.BASE_DERIVATION)
     registry.register_bdk(initial_ksn.key_set_id, other, overwrite=True)
     assert not registry._tables and not any(table)
@@ -481,13 +472,16 @@ def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
                  for ksn in (_device_ksn(0x5A5A5A, i) for i in range(3))]
     for _ in range(5):
         assert registry.process_message(_message(terminals[0])).accepted
-    (last, table), = registry._tables.values()
+    table, = registry._tables.values()
+    last = registry.last_accepted_counter(terminals[0].base_ksn.initial_id)
     key_5, key_6, key_8 = _slot(table, host.KEY_SLOT), _slot(table, 1), _slot(table, 3)
     assert last == 5 and all(key != bytes(16) for key in (key_5, key_6, key_8))
     for _ in range(2):  # counters 6 and 7 never reach the host
         terminals[0].next_transaction_key()
     assert registry.process_message(_message(terminals[0])).derived_counter == 8
-    assert registry._tables[terminals[0].base_ksn.initial_id] == (8, table)  # in place
+    device = terminals[0].base_ksn.initial_id
+    assert registry._tables[device] is table  # in place
+    assert registry.last_accepted_counter(device) == 8
     # counter 8 came from slot 3, which is consumed; slot 1 (counter 6) is stale
     assert _slot(table, 3) == _slot(table, 1) == bytes(16)
     assert _slot(table, host.KEY_SLOT) == key_8
@@ -508,7 +502,7 @@ def test_rejected_line_keeps_its_device_in_eviction_order(monkeypatch, bdk, reje
     first = _message(a)
     for msg in (first, _message(b)):
         assert registry.process_message(msg).accepted
-    (_, table_a), (_, table_b) = registry._tables.values()
+    table_a, table_b = registry._tables.values()
     if rejection is VerdictStatus.DECRYPT_FAILED:
         msg = _message(a)
         rejected = TransactionMessage(msg.ksn, msg.encrypted_pin_block, b"\x00" * 16)
@@ -520,7 +514,7 @@ def test_rejected_line_keeps_its_device_in_eviction_order(monkeypatch, bdk, reje
     devices = [t.base_ksn.initial_id for t in (a, b, c)]
     assert list(registry._tables) == devices[1:]
     assert not any(table_a)
-    assert registry._tables[devices[1]][1] is table_b and any(table_b)
+    assert registry._tables[devices[1]] is table_b and any(table_b)
 
 
 def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):

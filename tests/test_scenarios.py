@@ -262,6 +262,17 @@ def test_clone_demo_without_policy():
     assert report.accepted == 20
 
 
+@pytest.mark.parametrize("enforce_replay, replies", [
+    (True, ["OK|1", "OK|2", "ERR|ReplayRejected", "OK|3", "ERR|ReplayRejected",
+            "OK|4", "ERR|ReplayRejected", "OK|5"]),
+    (False, ["OK|1", "OK|2", "OK|2", "OK|3", "OK|3", "OK|4", "OK|4", "OK|5"]),
+], ids=["policy", "no_policy"])
+def test_clone_demo_reply_trace(enforce_replay, replies):
+    # theft after counter 1; then clone and original alternate, clone first
+    report = clone_attack_demo(4, 4, seed=11, enforce_replay=enforce_replay)
+    assert report.reply_lines == replies
+
+
 def test_clone_demo_exactly_one_acceptance_per_counter_pair():
     report = clone_attack_demo(6, 6, seed=1)
     # counters 2..6 collide once each: one OK, one ERR per pair
