@@ -2,10 +2,16 @@
 
 The registry is a software stand-in for the HSM that would normally hold
 base derivation keys: BDKs go in through :meth:`HostRegistry.register_bdk`
-and never come out through any reply, verdict, or log. For each incoming
-message the host folds the derivation chain to the transaction key and
-decrypts — the same route the terminal took, which is the whole point of
-the scheme.
+and never come out through any reply, verdict, or log. For each message the
+host repeats the terminal's derivation, in bytes and ints from parse to
+reply: :meth:`HostRegistry.process_message` reads the KSN once, as one int
+that gives the counter, the device and the key-set id; checks the key set,
+the counter's weight and the device's floor; folds to the transaction key
+as 16 bytes; decrypts under its variants, each one int XOR with its mask
+(:func:`~dukptlab.key_hierarchy.masked`); and commits floor and table only
+on an accept. :func:`format_reply` turns the :class:`HostVerdict` into the
+reply. No key object is built on the way; the role checks sit at the public
+entry points.
 
 The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
@@ -31,7 +37,7 @@ the registry already holds opens every one of these keys anyway.
 Two policies guard the counter, and neither can be turned off: KSNs whose
 counter exceeds the weight bound are rejected outright, and each device's
 accepted counters must be strictly increasing (replay and reordering both
-surface as ``ReplayRejected``).
+surface as ``ReplayRejected``). Replacing a BDK keeps every floor.
 """
 
 from __future__ import annotations
@@ -41,25 +47,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import (
-    DecryptFailed,
-    DuplicateKeySet,
-    KeyRoleError,
-    UnknownKeySet,
-    WireFormatError,
-)
+from . import tdes
+from .errors import DecryptFailed, DuplicateKeySet, KeyRoleError, UnknownKeySet, WireFormatError
 from .key_hierarchy import (
-    COUNTER_BITS,
-    KeyRole,
-    Ksn,
-    MAX_COUNTER_WEIGHT,
-    TdeaKey,
-    derive_ipek,
-    derive_key_chain,
-    fold_chain,
+    COUNTER_BITS, COUNTER_MASK, DATA_VARIANT_MASK, MAX_COUNTER_WEIGHT, PIN_VARIANT_MASK,
+    KeyRole, Ksn, TdeaKey, derive_ipek, derive_key_chain, fold_chain, masked,
 )
 from .pin_block import structure_ok
-from .terminal import decrypt_data, decrypt_pin
 from .wire import Scheme, TransactionMessage, parse_wire
 
 KEY_SET_ID_BITS = 24
@@ -115,7 +109,13 @@ class HostRegistry:
         self._tables: OrderedDict[int, bytearray] = OrderedDict()
 
     def register_bdk(self, key_set_id: int, bdk: TdeaKey, overwrite: bool = False) -> None:
-        """Install the base derivation key serving one key-set identifier."""
+        """Install the base derivation key serving one key-set identifier.
+
+        Replacing a BDK (``overwrite=True``) wipes its devices' tables but
+        keeps their replay floors, since a reset would reopen counters already
+        accepted: a device re-injected with the same initial KSN is accepted
+        only above its old floor.
+        """
         if not 0 <= key_set_id < (1 << KEY_SET_ID_BITS):
             raise ValueError(f"key-set id out of 24-bit range: {key_set_id:#x}")
         if bdk.role is not KeyRole.BASE_DERIVATION:
@@ -149,10 +149,11 @@ class HostRegistry:
         """Authenticate-by-derivation: re-derive, decrypt, enforce policy."""
         if msg.scheme is not Scheme.DUKPT:
             raise ValueError(f"host engine processes DUKPT messages, got {msg.scheme.value}")
-        counter = msg.ksn.counter
-        device = msg.ksn.initial_id
+        value = int.from_bytes(msg.ksn.raw, "big")
+        counter = value & COUNTER_MASK
+        device = value >> COUNTER_BITS
         with self._lock:
-            bdk = self._bdks.get(msg.ksn.key_set_id)
+            bdk = self._bdks.get(device >> DEVICE_ID_BITS)
             if bdk is None:
                 return HostVerdict(VerdictStatus.UNKNOWN_KEY_SET, counter)
             if counter.bit_count() > MAX_COUNTER_WEIGHT:
@@ -170,7 +171,7 @@ class HostRegistry:
                 start = bytes(table[16 * slot : 16 * slot + 16])
             # the walk rewrites every slot at and below its start's lowest set bit
             fresh = bytearray(16 * ((prefix & -prefix).bit_length() or COUNTER_BITS))
-            key = TdeaKey(fold_chain(start, msg.ksn, prefix, fresh), KeyRole.TRANSACTION)
+            key = fold_chain(start, msg.ksn, prefix, fresh)
             try:
                 clear_pin, clear_data = _open(key, msg)
             except DecryptFailed:
@@ -178,7 +179,7 @@ class HostRegistry:
                 return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
             self._device_log[device] = counter
             table[: len(fresh)] = fresh
-            table[16 * KEY_SLOT :] = key.material
+            table[16 * KEY_SLOT :] = key
             _wipe(fresh)
             self._tables[device] = table
             self._tables.move_to_end(device)
@@ -198,16 +199,17 @@ class HostRegistry:
         return format_reply(verdict)
 
 
-def _open(key: TdeaKey, msg: TransactionMessage) -> tuple[bytes | None, bytes | None]:
-    """Clear PIN block and data; :class:`DecryptFailed` when either fails its check."""
+def _open(key: bytes, msg: TransactionMessage) -> tuple[bytes | None, bytes | None]:
+    """Clear PIN block and data under the variants of ``key``, as ``terminal.decrypt_pin``
+    and ``decrypt_data`` give them; :class:`DecryptFailed` when either fails its check."""
     clear_pin = None
     if msg.encrypted_pin_block is not None:
-        clear_pin = decrypt_pin(key, msg.encrypted_pin_block)
+        clear_pin = tdes.ecb_decrypt(masked(key, PIN_VARIANT_MASK), msg.encrypted_pin_block)
         if not structure_ok(clear_pin):
             raise DecryptFailed("PIN block fails the format-0 structure check")
     clear_data = None
     if msg.encrypted_data is not None:
-        clear_data = decrypt_data(key, msg.encrypted_data)
+        clear_data = tdes.cbc_decrypt(masked(key, DATA_VARIANT_MASK), msg.encrypted_data)
     return clear_pin, clear_data
 
 

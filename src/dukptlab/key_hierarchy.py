@@ -23,27 +23,22 @@ from __future__ import annotations
 
 import hmac
 import math
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 from . import tdes
-from .errors import (
-    CounterExhausted,
-    CounterOverweight,
-    HexInputError,
-    KeyRoleError,
-    LengthError,
-)
+from .errors import CounterExhausted, CounterOverweight, HexInputError, KeyRoleError, LengthError
 
 COUNTER_BITS = 21
 COUNTER_MASK = 0x1FFFFF
 MAX_COUNTER_WEIGHT = 10
 
-# masks applied to key halves / whole keys during derivation
-KEY_HALF_MASK = bytes.fromhex("C0C0C0C000000000C0C0C0C000000000")
-PIN_VARIANT_MASK = bytes.fromhex("00000000000000FF00000000000000FF")
-DATA_VARIANT_MASK = bytes.fromhex("0000000000FF00000000000000FF0000")
+# masks applied to key halves / whole keys during derivation, XORed by masked()
+KEY_HALF_MASK = 0xC0C0C0C000000000C0C0C0C000000000
+PIN_VARIANT_MASK = 0x00000000000000FF00000000000000FF
+DATA_VARIANT_MASK = 0x0000000000FF00000000000000FF0000
 
 
 class KeyRole(Enum):
@@ -229,7 +224,7 @@ def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
         raise KeyRoleError(f"IPEK derivation needs a BaseDerivation key, got {bdk.role.value}")
     block = initial_ksn.base.raw[:8]
     left = tdes.encrypt_block(bdk.material, block)
-    right = tdes.encrypt_block(tdes.xor_bytes(bdk.material, KEY_HALF_MASK), block)
+    right = tdes.encrypt_block(masked(bdk.material, KEY_HALF_MASK), block)
     return TdeaKey(left + right, KeyRole.INITIAL)
 
 
@@ -247,18 +242,20 @@ def derive_children(material: bytes, ksn: Ksn, counters: Iterable[int]) -> bytes
     :func:`fold_chain`); an empty ``counters`` builds no cipher.
     """
     base = int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK
-    messages = b"".join((base | counter).to_bytes(8, "big") for counter in counters)
+    messages = b"".join([(base | counter).to_bytes(8, "big") for counter in counters])
     if not messages:
         return b""
-    blocks = len(messages) // 8
-    halves = []
+    size = len(messages)
+    message = int.from_bytes(messages, "big")
+    # 8-byte halves, interleaved left/right per child by extended-slice assignment
+    children = array("Q", bytes(2 * size))
     # the left half of a child comes from the masked parent, the right from the parent
-    for key in (tdes.xor_bytes(material, KEY_HALF_MASK), material):
-        whitening = key[8:] * blocks
-        halves.append(tdes.xor_bytes(
-            tdes.ecb_encrypt(key[:8], tdes.xor_bytes(messages, whitening)), whitening))
-    left, right = halves
-    return b"".join([left[i : i + 8] + right[i : i + 8] for i in range(0, len(messages), 8)])
+    for half, key in enumerate((masked(material, KEY_HALF_MASK), material)):
+        whitening = int.from_bytes(key[8:] * (size // 8), "big")
+        cipher = tdes.ecb_encrypt(key[:8], (message ^ whitening).to_bytes(size, "big"))
+        whitened = int.from_bytes(cipher, "big") ^ whitening
+        children[half::2] = array("Q", whitened.to_bytes(size, "big"))
+    return children.tobytes()
 
 
 def nrkgp(current_key: TdeaKey, ksn: Ksn) -> TdeaKey:
@@ -330,14 +327,20 @@ def fold_chain(material: bytes, ksn: Ksn, prefix: int, siblings: bytearray) -> b
     return material
 
 
+def masked(material: bytes, mask: int) -> bytes:
+    """16-byte key material XORed with one of this module's 128-bit masks."""
+    if len(material) != 16:
+        raise LengthError(f"key material must be 16 bytes, got {len(material)}")
+    return (int.from_bytes(material, "big") ^ mask).to_bytes(16, "big")
+
+
 def variant_pin_key(transaction_key: TdeaKey) -> TdeaKey:
     """PIN-encryption variant of a transaction key (fixed XOR mask)."""
     if transaction_key.role is not KeyRole.TRANSACTION:
         raise KeyRoleError(
             f"PIN variant requires a Transaction key, got {transaction_key.role.value}"
         )
-    material = tdes.xor_bytes(transaction_key.material, PIN_VARIANT_MASK)
-    return TdeaKey(material, KeyRole.PIN_VARIANT)
+    return TdeaKey(masked(transaction_key.material, PIN_VARIANT_MASK), KeyRole.PIN_VARIANT)
 
 
 def variant_data_key(transaction_key: TdeaKey) -> TdeaKey:
@@ -346,5 +349,4 @@ def variant_data_key(transaction_key: TdeaKey) -> TdeaKey:
         raise KeyRoleError(
             f"data variant requires a Transaction key, got {transaction_key.role.value}"
         )
-    material = tdes.xor_bytes(transaction_key.material, DATA_VARIANT_MASK)
-    return TdeaKey(material, KeyRole.DATA_VARIANT)
+    return TdeaKey(masked(transaction_key.material, DATA_VARIANT_MASK), KeyRole.DATA_VARIANT)

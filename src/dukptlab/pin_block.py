@@ -69,12 +69,6 @@ def structure_ok(block: PinBlock) -> bool:
     length nibble in range, and the first two PIN digits decimal. This is
     the host-side integrity signal for detecting a wrong-key decryption.
     """
-    if len(block) != 8:
-        return False
-    nibbles = block.hex().upper()
-    if nibbles[0] != "0":
-        return False
-    length = int(nibbles[1], 16)
-    if not _MIN_PIN <= length <= _MAX_PIN:
-        return False
-    return nibbles[2].isdigit() and nibbles[3].isdigit()
+    # byte 0 is the control nibble then the length: in range only when the control is 0
+    return (len(block) == 8 and _MIN_PIN <= block[0] <= _MAX_PIN
+            and block[1] >> 4 <= 9 and block[1] & 0xF <= 9)

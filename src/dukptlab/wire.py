@@ -26,6 +26,9 @@ class Scheme(Enum):
     MASTER_SESSION = "MS"
 
 
+_SCHEMES = {scheme.value: scheme for scheme in Scheme}
+
+
 @dataclass(frozen=True)
 class TransactionMessage:
     """What a terminal emits per transaction.
@@ -96,10 +99,9 @@ def parse_wire(line: str) -> TransactionMessage:
         raise WireFormatError(f"bad KSN field: {exc}") from exc
     pin_ct = _parse_payload(fields[2], "pinblock")
     data_ct = _parse_payload(fields[3], "data")
-    try:
-        scheme = Scheme(fields[4])
-    except ValueError as exc:
-        raise WireFormatError(f"unknown scheme tag {fields[4]!r}") from exc
+    scheme = _SCHEMES.get(fields[4])
+    if scheme is None:
+        raise WireFormatError(f"unknown scheme tag {fields[4]!r}")
     wrapped = None
     if scheme is Scheme.MASTER_SESSION:
         if len(fields) != 6:

@@ -425,6 +425,17 @@ def test_bdk_replacement_drops_cached_chains(registry, terminal, initial_ksn):
     assert registry.process_message(msg).accepted
 
 
+def test_bdk_replacement_keeps_the_replay_floor(registry, terminal, initial_ksn):
+    replies = [registry.handle_wire_line(encode_wire(_message(terminal))) for _ in range(5)]
+    other = TdeaKey.from_hex(OTHER_BDK_HEX, KeyRole.BASE_DERIVATION)
+    registry.register_bdk(initial_ksn.key_set_id, other, overwrite=True)
+    # re-injected under the new BDK with the same initial KSN: counters 1-5 were accepted
+    rekeyed = init_terminal(derive_ipek(other, initial_ksn), initial_ksn)
+    replies += [registry.handle_wire_line(encode_wire(_message(rekeyed))) for _ in range(6)]
+    assert replies == [f"OK|{c}" for c in range(1, 6)] + ["ERR|ReplayRejected"] * 5 + ["OK|6"]
+    assert registry.last_accepted_counter(initial_ksn.initial_id) == 6
+
+
 def test_bdk_replaced_while_a_message_is_open_drops_its_chain(monkeypatch, registry,
                                                               terminal, initial_ksn):
     other = TdeaKey.from_hex(OTHER_BDK_HEX, KeyRole.BASE_DERIVATION)

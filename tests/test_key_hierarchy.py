@@ -304,6 +304,12 @@ def test_fold_chain_rejects_a_non_prefix(ipek, initial_ksn):
             fold_chain(ipek.material, ksn, prefix, bytearray(16 * 21))
 
 
+def test_derive_children_rejects_material_that_is_not_16_bytes(ipek, initial_ksn):
+    for size in (8, 15, 17, 24):
+        with pytest.raises(LengthError):
+            derive_children((ipek.material * 2)[:size], initial_ksn, [1])
+
+
 @pytest.mark.parametrize("counter,expected", sorted(FROZEN_KEYS.items()))
 def test_chain_reproduces_frozen_keys(ipek, initial_ksn, counter, expected):
     assert derive_key_chain(ipek, initial_ksn.with_counter(counter)).hex == expected

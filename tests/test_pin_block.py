@@ -1,5 +1,7 @@
 """Format-0 PIN block encoding, decoding, and the PAN-less shape check."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,3 +102,33 @@ def test_structure_ok_rejects_garbage():
     assert not structure_ok(bytes.fromhex("031274EDCBA9876F"))  # length 3
     assert not structure_ok(bytes.fromhex("04A274EDCBA9876F"))  # pin digit A
     assert not structure_ok(bytes(7))
+
+
+def _nibble_string_structure_ok(block):
+    """The check as it read on hex nibble strings, kept as the reference."""
+    if len(block) != 8:
+        return False
+    nibbles = block.hex().upper()
+    if nibbles[0] != "0":
+        return False
+    length = int(nibbles[1], 16)
+    if not 4 <= length <= 12:
+        return False
+    return nibbles[2].isdigit() and nibbles[3].isdigit()
+
+
+def test_structure_ok_matches_the_nibble_string_check_on_every_leading_pair():
+    rng = random.Random(2024)
+    accepted = 0
+    for first in range(256):
+        for second in range(256):
+            block = bytes([first, second]) + rng.randbytes(6)
+            expected = _nibble_string_structure_ok(block)
+            assert structure_ok(block) is expected, block.hex()
+            accepted += expected
+    # lengths 4..12 under a zero control nibble, times 100 decimal digit pairs
+    assert accepted == 9 * 100
+    for size in (7, 9):
+        for _ in range(2000):
+            block = rng.randbytes(size)
+            assert structure_ok(block) is _nibble_string_structure_ok(block) is False

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dukptlab.errors import EmptyMessage, WireFormatError
+from dukptlab.host import HostRegistry
 from dukptlab.key_hierarchy import parse_ksn
 from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
@@ -111,3 +112,16 @@ def test_unspoiled_lines_parse():
 def test_parse_rejects_malformed(line):
     with pytest.raises(WireFormatError):
         parse_wire(line)
+
+
+@pytest.mark.parametrize("tag", ["dukpt", "Dukpt", " DUKPT", "MS ", ""])
+def test_unknown_scheme_tags_are_malformed(tag):
+    # as the fifth of six fields, no strip() of the line can touch the tag
+    six = "|".join(_MS_FIELDS[:4] + [tag] + _MS_FIELDS[5:])
+    with pytest.raises(WireFormatError, match="unknown scheme tag"):
+        parse_wire(six)
+    five = "|".join(_DUKPT_FIELDS[:4] + [tag])
+    with pytest.raises(WireFormatError):
+        parse_wire(five)
+    host = HostRegistry()
+    assert host.handle_wire_line(six) == host.handle_wire_line(five) == "ERR|MalformedMessage"
