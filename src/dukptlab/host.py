@@ -15,24 +15,25 @@ entry points.
 
 The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
-keeps a lazy mirror of the device's own future-key table in one
-:data:`TABLE_BYTES` buffer: slot :data:`KEY_SLOT` holds the key of the last
-accepted counter ``L``, and slot ``q``, for each zero bit ``q`` of ``L``
-above its lowest set bit, the key of counter ``(L >> q+1 << q+1) | 1 << q``
-(at most 21 keys). Slots 0-20 share the layout of the terminal's table, so
-above ``L``'s lowest set bit the two hold the same bytes. A later counter
-starts from ``key(L)`` when it extends ``L``, else from the slot of the
-highest bit where the two differ, and each step of its fold also derives
-the step's right siblings into the table, one batch per step as in the
-terminal's refill. In-order traffic then derives on odd counters only; a
-device's first message and an evicted device start from the BDK. Only an
-accepted message changes the table, and every slot it does not use is zero.
+keeps a lazy mirror of the device's own future-key table, in its one
+:data:`TABLE_BYTES` layout (stated at
+:func:`~dukptlab.key_hierarchy.fold_chain`). After accepting counter ``L``
+it holds the device's table as it stood when the device issued ``L``,
+before its refill: the slots above ``L``'s lowest set bit as the device has
+them, ``key(L)`` in that bit's slot, the one the device consumes, and zeros
+below it. A later counter ``c`` starts from slot
+``s = max(highest bit of c ^ L, lowest set bit of L)``, which holds the key
+of ``c >> s << s``, and each step of its fold also derives the step's right
+siblings into the table, one batch per step as in the terminal's refill.
+In-order traffic then derives on odd counters only; a device's first
+message and an evicted device start from the BDK. Only an accepted message
+changes the table.
 
-The trade-off: the table holds what the device itself holds, keys that
-open this device's *later* counters and never earlier ones, until the
-device is evicted (least recently accepted first) or its BDK is replaced,
-and is zero-overwritten then. It holds no IPEK or BDK copy, and the BDK
-the registry already holds opens every one of these keys anyway.
+The trade-off: the table holds what the device itself held when it issued
+``L``, ``key(L)`` and keys of later counters, never an earlier counter's
+key, until the device is evicted (least recently accepted first) or its BDK
+is replaced, and is zero-overwritten then. It holds no IPEK or BDK copy,
+and the BDK the registry already holds opens every one of these keys anyway.
 
 Two policies guard the counter, and neither can be turned off: KSNs whose
 counter exceeds the weight bound are rejected outright, and each device's
@@ -50,20 +51,17 @@ from enum import Enum
 from . import tdes
 from .errors import DecryptFailed, DuplicateKeySet, KeyRoleError, UnknownKeySet, WireFormatError
 from .key_hierarchy import (
-    COUNTER_BITS, COUNTER_MASK, DATA_VARIANT_MASK, MAX_COUNTER_WEIGHT, PIN_VARIANT_MASK,
-    KeyRole, Ksn, TdeaKey, derive_ipek, derive_key_chain, fold_chain, masked,
+    COUNTER_BITS, COUNTER_MASK, DATA_VARIANT_MASK, DEVICE_ID_BITS, KEY_SET_ID_BITS,
+    MAX_COUNTER_WEIGHT, PIN_VARIANT_MASK, KeyRole, Ksn, TdeaKey, derive_ipek,
+    derive_key_chain, fold_chain, masked,
 )
 from .pin_block import structure_ok
 from .wire import Scheme, TransactionMessage, parse_wire
 
-KEY_SET_ID_BITS = 24
-# the device part of the 59-bit initial-KSN identifier, below the key-set id
-DEVICE_ID_BITS = 80 - COUNTER_BITS - KEY_SET_ID_BITS
 # devices whose key table is kept; host_scattered's 682 fit
 TABLE_CACHE_DEVICES = 1024
-# a table's slot of the last accepted counter's key, after one slot per counter bit
-KEY_SLOT = COUNTER_BITS
-TABLE_BYTES = 16 * (KEY_SLOT + 1)
+# the device's own table: one 16-byte slot per counter bit
+TABLE_BYTES = 16 * COUNTER_BITS
 
 
 class VerdictStatus(Enum):
@@ -165,21 +163,23 @@ class HostRegistry:
             table = self._tables.get(device)
             if table is None:
                 table = bytearray(TABLE_BYTES)
-                prefix, start = 0, derive_ipek(bdk, msg.ksn).material
+                slot, start = COUNTER_BITS, derive_ipek(bdk, msg.ksn).material
             else:
-                prefix, slot = _walk_start(last, counter)
+                # last's own slot if counter extends last, else the highest bit where they part
+                slot = max(counter ^ last, last & -last).bit_length() - 1
                 start = bytes(table[16 * slot : 16 * slot + 16])
-            # the walk rewrites every slot at and below its start's lowest set bit
-            fresh = bytearray(16 * ((prefix & -prefix).bit_length() or COUNTER_BITS))
-            key = fold_chain(start, msg.ksn, prefix, fresh)
+            # the walk consumes its start's slot and rewrites every slot below it
+            fresh = bytearray(16 * min(slot + 1, COUNTER_BITS))
+            key = fold_chain(start, msg.ksn, counter >> slot << slot, fresh)
             try:
                 clear_pin, clear_data = _open(key, msg)
             except DecryptFailed:
                 _wipe(fresh)
                 return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
             self._device_log[device] = counter
+            low = (counter & -counter).bit_length() - 1
+            fresh[16 * low : 16 * low + 16] = key
             table[: len(fresh)] = fresh
-            table[16 * KEY_SLOT :] = key
             _wipe(fresh)
             self._tables[device] = table
             self._tables.move_to_end(device)
@@ -211,19 +211,6 @@ def _open(key: bytes, msg: TransactionMessage) -> tuple[bytes | None, bytes | No
     if msg.encrypted_data is not None:
         clear_data = tdes.cbc_decrypt(masked(key, DATA_VARIANT_MASK), msg.encrypted_data)
     return clear_pin, clear_data
-
-
-def _walk_start(last: int, counter: int) -> tuple[int, int]:
-    """The prefix and table slot that the fold to ``counter`` starts from.
-
-    ``last`` is the device's last accepted counter, the one its table was
-    derived at; ``counter`` is above it.
-    """
-    diff = counter ^ last
-    if diff < last & -last:  # counter extends last
-        return last, KEY_SLOT
-    high = diff.bit_length() - 1
-    return counter >> high << high, high
 
 
 def _wipe(buffer: bytearray) -> None:

@@ -33,6 +33,9 @@ from .errors import CounterExhausted, CounterOverweight, HexInputError, KeyRoleE
 
 COUNTER_BITS = 21
 COUNTER_MASK = 0x1FFFFF
+# the 59-bit initial-KSN identifier above the counter: the key-set id, then the device id
+KEY_SET_ID_BITS = 24
+DEVICE_ID_BITS = 80 - COUNTER_BITS - KEY_SET_ID_BITS
 MAX_COUNTER_WEIGHT = 10
 
 # masks applied to key halves / whole keys during derivation, XORed by masked()
@@ -134,7 +137,7 @@ class Ksn:
     @property
     def key_set_id(self) -> int:
         """Leftmost 24 bits; selects the base derivation key."""
-        return self._value >> 56
+        return self._value >> COUNTER_BITS + DEVICE_ID_BITS
 
     @property
     def base(self) -> "Ksn":

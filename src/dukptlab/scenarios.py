@@ -386,7 +386,7 @@ def run_simulation(
             ), session.material
 
         def receive(msg: TransactionMessage) -> VerdictStatus:
-            # parse_wire has checked the wrapped key's length, as ms_unwrap_session would
+            # an MS message holds a 16-byte wrapped key, the check ms_unwrap_session makes
             tdes.cbc_decrypt(host_kek.ecb_decrypt(msg.wrapped_session_key), msg.encrypted_data)
             return VerdictStatus.ACCEPTED
 

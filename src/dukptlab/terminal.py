@@ -2,8 +2,8 @@
 
 A device is initialized once with its IPEK and immediately converts it into
 21 future keys, one per counter bit position; the IPEK itself is never
-stored. The keys live in one table of 16-byte slots, in the layout of the
-host's mirror of it (the slot rule is stated once, at
+stored. The keys live in one table of 16-byte slots, the layout the host's
+mirror of it keeps too (the slot rule is stated once, at
 :func:`~dukptlab.key_hierarchy.fold_chain`): slot ``q`` serves counter bit
 ``q``, and an all-zero slot is empty. Each transaction consumes the slot of
 the lowest set bit of the freshly advanced counter, refills every slot

@@ -9,6 +9,7 @@ inputs (``pin``/``pan`` for the PIN leg, ``data`` for the data leg).
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -83,14 +84,14 @@ def parse_record(line: str) -> VectorRecord:
     missing = [name for name in _REQUIRED if name not in fields]
     if missing:
         raise VectorFormatError(f"missing fields: {', '.join(missing)}")
-    try:
-        counter = int(fields["counter"], 16)
-    except ValueError as exc:
-        raise VectorFormatError(f"bad counter {fields['counter']!r}") from exc
+    # to_line writes six hex digits; int() alone would also take a sign, 0x and underscores
+    text = fields["counter"]
+    if not 0 < len(text) <= 6 or any(ch not in string.hexdigits for ch in text):
+        raise VectorFormatError(f"bad counter {text!r}")
     return VectorRecord(
         bdk=fields["bdk"].upper(),
         initial_ksn=fields["ksn"].upper(),
-        counter=counter,
+        counter=int(text, 16),
         key=fields["key"].upper(),
         pin_variant=fields["pin_variant"].upper(),
         data_variant=fields["data_variant"].upper(),

@@ -53,6 +53,11 @@ class TransactionMessage:
             not self.encrypted_data or len(self.encrypted_data) % 8
         ):
             raise WireFormatError("encrypted data must be a positive multiple of 8 bytes")
+        if self.scheme is Scheme.MASTER_SESSION:
+            if self.wrapped_session_key is None or len(self.wrapped_session_key) != 16:
+                raise WireFormatError("an MS message carries a 16-byte wrapped session key")
+        elif self.wrapped_session_key is not None:
+            raise WireFormatError("only an MS message carries a wrapped session key")
 
 
 def _hex_or_dash(value: bytes | None) -> str:
@@ -67,9 +72,7 @@ def encode_wire(msg: TransactionMessage) -> str:
         _hex_or_dash(msg.encrypted_data),
         msg.scheme.value,
     ]
-    if msg.scheme is Scheme.MASTER_SESSION:
-        if msg.wrapped_session_key is None:
-            raise WireFormatError("MS message missing its wrapped session key")
+    if msg.wrapped_session_key is not None:
         fields.append(msg.wrapped_session_key.hex().upper())
     return "|".join(fields)
 
@@ -102,15 +105,10 @@ def parse_wire(line: str) -> TransactionMessage:
     scheme = _SCHEMES.get(fields[4])
     if scheme is None:
         raise WireFormatError(f"unknown scheme tag {fields[4]!r}")
-    wrapped = None
-    if scheme is Scheme.MASTER_SESSION:
-        if len(fields) != 6:
-            raise WireFormatError("MS line must carry exactly 6 fields")
-        wrapped = _parse_payload(fields[5], "wrapped session key")
-        if wrapped is None or len(wrapped) != 16:
-            raise WireFormatError("wrapped session key must be 32 hex characters")
-    elif len(fields) != 5:
-        raise WireFormatError(f"expected exactly 5 fields, got {len(fields)}")
+    expected = 6 if scheme is Scheme.MASTER_SESSION else 5
+    if len(fields) != expected:
+        raise WireFormatError(f"expected exactly {expected} fields, got {len(fields)}")
+    wrapped = _parse_payload(fields[5], "wrapped session key") if expected == 6 else None
     try:
         return TransactionMessage(ksn, pin_ct, data_ct, scheme, wrapped)
     except EmptyMessage as exc:

@@ -225,7 +225,7 @@ def test_no_key_or_clear_block_in_reprs(registry, terminal):
     assert clear == {encode_iso0(*CLEAR_BLOCK_ARGS), b"Sale: 42.00 USD"}
     assert not _leaked(repr(verdict), clear | material)
     table, = registry._tables.values()
-    table_keys = {_slot(table, q) for q in range(host.KEY_SLOT + 1)} - {bytes(16)}
+    table_keys = {_slot(table, q) for q in range(21)} - {bytes(16)}
     assert len(table_keys) == len(_table_counters(msg.ksn.counter))
     assert not _leaked(repr(registry), table_keys | material)
 
@@ -287,7 +287,7 @@ def _table_counters(counter):
     low = (counter & -counter).bit_length() - 1
     slots = {q: (counter >> q + 1 << q + 1) | 1 << q
              for q in range(low + 1, 21) if not counter >> q & 1}
-    slots[host.KEY_SLOT] = counter
+    slots[low] = counter
     return slots
 
 
@@ -295,7 +295,7 @@ def _reference_table(derive, ksn):
     """The table bytes for the KSN's counter: reference keys, zero where no key is held."""
     slots = _table_counters(ksn.counter)
     return b"".join(derive(ksn.with_counter(slots[q])).material if q in slots else bytes(16)
-                    for q in range(host.KEY_SLOT + 1))
+                    for q in range(21))
 
 
 def _slot(table, q):
@@ -310,7 +310,7 @@ def _cache(registry):
 def _assert_cache_matches_reference(registry):
     for device, counter, table in _cache(registry):
         ksn = Ksn(((device << 21) | counter).to_bytes(10, "big"))
-        assert len(table) == host.TABLE_BYTES == 16 * 22
+        assert len(table) == host.TABLE_BYTES == 16 * 21
         assert table == _reference_table(registry.rederive_key, ksn)
 
 
@@ -374,19 +374,31 @@ def test_cached_folds_match_reference(monkeypatch, bdk):
     _assert_cache_matches_reference(registry)
 
 
-def test_host_table_mirrors_the_terminal_table(registry, terminal):
-    # above the accepted counter's lowest set bit the host holds what the
-    # device holds, slot for slot; below it the device has refilled and the
-    # host has not yet looked
-    device = terminal.base_ksn.initial_id
-    for _ in range(5_000):
-        verdict = registry.process_message(terminal.build_message(data=b"tx"))
-        assert verdict.accepted
-        table = registry._tables[device]
-        counter = registry.last_accepted_counter(device)
-        assert counter == terminal.counter == verdict.derived_counter
-        above = slice(16 * (counter & -counter).bit_length(), 16 * 21)
-        assert table[above] == terminal.table[above]
+def test_host_table_mirrors_the_terminal_table(bdk, ipek, initial_ksn):
+    # after accepting c the host holds the device's table as it stood when the
+    # device issued c, before its refill: the same slots above c's lowest set
+    # bit, key(c) in the slot the device consumes, and zeros below it
+    rng = random.Random(14)
+    for delivered in (1.0, 0.2):  # every line in order, then about one line in five
+        registry = HostRegistry()
+        registry.register_bdk(initial_ksn.key_set_id, bdk)
+        terminal = init_terminal(ipek, initial_ksn)
+        device = initial_ksn.initial_id
+        accepted = 0
+        for _ in range(5_000):
+            ksn, key = terminal.next_transaction_key()
+            if rng.random() >= delivered:
+                continue  # the line never reaches the host
+            msg = TransactionMessage(ksn, None, encrypt_data(key, b"tx"))
+            verdict = registry.process_message(msg)
+            assert verdict.accepted
+            counter = registry.last_accepted_counter(device)
+            assert counter == terminal.counter == verdict.derived_counter
+            low = (counter & -counter).bit_length() - 1
+            expected = bytes(16 * low) + key.material + terminal.table[16 * low + 16 :]
+            assert registry._tables[device] == expected
+            accepted += 1
+        assert accepted > 5_000 * delivered * 0.9
 
 
 def test_rejected_message_leaves_cached_chain(registry, terminal, initial_ksn):
@@ -485,7 +497,7 @@ def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
         assert registry.process_message(_message(terminals[0])).accepted
     table, = registry._tables.values()
     last = registry.last_accepted_counter(terminals[0].base_ksn.initial_id)
-    key_5, key_6, key_8 = _slot(table, host.KEY_SLOT), _slot(table, 1), _slot(table, 3)
+    key_5, key_6, key_8 = _slot(table, 0), _slot(table, 1), _slot(table, 3)
     assert last == 5 and all(key != bytes(16) for key in (key_5, key_6, key_8))
     for _ in range(2):  # counters 6 and 7 never reach the host
         terminals[0].next_transaction_key()
@@ -493,9 +505,10 @@ def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
     device = terminals[0].base_ksn.initial_id
     assert registry._tables[device] is table  # in place
     assert registry.last_accepted_counter(device) == 8
-    # counter 8 came from slot 3, which is consumed; slot 1 (counter 6) is stale
-    assert _slot(table, 3) == _slot(table, 1) == bytes(16)
-    assert _slot(table, host.KEY_SLOT) == key_8
+    # counter 8 came from slot 3, its consumed slot; slot 0 (counter 5) is spent and
+    # slot 1 (counter 6) stale
+    assert _slot(table, 0) == _slot(table, 1) == bytes(16)
+    assert _slot(table, 3) == key_8
     assert key_5 not in bytes(table) and key_6 not in bytes(table)
     for t in terminals[1:]:
         assert registry.process_message(_message(t)).accepted

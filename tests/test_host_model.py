@@ -87,7 +87,7 @@ def _table_counters(counter):
     low = (counter & -counter).bit_length() - 1
     slots = {q: (counter >> q + 1 << q + 1) | 1 << q
              for q in range(low + 1, 21) if not counter >> q & 1}
-    slots[host.KEY_SLOT] = counter
+    slots[low] = counter
     return slots
 
 
@@ -157,7 +157,7 @@ class HostModel(RuleBasedStateMachine):
         base = Ksn((device << 21).to_bytes(10, "big"))
         slots = _table_counters(self.floors[device])
         return b"".join(self._key(base.with_counter(slots[q])).material if q in slots
-                        else bytes(16) for q in range(host.KEY_SLOT + 1))
+                        else bytes(16) for q in range(21))
 
     def _deliver(self, msg, via_wire):
         status, clear = self._reference(msg)

@@ -81,8 +81,9 @@ def test_parse_record_rejects_malformed():
         vectors.parse_record(good + " key=00")
     with pytest.raises(VectorFormatError):
         vectors.parse_record("bdk=00 ksn=00")
-    with pytest.raises(VectorFormatError):
-        vectors.parse_record(good.replace("counter=000001", "counter=XYZ"))
+    for counter in ("XYZ", "0x000001", "+1", "0_1", "", "0000001"):
+        with pytest.raises(VectorFormatError, match="bad counter"):
+            vectors.parse_record(good.replace("counter=000001", f"counter={counter}"))
 
 
 def test_read_file_reports_line_numbers(tmp_path):

@@ -40,9 +40,11 @@ def test_round_trip_master_session():
     assert parse_wire(line) == msg
 
 
-@given(st.binary(min_size=8, max_size=8), st.binary(min_size=8, max_size=40).filter(lambda b: len(b) % 8 == 0))
-def test_round_trip_random_payloads(pin_ct, data_ct):
-    msg = TransactionMessage(KSN, pin_ct, data_ct, Scheme.DUKPT)
+@given(st.binary(min_size=8, max_size=8), st.binary(min_size=8, max_size=40).filter(lambda b: len(b) % 8 == 0),
+       st.sampled_from(Scheme), st.binary(min_size=16, max_size=16))
+def test_round_trip_random_payloads(pin_ct, data_ct, scheme, wrapped):
+    wrapped = wrapped if scheme is Scheme.MASTER_SESSION else None
+    msg = TransactionMessage(KSN, pin_ct, data_ct, scheme, wrapped)
     assert parse_wire(encode_wire(msg)) == msg
 
 
@@ -65,6 +67,12 @@ def test_message_validates_payload_shapes():
         TransactionMessage(KSN, encrypted_data=b"\x01" * 9)
     with pytest.raises(WireFormatError):
         TransactionMessage(KSN, encrypted_data=b"")
+    # a wrapped session key comes with MS messages only, and is 16 bytes
+    for scheme, wrapped in [(Scheme.FIXED, b"\xdd" * 16), (Scheme.DUKPT, b"\xdd" * 16),
+                            (Scheme.MASTER_SESSION, None), (Scheme.MASTER_SESSION, b"\xdd" * 3)]:
+        with pytest.raises(WireFormatError):
+            TransactionMessage(KSN, encrypted_data=bytes(8), scheme=scheme,
+                               wrapped_session_key=wrapped)
 
 
 _DUKPT_FIELDS = ["DUKPT1", "FFFF9876543210E00001", "AAAAAAAAAAAAAAAA", "0011223344556677", "DUKPT"]
