@@ -17,13 +17,13 @@ A :class:`TdeaCipher` is a loaded key: it builds each cipher context it
 needs once and keeps it for every later message. Only long-lived keys are
 loaded: the fixed-key scheme's permanent key and the Master/Session KEK,
 each by its holder in :mod:`dukptlab.baseline` and once more by the host
-side of a simulation run. The module-level functions are one-shot uses of
-a fresh ``TdeaCipher``, so a per-transaction key's contexts end with the
-call. A kept CBC context chains on from the last ciphertext block it
+side of a simulation run. The module-level functions build a context on the
+same key bundle and drop it, so a per-transaction key's contexts end with
+the call. A kept CBC context chains on from the last ciphertext block it
 handled; that block is XORed into the next message's first plaintext block
 (encrypt) or first output block (decrypt), so every message still starts
-from the zero IV and encrypts exactly as a one-shot call would. A context
-is only ever fed whole blocks. A loaded key has a single owner and is not
+from the zero IV and encrypts exactly as a one-shot call would. A context is
+only ever fed whole blocks. A loaded key has a single owner and is not
 thread-safe: two threads sharing one would interleave its chaining state.
 
 Padding is the 0x80-marker scheme: append one 0x80 byte, then 0x00 bytes up
@@ -60,6 +60,13 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
+def _bundle(key: bytes) -> bytes:
+    """The 24-byte bundle the backend is always handed: K1K2 -> K1K2K1, K -> KKK."""
+    if len(key) not in (8, 16, 24):
+        raise LengthError(f"TDEA key must be 8, 16 or 24 bytes, got {len(key)}")
+    return (key * 3)[:24]
+
+
 def _cipher(key: bytes, mode: modes.Mode, encrypt: bool) -> CipherContext:
     if encrypt:
         return _create_encryption_ctx(TripleDES(key), mode)
@@ -72,33 +79,23 @@ class TdeaCipher:
     The repr is the default object repr, so it shows no key material.
     """
 
-    # slots keep a one-shot use cheap; _enc_prev and _dec_prev hold the last
-    # ciphertext a CBC context handled, set from its first message on
+    # _enc_prev and _dec_prev: the last ciphertext a CBC context handled, set on first use
     __slots__ = ("_key", "_ecb_enc", "_ecb_dec", "_cbc_enc", "_cbc_dec", "_enc_prev", "_dec_prev")
 
     def __init__(self, key: bytes):
-        # always hand a full 24-byte bundle to the backend
-        if len(key) == 16:
-            key = key + key[:8]
-        elif len(key) == 8:
-            key = key * 3
-        elif len(key) != 24:
-            raise LengthError(f"TDEA key must be 8, 16 or 24 bytes, got {len(key)}")
-        self._key = key
+        self._key = _bundle(key)
         self._ecb_enc = self._ecb_dec = self._cbc_enc = self._cbc_dec = None
 
     def ecb_encrypt(self, data: bytes) -> bytes:
         """TDEA-ECB over a whole-block payload (used for key wrapping)."""
-        if not data or len(data) % BLOCK_SIZE:
-            raise LengthError("ECB payload must be a positive multiple of 8 bytes")
+        _whole_blocks(data, LengthError, "ECB payload")
         enc = self._ecb_enc
         if enc is None:
             enc = self._ecb_enc = _cipher(self._key, _ECB, True)
         return enc.update(data)
 
     def ecb_decrypt(self, data: bytes) -> bytes:
-        if not data or len(data) % BLOCK_SIZE:
-            raise LengthError("ECB payload must be a positive multiple of 8 bytes")
+        _whole_blocks(data, LengthError, "ECB payload")
         dec = self._ecb_dec
         if dec is None:
             dec = self._ecb_dec = _cipher(self._key, _ECB, False)
@@ -106,8 +103,6 @@ class TdeaCipher:
 
     def cbc_encrypt(self, plaintext: bytes) -> bytes:
         """TDEA-CBC with mandatory marker padding applied first."""
-        if not plaintext:
-            raise EmptyPlaintext("refusing to encrypt an empty payload")
         data = pad(plaintext)
         enc = self._cbc_enc
         if enc is None:
@@ -120,8 +115,7 @@ class TdeaCipher:
 
     def cbc_decrypt(self, ciphertext: bytes) -> bytes:
         """Inverse of :meth:`cbc_encrypt`; padding violations raise DecryptFailed."""
-        if not ciphertext or len(ciphertext) % BLOCK_SIZE:
-            raise DecryptFailed("ciphertext must be a positive multiple of 8 bytes")
+        _whole_blocks(ciphertext, DecryptFailed, "ciphertext")
         dec = self._cbc_dec
         if dec is None:
             dec = self._cbc_dec = _cipher(self._key, _CBC, False)
@@ -132,32 +126,45 @@ class TdeaCipher:
             data = xor_bytes(data[:BLOCK_SIZE], self._dec_prev[-BLOCK_SIZE:]) + data[BLOCK_SIZE:]
         # the context has taken this ciphertext whether or not its padding holds
         self._dec_prev = ciphertext
-        # strip the marker padding: trailing zeros, then 0x80, all within the last block
-        body = data.rstrip(b"\x00")
-        if not body or body[-1] != 0x80 or len(data) - len(body) >= BLOCK_SIZE:
-            raise DecryptFailed("padding marker missing or malformed")
-        return body[:-1]
+        return _unpadded(data)
+
+
+def _whole_blocks(data: bytes, error: type[Exception], what: str) -> None:
+    if not data or len(data) % BLOCK_SIZE:
+        raise error(f"{what} must be a positive multiple of 8 bytes")
+
+
+def _unpadded(data: bytes) -> bytes:
+    # strip the marker padding: trailing zeros, then 0x80, all within the last block
+    body = data.rstrip(b"\x00")
+    if not body or body[-1] != 0x80 or len(data) - len(body) >= BLOCK_SIZE:
+        raise DecryptFailed("padding marker missing or malformed")
+    return body[:-1]
 
 
 def encrypt_block(key: bytes, block: bytes) -> bytes:
     """TDEA-ECB of a single 8-byte block; an 8-byte key means single DES."""
     if len(block) != BLOCK_SIZE:
         raise LengthError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return TdeaCipher(key).ecb_encrypt(block)
+    return _cipher(_bundle(key), _ECB, True).update(block)
 
 
 def ecb_encrypt(key: bytes, data: bytes) -> bytes:
     """One-shot :meth:`TdeaCipher.ecb_encrypt`."""
-    return TdeaCipher(key).ecb_encrypt(data)
+    _whole_blocks(data, LengthError, "ECB payload")
+    return _cipher(_bundle(key), _ECB, True).update(data)
 
 
 def ecb_decrypt(key: bytes, data: bytes) -> bytes:
     """One-shot :meth:`TdeaCipher.ecb_decrypt`."""
-    return TdeaCipher(key).ecb_decrypt(data)
+    _whole_blocks(data, LengthError, "ECB payload")
+    return _cipher(_bundle(key), _ECB, False).update(data)
 
 
 def pad(data: bytes) -> bytes:
-    """Append the 0x80 marker and zero-fill to a block boundary."""
+    """Append the 0x80 marker and zero-fill to a block boundary; refuse an empty payload."""
+    if not data:
+        raise EmptyPlaintext("refusing to encrypt an empty payload")
     padded = data + b"\x80"
     short = len(padded) % BLOCK_SIZE
     if short:
@@ -167,9 +174,11 @@ def pad(data: bytes) -> bytes:
 
 def cbc_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """One-shot :meth:`TdeaCipher.cbc_encrypt`."""
-    return TdeaCipher(key).cbc_encrypt(plaintext)
+    data = pad(plaintext)
+    return _cipher(_bundle(key), _CBC, True).update(data)
 
 
 def cbc_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     """One-shot :meth:`TdeaCipher.cbc_decrypt`."""
-    return TdeaCipher(key).cbc_decrypt(ciphertext)
+    _whole_blocks(ciphertext, DecryptFailed, "ciphertext")
+    return _unpadded(_cipher(_bundle(key), _CBC, False).update(ciphertext))

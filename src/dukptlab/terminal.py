@@ -7,12 +7,14 @@ mirror of it keeps too (the slot rule is stated once, at
 :func:`~dukptlab.key_hierarchy.fold_chain`): slot ``q`` serves counter bit
 ``q``, and an all-zero slot is empty. Each transaction consumes the slot of
 the lowest set bit of the freshly advanced counter, refills every slot
-below it, and zeroes the consumed slot. All those children share one
-parent, so a refill is one batched one-way step
-(:func:`~dukptlab.key_hierarchy.derive_children`): one single-DES pass per
-key half, whatever the number of children. The table is an optimization,
-not a different derivation: every key it ever hands out equals the direct
-derivation chain for the same counter, and the tests hold it to that.
+below it with one batched one-way step
+(:func:`~dukptlab.key_hierarchy.derive_children`), and zeroes the consumed
+slot. Every key the table hands out equals the direct derivation chain for
+the same counter, and the tests hold it to that.
+
+:meth:`TerminalState.build_message` stays on bytes from the slot to the
+message, its variants made by :func:`~dukptlab.key_hierarchy.masked`; roles
+are checked where a key object comes in, at the public functions below.
 
 Key erasure is modeled by zero-overwriting the table in place;
 tamper-resistant hardware is out of scope, but the visible contract (no
@@ -24,26 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tdes
-from .errors import (
-    CounterExhausted,
-    EmptyPlaintext,
-    KeyRoleError,
-    LengthError,
-    NonZeroCounter,
-)
+from .errors import CounterExhausted, EmptyPlaintext, KeyRoleError, LengthError, NonZeroCounter
 from .key_hierarchy import (
-    COUNTER_BITS,
-    MAX_COUNTER_WEIGHT,
-    KeyRole,
-    Ksn,
-    TdeaKey,
-    derive_children,
-    next_counter,
-    remaining_counters,
-    variant_data_key,
-    variant_pin_key,
+    COUNTER_BITS, DATA_VARIANT_MASK, MAX_COUNTER_WEIGHT, PIN_VARIANT_MASK, KeyRole, Ksn,
+    TdeaKey, derive_children, masked, next_counter, remaining_counters,
 )
-from .wire import Scheme, TransactionMessage
+from .wire import TransactionMessage
 
 
 @dataclass
@@ -76,13 +64,36 @@ class TerminalState:
         return remaining_counters(self._counter)
 
     def next_transaction_key(self) -> tuple[Ksn, TdeaKey]:
-        """Advance the counter and issue the key for it.
+        """Advance the counter and issue the key for it (see :meth:`_issue`)."""
+        counter, material = self._issue()
+        return self.base_ksn.with_counter(counter), TdeaKey(material, KeyRole.TRANSACTION)
+
+    def build_message(
+        self, clear_pin_block: bytes | None = None, data: bytes | None = None
+    ) -> TransactionMessage:
+        """Run one full transaction: draw a key, encrypt, assemble the message.
+
+        A bad payload is refused before a key is drawn, leaving counter and
+        table as they were. The drawn key and its variants are bytes that
+        live only in this call; the table's copy is zeroed before it returns.
+        """
+        if clear_pin_block is None and data is None:
+            raise EmptyPlaintext("transaction needs a PIN block or data to send")
+        _check_pin_block(clear_pin_block)
+        if data is not None and not data:
+            raise EmptyPlaintext("refusing to encrypt an empty payload")
+        counter, material = self._issue()
+        pin_ct = None if clear_pin_block is None else _encrypt_pin(material, clear_pin_block)
+        data_ct = None if data is None else _encrypt_data(material, data)
+        return TransactionMessage(self.base_ksn.with_counter(counter), pin_ct, data_ct)
+
+    def _issue(self) -> tuple[int, bytes]:
+        """Advance the counter and take its key's material from the table.
 
         The consumed slot first seeds every slot below it with the children
-        this key can still reach (skipping counters that would exceed the
-        weight bound, which are never visited), then is zeroed. Exhaustion
-        is permanent: the whole table is zeroed and the device refuses
-        further traffic.
+        this key can still reach, then is zeroed; the counter moves with the
+        table, once the slot is found full. Exhaustion is permanent: the
+        table is zeroed and the device refuses further traffic.
         """
         if self.exhausted:
             raise CounterExhausted("terminal is spent; re-injection required")
@@ -91,7 +102,6 @@ class TerminalState:
         except CounterExhausted:
             self._retire()
             raise
-        self._counter = counter
         low = (counter & -counter).bit_length() - 1
         material = bytes(self.table[16 * low : 16 * low + 16])
         if not any(material):
@@ -102,27 +112,8 @@ class TerminalState:
             self.table[: 16 * low] = derive_children(
                 material, self.base_ksn, [counter | 1 << q for q in range(low)])
         self.table[16 * low : 16 * low + 16] = bytes(16)
-        return (
-            self.base_ksn.with_counter(counter),
-            TdeaKey(material, KeyRole.TRANSACTION),
-        )
-
-    def build_message(
-        self,
-        clear_pin_block: bytes | None = None,
-        data: bytes | None = None,
-    ) -> TransactionMessage:
-        """Run one full transaction: draw a key, encrypt, assemble the message.
-
-        The drawn key and its variants exist only inside this call; the
-        table's copy is already zeroed by the time the message returns.
-        """
-        if clear_pin_block is None and data is None:
-            raise EmptyPlaintext("transaction needs a PIN block or data to send")
-        ksn, key = self.next_transaction_key()
-        pin_ct = encrypt_pin(key, clear_pin_block) if clear_pin_block is not None else None
-        data_ct = encrypt_data(key, data) if data is not None else None
-        return TransactionMessage(ksn, pin_ct, data_ct, Scheme.DUKPT)
+        self._counter = counter
+        return counter, material
 
     def _retire(self) -> None:
         self.table[:] = bytes(len(self.table))
@@ -138,32 +129,47 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
     if ipek.role is not KeyRole.INITIAL:
         raise KeyRoleError(f"terminal init needs an Initial key, got {ipek.role.value}")
     if initial_ksn.counter != 0:
-        raise NonZeroCounter(
-            f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}"
-        )
+        raise NonZeroCounter(f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
     children = derive_children(ipek.material, initial_ksn, [1 << q for q in range(COUNTER_BITS)])
     return TerminalState(initial_ksn, table=bytearray(children))
 
 
+def _check_pin_block(block: bytes | None) -> None:
+    if block is not None and len(block) != 8:
+        raise LengthError(f"PIN block must be 8 bytes, got {len(block)}")
+
+
+def _material(key: TdeaKey) -> bytes:
+    if key.role is not KeyRole.TRANSACTION:
+        raise KeyRoleError(f"payload variants require a Transaction key, got {key.role.value}")
+    return key.material
+
+
+def _encrypt_pin(material: bytes, clear_pin_block: bytes) -> bytes:
+    return tdes.encrypt_block(masked(material, PIN_VARIANT_MASK), clear_pin_block)
+
+
+def _encrypt_data(material: bytes, plaintext: bytes) -> bytes:
+    return tdes.cbc_encrypt(masked(material, DATA_VARIANT_MASK), plaintext)
+
+
 def encrypt_pin(key: TdeaKey, clear_pin_block: bytes) -> bytes:
     """Encrypt one clear PIN block under the PIN variant of ``key``."""
-    if len(clear_pin_block) != 8:
-        raise LengthError(f"PIN block must be 8 bytes, got {len(clear_pin_block)}")
-    return tdes.encrypt_block(variant_pin_key(key).material, clear_pin_block)
+    _check_pin_block(clear_pin_block)
+    return _encrypt_pin(_material(key), clear_pin_block)
 
 
 def decrypt_pin(key: TdeaKey, encrypted_pin_block: bytes) -> bytes:
     """Inverse of :func:`encrypt_pin`."""
-    if len(encrypted_pin_block) != 8:
-        raise LengthError(f"PIN block must be 8 bytes, got {len(encrypted_pin_block)}")
-    return tdes.ecb_decrypt(variant_pin_key(key).material, encrypted_pin_block)
+    _check_pin_block(encrypted_pin_block)
+    return tdes.ecb_decrypt(masked(_material(key), PIN_VARIANT_MASK), encrypted_pin_block)
 
 
 def encrypt_data(key: TdeaKey, plaintext: bytes) -> bytes:
     """Encrypt a data payload under the data variant (CBC, zero IV, padded)."""
-    return tdes.cbc_encrypt(variant_data_key(key).material, plaintext)
+    return _encrypt_data(_material(key), plaintext)
 
 
 def decrypt_data(key: TdeaKey, ciphertext: bytes) -> bytes:
     """Inverse of :func:`encrypt_data`; bad padding raises DecryptFailed."""
-    return tdes.cbc_decrypt(variant_data_key(key).material, ciphertext)
+    return tdes.cbc_decrypt(masked(_material(key), DATA_VARIANT_MASK), ciphertext)

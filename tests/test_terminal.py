@@ -1,7 +1,12 @@
 """Terminal engine: future-key table, issuance, erasure, payload crypto."""
 
-import pytest
+import copy
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dukptlab import tdes
 from dukptlab.errors import (
     CounterExhausted,
     EmptyPlaintext,
@@ -17,6 +22,7 @@ from dukptlab.key_hierarchy import (
     derive_key_chain,
 )
 from dukptlab.pin_block import encode_iso0
+from dukptlab.wire import TransactionMessage
 from dukptlab.terminal import (
     TerminalState,
     decrypt_data,
@@ -142,15 +148,24 @@ def test_register_occupancy_never_exceeds_slots(terminal):
 
 
 def test_an_empty_slot_is_never_issued(ipek, initial_ksn):
-    # an all-zero slot is empty: issuing from it would hand out a zero key
-    with pytest.raises(RuntimeError, match="slot 0 is empty"):
-        TerminalState(initial_ksn).next_transaction_key()
+    # an all-zero slot is empty: issuing from it would hand out a zero key,
+    # and the refused issuance moves neither the counter nor the table
+    blank = TerminalState(initial_ksn)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="slot 0 is empty"):
+            blank.next_transaction_key()
+        assert blank.counter == 0
+        assert blank.table == bytes(16 * 21)
     terminal = init_terminal(ipek, initial_ksn)
     terminal.next_transaction_key()
     terminal.next_transaction_key()
     terminal.table[:16] = bytes(16)
-    with pytest.raises(RuntimeError, match="slot 0 is empty"):
-        terminal.next_transaction_key()
+    table = bytes(terminal.table)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="slot 0 is empty"):
+            terminal.next_transaction_key()
+        assert terminal.counter == 2
+        assert terminal.table == table
 
 
 def test_counter_is_read_only(terminal):
@@ -260,3 +275,78 @@ def test_build_message_consumes_its_register(terminal, ipek):
     chain_key = derive_key_chain(ipek, msg.ksn)
     assert chain_key.material not in _stored(terminal)
     assert consumed == terminal.counter
+
+
+def test_a_refused_payload_draws_no_key(terminal):
+    terminal.build_message(data=b"payload")
+    counter, table = terminal.counter, bytes(terminal.table)
+    refused = [
+        (bytes(7), None, LengthError),
+        (None, b"", EmptyPlaintext),
+        (bytes(7), b"payload", LengthError),
+        (bytes(8), b"", EmptyPlaintext),
+    ]
+    for clear_pin_block, data, error in refused:
+        with pytest.raises(error):
+            terminal.build_message(clear_pin_block, data)
+        assert terminal.counter == counter
+        assert terminal.table == table
+    assert terminal.build_message(data=b"payload").ksn.counter == counter + 1
+
+
+_pin_blocks = st.lists(st.binary(min_size=8, max_size=8), min_size=1, max_size=8)
+_data = st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=8)
+
+
+@settings(max_examples=4, deadline=None)
+@given(pins=_pin_blocks, datas=_data)
+def test_build_message_matches_the_key_object_route(ipek, initial_ksn, pins, datas):
+    # build_message stays on bytes; its twin takes the public TdeaKey route.
+    # 2,100 transactions pass counter 0x800, whose issuance refills 11 slots
+    device = init_terminal(ipek, initial_ksn)
+    twin = copy.deepcopy(device)
+    for i in range(2_100):
+        pin = None if i % 3 == 1 else pins[i % len(pins)]  # PIN only, data only, both
+        data = None if i % 3 == 0 else datas[i % len(datas)]
+        msg = device.build_message(pin, data)
+        ksn, key = twin.next_transaction_key()
+        assert msg == TransactionMessage(
+            ksn,
+            None if pin is None else encrypt_pin(key, pin),
+            None if data is None else encrypt_data(key, data),
+        )
+        counter = msg.ksn.counter
+        if counter % 61 == 0 or counter & (counter - 1) == 0:
+            chain_key = derive_key_chain(ipek, msg.ksn)
+            if pin is not None:
+                assert decrypt_pin(chain_key, msg.encrypted_pin_block) == pin
+            if data is not None:
+                assert decrypt_data(chain_key, msg.encrypted_data) == data
+    assert device.counter == twin.counter > 0x800
+    assert device.table == twin.table
+
+
+def test_build_message_cipher_builds(terminal, monkeypatch):
+    # two payload builds per message, plus the refill's two single-DES passes
+    # whenever the issued key has children; no key object on the way
+    calls = 0
+    real_cipher = tdes._cipher
+
+    def counting_cipher(*args):
+        nonlocal calls
+        calls += 1
+        return real_cipher(*args)
+
+    def no_key_object(*args):
+        raise AssertionError("build_message made a key object")
+
+    monkeypatch.setattr(tdes, "_cipher", counting_cipher)
+    monkeypatch.setattr(TdeaKey, "__post_init__", no_key_object)
+    monkeypatch.setattr(tdes.TdeaCipher, "__init__", no_key_object)
+    block = encode_iso0(INTEROP_PIN, INTEROP_PAN)
+    expected = 0
+    for _ in range(2_100):
+        counter = terminal.build_message(block, INTEROP_DATA).ksn.counter
+        low = (counter & -counter).bit_length() - 1
+        expected += 2 + 2 * (low > 0 and counter.bit_count() < MAX_COUNTER_WEIGHT)
+    assert calls == expected
