@@ -21,10 +21,10 @@ keeps a lazy mirror of the device's own future-key table, in its one
 it holds the device's table as it stood when the device issued ``L``,
 before its refill: the slots above ``L``'s lowest set bit as the device has
 them, ``key(L)`` in that bit's slot, the one the device consumes, and zeros
-below it. A later counter ``c`` starts from slot
+below it. A later counter ``c`` is folded from slot
 ``s = max(highest bit of c ^ L, lowest set bit of L)``, which holds the key
-of ``c >> s << s``, and each step of its fold also derives the step's right
-siblings into the table, one batch per step as in the terminal's refill.
+of ``c >> s << s``, and each step of the fold also derives the step's right
+siblings into the table's slots, one run per step as in the terminal's refill.
 In-order traffic then derives on odd counters only; a device's first
 message and an evicted device start from the BDK. Only an accepted message
 changes the table.
@@ -170,7 +170,7 @@ class HostRegistry:
                 start = bytes(table[16 * slot : 16 * slot + 16])
             # the walk consumes its start's slot and rewrites every slot below it
             fresh = bytearray(16 * min(slot + 1, COUNTER_BITS))
-            key = fold_chain(start, msg.ksn, counter >> slot << slot, fresh)
+            key = fold_chain(start, msg.ksn, slot, fresh)
             try:
                 clear_pin, clear_data = _open(key, msg)
             except DecryptFailed:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import hmac
 import math
 from array import array
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -231,23 +230,25 @@ def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
     return TdeaKey(left + right, KeyRole.INITIAL)
 
 
-def derive_children(material: bytes, ksn: Ksn, counters: Iterable[int]) -> bytes:
-    """The non-reversible derivation step: the children of ``material`` named by ``counters``.
+def derive_children(material: bytes, ksn: Ksn, prefix: int, low: int, high: int) -> bytes:
+    """The non-reversible derivation step: the children of ``material = key(prefix)``
+    in table slots ``low .. high-1``.
 
-    Each step message is the rightmost 8 bytes of ``ksn`` with its counter
-    bits replaced by one counter. Each half of a child is single-DES under
-    one half-key of the parent, with pre/post whitening by the other half;
-    recovering the parent from a child requires a key search. Those keys
-    depend on the parent alone, so one ECB pass per half over the
-    concatenated messages derives every child, and no counter builds a
-    cipher of its own. The children come back as one run of 16-byte slots
-    in the order of ``counters``, the layout of a future-key table (see
-    :func:`fold_chain`); an empty ``counters`` builds no cipher.
+    The child in slot ``q`` is the key of counter ``prefix | 1 << q``; ``prefix``
+    is clear on those bits. Its step message is the rightmost 8 bytes of
+    ``ksn`` with the counter bits replaced by that counter. Each half of a
+    child is single-DES under one half-key of the parent, with pre/post
+    whitening by the other half; recovering the parent from a child requires
+    a key search. Those keys depend on the parent alone, so one ECB pass per
+    half over the concatenated messages derives every child, and no slot
+    builds a cipher of its own. The children come back as one run of 16-byte
+    slots, the layout of a future-key table (see :func:`fold_chain`); an
+    empty run builds no cipher.
     """
-    base = int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK
-    messages = b"".join([(base | counter).to_bytes(8, "big") for counter in counters])
-    if not messages:
+    if low >= high:
         return b""
+    base = (int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK) | prefix
+    messages = b"".join([(base | 1 << q).to_bytes(8, "big") for q in range(low, high)])
     size = len(messages)
     message = int.from_bytes(messages, "big")
     # 8-byte halves, interleaved left/right per child by extended-slice assignment
@@ -267,9 +268,11 @@ def nrkgp(current_key: TdeaKey, ksn: Ksn) -> TdeaKey:
     Requires at least one set counter bit (counter zero names the initial
     key, which is never an nrkgp output).
     """
-    if ksn.counter == 0:
+    counter = ksn.counter
+    if counter == 0:
         raise ValueError("nrkgp needs a KSN with at least one counter bit set")
-    material = derive_children(current_key.material, ksn, (ksn.counter,))
+    low = (counter & -counter).bit_length() - 1
+    material = derive_children(current_key.material, ksn, counter ^ 1 << low, low, low + 1)
     return TdeaKey(material, KeyRole.TRANSACTION)
 
 
@@ -290,43 +293,40 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
     if counter == 0:
         return ipek
     # no room for siblings: a one-off key derives none
-    return TdeaKey(fold_chain(ipek.material, ksn, 0, bytearray()), KeyRole.TRANSACTION)
+    return TdeaKey(fold_chain(ipek.material, ksn, COUNTER_BITS, bytearray()), KeyRole.TRANSACTION)
 
 
-def fold_chain(material: bytes, ksn: Ksn, prefix: int, siblings: bytearray) -> bytes:
-    """Fold from ``key(prefix) = material`` to the key of the KSN's counter.
+def fold_chain(material: bytes, ksn: Ksn, slot: int, siblings: bytearray) -> bytes:
+    """Fold from the key in table slot ``slot`` to the key of the KSN's counter ``c``.
 
-    ``prefix`` is the counter with zero or more of its low set bits cleared
-    (0 names the IPEK). Each remaining set bit, MSB first, is one node of
-    the walk and one :func:`derive_children` batch under the node's key:
-    the child on the way down plus its right siblings, the node's children
-    at the bits between that child's and the node's lowest set bit. Those
-    siblings are the later counters a device's future-key table holds: the
-    key of counter ``(c >> q+1 << q+1) | 1 << q`` goes to 16-byte slot ``q``
-    of ``siblings``, and only the slots the buffer holds are derived, so an
-    empty buffer makes this a plain fold. The counter's key is returned.
-    This is the only fold: :func:`derive_key_chain` starts it from the IPEK,
-    and the host from the nearest key its table still holds.
+    A future-key table has one 16-byte slot per counter bit: slot ``q`` holds
+    the key of a counter whose lowest set bit is ``q``, and slot 21 stands for
+    the IPEK. ``material`` is ``key(c >> slot << slot)``, what a table holds
+    in slot ``slot`` when ``c`` has that bit set. Each set bit of ``c`` below
+    the slot, MSB first, is one node of the walk and one
+    :func:`derive_children` run under the node's key: the child on the way
+    down plus its right siblings, the node's children at the slots between
+    that child's bit and the node's own. Those siblings are the later
+    counters a device's table holds: the key of counter
+    ``(c >> q+1 << q+1) | 1 << q`` goes to slot ``q`` of ``siblings``, and
+    only the slots the buffer holds are derived, so an empty buffer makes
+    this a plain fold. The counter's key is returned. This is the only fold:
+    :func:`derive_key_chain` starts it from the IPEK, and the host from the
+    slot its table holds.
     """
     counter = ksn.counter
+    prefix = counter >> slot << slot
     rest = counter ^ prefix
-    low = prefix & -prefix
-    if prefix & rest or (prefix and rest >= low):
-        raise ValueError(f"{prefix:#07x} is not a prefix of counter {counter:#07x}")
-    top = low.bit_length() - 1 if prefix else COUNTER_BITS
     room = len(siblings) // 16
     while rest:
         bit = rest.bit_length() - 1
         rest ^= 1 << bit
-        stop = min(top, room)  # the right siblings are at bits bit+1 .. stop-1
-        if stop > bit + 1:
-            children = derive_children(material, ksn, [prefix | 1 << q for q in range(bit, stop)])
-            siblings[16 * (bit + 1) : 16 * stop] = children[16:]
-        else:  # no comprehension for one child: a plain fold pays this per step
-            children = derive_children(material, ksn, [prefix | 1 << bit])
+        stop = max(min(slot, room), bit + 1)  # the right siblings are at bits bit+1 .. stop-1
+        children = derive_children(material, ksn, prefix, bit, stop)
+        siblings[16 * (bit + 1) : 16 * stop] = children[16:]
         material = children[:16]
         prefix |= 1 << bit
-        top = bit
+        slot = bit
     return material
 
 

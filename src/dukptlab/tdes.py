@@ -19,12 +19,14 @@ loaded: the fixed-key scheme's permanent key and the Master/Session KEK,
 each by its holder in :mod:`dukptlab.baseline` and once more by the host
 side of a simulation run. The module-level functions build a context on the
 same key bundle and drop it, so a per-transaction key's contexts end with
-the call. A kept CBC context chains on from the last ciphertext block it
-handled; that block is XORed into the next message's first plaintext block
-(encrypt) or first output block (decrypt), so every message still starts
-from the zero IV and encrypts exactly as a one-shot call would. A context is
-only ever fed whole blocks. A loaded key has a single owner and is not
-thread-safe: two threads sharing one would interleave its chaining state.
+the call. The kept CBC encryption context chains on from the last
+ciphertext block it produced; that block is XORed into the next message's
+first plaintext block, so every message still starts from the zero IV and
+encrypts exactly as a one-shot call would. A context is only ever fed whole
+blocks. CBC decryption under a loaded key keeps no chaining state: it runs
+the kept ECB decryption context and XORs each block with the ciphertext
+block before it. A loaded key still has a single owner: two threads
+encrypting CBC under one key would interleave its chaining state.
 
 Padding is the 0x80-marker scheme: append one 0x80 byte, then 0x00 bytes up
 to the next 8-byte boundary. It is mandatory, so every ciphertext decrypts
@@ -79,12 +81,12 @@ class TdeaCipher:
     The repr is the default object repr, so it shows no key material.
     """
 
-    # _enc_prev and _dec_prev: the last ciphertext a CBC context handled, set on first use
-    __slots__ = ("_key", "_ecb_enc", "_ecb_dec", "_cbc_enc", "_cbc_dec", "_enc_prev", "_dec_prev")
+    # _enc_prev: the last ciphertext the CBC context produced, set on first use
+    __slots__ = ("_key", "_ecb_enc", "_ecb_dec", "_cbc_enc", "_enc_prev")
 
     def __init__(self, key: bytes):
         self._key = _bundle(key)
-        self._ecb_enc = self._ecb_dec = self._cbc_enc = self._cbc_dec = None
+        self._ecb_enc = self._ecb_dec = self._cbc_enc = None
 
     def ecb_encrypt(self, data: bytes) -> bytes:
         """TDEA-ECB over a whole-block payload (used for key wrapping)."""
@@ -116,17 +118,9 @@ class TdeaCipher:
     def cbc_decrypt(self, ciphertext: bytes) -> bytes:
         """Inverse of :meth:`cbc_encrypt`; padding violations raise DecryptFailed."""
         _whole_blocks(ciphertext, DecryptFailed, "ciphertext")
-        dec = self._cbc_dec
-        if dec is None:
-            dec = self._cbc_dec = _cipher(self._key, _CBC, False)
-            data = dec.update(ciphertext)
-        else:
-            # the context chains from the last block it was fed: cancel it
-            data = dec.update(ciphertext)
-            data = xor_bytes(data[:BLOCK_SIZE], self._dec_prev[-BLOCK_SIZE:]) + data[BLOCK_SIZE:]
-        # the context has taken this ciphertext whether or not its padding holds
-        self._dec_prev = ciphertext
-        return _unpadded(data)
+        # CBC on the kept ECB context: each block XORs the one before it, the first the zero IV
+        data = self.ecb_decrypt(ciphertext)
+        return _unpadded(xor_bytes(data, bytes(BLOCK_SIZE) + ciphertext[:-BLOCK_SIZE]))
 
 
 def _whole_blocks(data: bytes, error: type[Exception], what: str) -> None:

@@ -7,7 +7,7 @@ mirror of it keeps too (the slot rule is stated once, at
 :func:`~dukptlab.key_hierarchy.fold_chain`): slot ``q`` serves counter bit
 ``q``, and an all-zero slot is empty. Each transaction consumes the slot of
 the lowest set bit of the freshly advanced counter, refills every slot
-below it with one batched one-way step
+below it with one run of the one-way step over those slots
 (:func:`~dukptlab.key_hierarchy.derive_children`), and zeroes the consumed
 slot. Every key the table hands out equals the direct derivation chain for
 the same counter, and the tests hold it to that.
@@ -108,9 +108,8 @@ class TerminalState:
             raise RuntimeError(f"future-key slot {low} is empty")
         # the bits below the consumed one are clear, so every child adds one
         # set bit: either all of them fit under the weight bound or none do
-        if low and counter.bit_count() < MAX_COUNTER_WEIGHT:
-            self.table[: 16 * low] = derive_children(
-                material, self.base_ksn, [counter | 1 << q for q in range(low)])
+        if counter.bit_count() < MAX_COUNTER_WEIGHT:
+            self.table[: 16 * low] = derive_children(material, self.base_ksn, counter, 0, low)
         self.table[16 * low : 16 * low + 16] = bytes(16)
         self._counter = counter
         return counter, material
@@ -130,7 +129,7 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
         raise KeyRoleError(f"terminal init needs an Initial key, got {ipek.role.value}")
     if initial_ksn.counter != 0:
         raise NonZeroCounter(f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
-    children = derive_children(ipek.material, initial_ksn, [1 << q for q in range(COUNTER_BITS)])
+    children = derive_children(ipek.material, initial_ksn, 0, 0, COUNTER_BITS)
     return TerminalState(initial_ksn, table=bytearray(children))
 
 

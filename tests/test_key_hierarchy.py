@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -241,21 +242,31 @@ def _reference_child(material, ksn, counter):
     return new_left + new_right
 
 
-# a small pool next to the full range makes duplicate counters common
-_counters = st.one_of(st.integers(0, COUNTER_MASK), st.sampled_from([0, 1, 0x4000, COUNTER_MASK]))
+@st.composite
+def _runs(draw):
+    """(prefix, low, high): a run of slots and a counter prefix clear on its bits."""
+    low = draw(st.integers(0, 21))
+    high = draw(st.integers(low, 21))
+    run = (1 << high) - (1 << low)
+    return draw(st.integers(0, COUNTER_MASK)) & ~run, low, high
 
 
 @given(
     material=st.binary(min_size=16, max_size=16),
     raw_ksn=st.binary(min_size=10, max_size=10),
-    counters=st.lists(_counters, max_size=21),
+    run=_runs(),
 )
-@example(material=bytes(16), raw_ksn=bytes(10), counters=[])
-@example(material=bytes(range(16)), raw_ksn=bytes(10), counters=[5, 5, 1 << 20, 5])
-def test_derive_children_matches_per_child_reference(material, raw_ksn, counters):
+@example(material=bytes(16), raw_ksn=bytes(10), run=(0b1010, 3, 3))
+@example(material=bytes(range(16)), raw_ksn=bytes(10), run=(0, 0, 21))
+def test_derive_children_matches_per_child_reference(material, raw_ksn, run):
+    prefix, low, high = run
     ksn = Ksn(raw_ksn)
-    children = derive_children(material, ksn, counters)
-    assert children == b"".join(_reference_child(material, ksn, c) for c in counters)
+    with mock.patch.object(tdes, "_cipher", wraps=tdes._cipher) as builds:
+        children = derive_children(material, ksn, prefix, low, high)
+    assert children == b"".join(_reference_child(material, ksn, prefix | 1 << q)
+                                for q in range(low, high))
+    if low == high:
+        assert builds.call_count == 0
 
 
 def _reference_key(material, ksn, counter):
@@ -285,7 +296,7 @@ def test_fold_chain_writes_the_right_siblings_its_buffer_holds(ipek, initial_ksn
     top = (prefix & -prefix).bit_length() - 1 if prefix else 21
     siblings = bytearray(16 * room)
     start = _reference_key(ipek.material, ksn, prefix)
-    assert fold_chain(start, ksn, prefix, siblings) == _reference_key(ipek.material, ksn, counter)
+    assert fold_chain(start, ksn, top, siblings) == _reference_key(ipek.material, ksn, counter)
     assert len(siblings) == 16 * room
     low = (counter & -counter).bit_length() - 1
     for q in range(room):
@@ -297,17 +308,20 @@ def test_fold_chain_writes_the_right_siblings_its_buffer_holds(ipek, initial_ksn
             assert slot == bytes(16)
 
 
-def test_fold_chain_rejects_a_non_prefix(ipek, initial_ksn):
-    ksn = initial_ksn.with_counter(0b1010)
-    for prefix in (0b0100, 0b0010, 0b1011, 0b10000):
-        with pytest.raises(ValueError):
-            fold_chain(ipek.material, ksn, prefix, bytearray(16 * 21))
+@given(counter=_weighted_counters)
+@example(counter=0x1FF800)
+def test_fold_chain_starts_from_any_slot(ipek, initial_ksn, counter):
+    ksn = initial_ksn.with_counter(counter)
+    expected = _reference_key(ipek.material, ksn, counter)
+    for slot in range(22):
+        start = _reference_key(ipek.material, ksn, counter >> slot << slot)
+        assert fold_chain(start, ksn, slot, bytearray()) == expected
 
 
 def test_derive_children_rejects_material_that_is_not_16_bytes(ipek, initial_ksn):
     for size in (8, 15, 17, 24):
         with pytest.raises(LengthError):
-            derive_children((ipek.material * 2)[:size], initial_ksn, [1])
+            derive_children((ipek.material * 2)[:size], initial_ksn, 0, 0, 1)
 
 
 @pytest.mark.parametrize("counter,expected", sorted(FROZEN_KEYS.items()))
