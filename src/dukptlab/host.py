@@ -7,11 +7,11 @@ host repeats the terminal's derivation, in bytes and ints from parse to
 reply: :meth:`HostRegistry.process_message` reads the KSN once, as one int
 that gives the counter, the device and the key-set id; checks the key set,
 the counter's weight and the device's floor; folds to the transaction key
-as 16 bytes; decrypts under its variants, each one int XOR with its mask
-(:func:`~dukptlab.key_hierarchy.masked`); and commits floor and table only
-on an accept. :func:`format_reply` turns the :class:`HostVerdict` into the
-reply. No key object is built on the way; the role checks sit at the public
-entry points.
+as 16 bytes; opens the payload with :func:`~dukptlab.terminal.unseal` and
+holds a PIN block to :func:`~dukptlab.pin_block.structure_ok`; and commits
+floor and table only on an accept. :func:`format_reply` turns the
+:class:`HostVerdict` into the reply. No key object is built on the way; the
+role checks sit at the public entry points.
 
 The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
@@ -48,14 +48,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import tdes
 from .errors import DecryptFailed, DuplicateKeySet, KeyRoleError, UnknownKeySet, WireFormatError
 from .key_hierarchy import (
-    COUNTER_BITS, COUNTER_MASK, DATA_VARIANT_MASK, DEVICE_ID_BITS, KEY_SET_ID_BITS,
-    MAX_COUNTER_WEIGHT, PIN_VARIANT_MASK, KeyRole, Ksn, TdeaKey, derive_ipek,
-    derive_key_chain, fold_chain, masked,
+    COUNTER_BITS, COUNTER_MASK, DEVICE_ID_BITS, KEY_SET_ID_BITS, MAX_COUNTER_WEIGHT,
+    KeyRole, Ksn, TdeaKey, derive_ipek, derive_key_chain, fold_chain,
 )
 from .pin_block import structure_ok
+from .terminal import unseal
 from .wire import Scheme, TransactionMessage, parse_wire
 
 # devices whose key table is kept; host_scattered's 682 fit
@@ -200,16 +199,10 @@ class HostRegistry:
 
 
 def _open(key: bytes, msg: TransactionMessage) -> tuple[bytes | None, bytes | None]:
-    """Clear PIN block and data under the variants of ``key``, as ``terminal.decrypt_pin``
-    and ``decrypt_data`` give them; :class:`DecryptFailed` when either fails its check."""
-    clear_pin = None
-    if msg.encrypted_pin_block is not None:
-        clear_pin = tdes.ecb_decrypt(masked(key, PIN_VARIANT_MASK), msg.encrypted_pin_block)
-        if not structure_ok(clear_pin):
-            raise DecryptFailed("PIN block fails the format-0 structure check")
-    clear_data = None
-    if msg.encrypted_data is not None:
-        clear_data = tdes.cbc_decrypt(masked(key, DATA_VARIANT_MASK), msg.encrypted_data)
+    """:func:`~dukptlab.terminal.unseal` under ``key``, then the PIN block's structure check."""
+    clear_pin, clear_data = unseal(key, msg.encrypted_pin_block, msg.encrypted_data)
+    if clear_pin is not None and not structure_ok(clear_pin):
+        raise DecryptFailed("PIN block fails the format-0 structure check")
     return clear_pin, clear_data
 
 

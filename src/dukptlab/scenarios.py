@@ -39,7 +39,7 @@ from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
 from .host import HostRegistry, VerdictStatus, format_reply
 from .key_hierarchy import COUNTER_MASK, KeyRole, Ksn, TdeaKey, derive_ipek
 from .pin_block import encode_iso0
-from .terminal import TerminalState, encrypt_data, encrypt_pin, init_terminal
+from .terminal import TerminalState, init_terminal, seal
 from .wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
 
@@ -347,9 +347,9 @@ def run_simulation(
         registry = _host_for(bdk, term)
 
         def send() -> tuple[TransactionMessage, bytes]:
-            ksn, key = term.next_transaction_key()
-            pin_ct, data_ct = encrypt_pin(key, clear_block), encrypt_data(key, payload)
-            return TransactionMessage(ksn, pin_ct, data_ct, Scheme.DUKPT), key.material
+            counter, material = term.issue()
+            ksn = term.base_ksn.with_counter(counter)
+            return TransactionMessage(ksn, *seal(material, clear_block, payload)), material
 
         def receive(msg: TransactionMessage) -> VerdictStatus:
             return registry.process_message(msg).status

@@ -12,9 +12,10 @@ below it with one run of the one-way step over those slots
 slot. Every key the table hands out equals the direct derivation chain for
 the same counter, and the tests hold it to that.
 
-:meth:`TerminalState.build_message` stays on bytes from the slot to the
-message, its variants made by :func:`~dukptlab.key_hierarchy.masked`; roles
-are checked where a key object comes in, at the public functions below.
+The device line is :meth:`TerminalState.issue` (a counter and its key's 16
+bytes) then :func:`seal`; the host opens the message with :func:`unseal`.
+:meth:`~TerminalState.next_transaction_key` and the four key-object payload
+functions are adapters over these that check roles.
 
 Key erasure is modeled by zero-overwriting the table in place;
 tamper-resistant hardware is out of scope, but the visible contract (no
@@ -33,6 +34,8 @@ from .key_hierarchy import (
 )
 from .wire import TransactionMessage
 
+_Parts = tuple[bytes | None, bytes | None]  # a PIN block and data, either absent
+
 
 @dataclass
 class TerminalState:
@@ -47,7 +50,7 @@ class TerminalState:
     base_ksn: Ksn
     _counter: int = field(default=0, init=False)
     table: bytearray = field(default_factory=lambda: bytearray(16 * COUNTER_BITS), repr=False)
-    exhausted: bool = False
+    exhausted: bool = field(default=False, init=False)
 
     @property
     def counter(self) -> int:
@@ -64,8 +67,8 @@ class TerminalState:
         return remaining_counters(self._counter)
 
     def next_transaction_key(self) -> tuple[Ksn, TdeaKey]:
-        """Advance the counter and issue the key for it (see :meth:`_issue`)."""
-        counter, material = self._issue()
+        """Advance the counter and issue the key for it (see :meth:`issue`)."""
+        counter, material = self.issue()
         return self.base_ksn.with_counter(counter), TdeaKey(material, KeyRole.TRANSACTION)
 
     def build_message(
@@ -82,12 +85,11 @@ class TerminalState:
         _check_pin_block(clear_pin_block)
         if data is not None and not data:
             raise EmptyPlaintext("refusing to encrypt an empty payload")
-        counter, material = self._issue()
-        pin_ct = None if clear_pin_block is None else _encrypt_pin(material, clear_pin_block)
-        data_ct = None if data is None else _encrypt_data(material, data)
+        counter, material = self.issue()
+        pin_ct, data_ct = seal(material, clear_pin_block, data)
         return TransactionMessage(self.base_ksn.with_counter(counter), pin_ct, data_ct)
 
-    def _issue(self) -> tuple[int, bytes]:
+    def issue(self) -> tuple[int, bytes]:
         """Advance the counter and take its key's material from the table.
 
         The consumed slot first seeds every slot below it with the children
@@ -144,31 +146,41 @@ def _material(key: TdeaKey) -> bytes:
     return key.material
 
 
-def _encrypt_pin(material: bytes, clear_pin_block: bytes) -> bytes:
-    return tdes.encrypt_block(masked(material, PIN_VARIANT_MASK), clear_pin_block)
+def seal(material: bytes, clear_pin_block: bytes | None, data: bytes | None) -> _Parts:
+    """Encrypt the PIN block (one TDEA block) and the data (padded CBC, zero IV) under
+    the PIN and data variants of a transaction key's 16 bytes; an absent part stays None."""
+    pin_ct = None if clear_pin_block is None else tdes.encrypt_block(
+        masked(material, PIN_VARIANT_MASK), clear_pin_block)
+    data_ct = None if data is None else tdes.cbc_encrypt(masked(material, DATA_VARIANT_MASK), data)
+    return pin_ct, data_ct
 
 
-def _encrypt_data(material: bytes, plaintext: bytes) -> bytes:
-    return tdes.cbc_encrypt(masked(material, DATA_VARIANT_MASK), plaintext)
+def unseal(material: bytes, pin_ct: bytes | None, data_ct: bytes | None) -> _Parts:
+    """Inverse of :func:`seal`; bad padding on the data raises DecryptFailed."""
+    clear_pin = None if pin_ct is None else tdes.ecb_decrypt(
+        masked(material, PIN_VARIANT_MASK), pin_ct)
+    clear_data = None if data_ct is None else tdes.cbc_decrypt(
+        masked(material, DATA_VARIANT_MASK), data_ct)
+    return clear_pin, clear_data
 
 
 def encrypt_pin(key: TdeaKey, clear_pin_block: bytes) -> bytes:
     """Encrypt one clear PIN block under the PIN variant of ``key``."""
     _check_pin_block(clear_pin_block)
-    return _encrypt_pin(_material(key), clear_pin_block)
+    return seal(_material(key), clear_pin_block, None)[0]
 
 
 def decrypt_pin(key: TdeaKey, encrypted_pin_block: bytes) -> bytes:
     """Inverse of :func:`encrypt_pin`."""
     _check_pin_block(encrypted_pin_block)
-    return tdes.ecb_decrypt(masked(_material(key), PIN_VARIANT_MASK), encrypted_pin_block)
+    return unseal(_material(key), encrypted_pin_block, None)[0]
 
 
 def encrypt_data(key: TdeaKey, plaintext: bytes) -> bytes:
     """Encrypt a data payload under the data variant (CBC, zero IV, padded)."""
-    return _encrypt_data(_material(key), plaintext)
+    return seal(_material(key), None, plaintext)[1]
 
 
 def decrypt_data(key: TdeaKey, ciphertext: bytes) -> bytes:
     """Inverse of :func:`encrypt_data`; bad padding raises DecryptFailed."""
-    return tdes.cbc_decrypt(masked(_material(key), DATA_VARIANT_MASK), ciphertext)
+    return unseal(_material(key), None, ciphertext)[1]

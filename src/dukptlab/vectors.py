@@ -25,7 +25,7 @@ from .key_hierarchy import (
     variant_pin_key,
 )
 from .pin_block import encode_iso0
-from .terminal import encrypt_data, encrypt_pin
+from .terminal import seal
 
 # defaults for generated files: the published interoperability key pair
 DEFAULT_BDK_HEX = "0123456789ABCDEFFEDCBA9876543210"
@@ -131,9 +131,9 @@ def generate(
                 data_variant=variant_data_key(key).hex,
                 pin=DEFAULT_PIN,
                 pan=DEFAULT_PAN,
-                pin_ct=encrypt_pin(key, clear_block).hex().upper(),
+                pin_ct=seal(key.material, clear_block, None)[0].hex().upper(),
                 data=DEFAULT_DATA.hex().upper(),
-                data_ct=encrypt_data(key, DEFAULT_DATA).hex().upper(),
+                data_ct=seal(key.material, None, DEFAULT_DATA)[1].hex().upper(),
             )
         )
     return records
@@ -160,14 +160,14 @@ def verify(records: Iterable[VectorRecord]) -> list[str]:
             if record.pin is None or record.pan is None:
                 failures.append(f"record {index}: pin_ct present without pin/pan")
             else:
-                legs.append(("pin_ct", record.pin_ct,
-                             lambda: encrypt_pin(key, encode_iso0(record.pin, record.pan))))
+                legs.append(("pin_ct", record.pin_ct, lambda: seal(
+                    key.material, encode_iso0(record.pin, record.pan), None)[0]))
         if record.data_ct is not None:
             if record.data is None:
                 failures.append(f"record {index}: data_ct present without data")
             else:
-                legs.append(("data_ct", record.data_ct,
-                             lambda: encrypt_data(key, bytes.fromhex(record.data))))
+                legs.append(("data_ct", record.data_ct, lambda: seal(
+                    key.material, None, bytes.fromhex(record.data))[1]))
         for name, expected, leg in legs:
             try:  # a bad pin, pan or data field fails this record, not the run
                 checks.append((name, expected, leg().hex().upper()))

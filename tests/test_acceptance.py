@@ -57,19 +57,18 @@ def full_sweep(ipek, initial_ksn):
     low_weight_mismatches = 0
     while True:
         try:
-            ksn, key = terminal.next_transaction_key()
+            counter, material = terminal.issue()
         except CounterExhausted:
             break
-        counter = ksn.counter
         transactions += 1
         monotone = monotone and counter > previous
         weights_ok = weights_ok and counter.bit_count() <= MAX_COUNTER_WEIGHT
         previous = counter
         if transactions <= 5000:
-            first_5000.append(key.material)
+            first_5000.append(material)
         if counter.bit_count() <= 5:
             low_weight_checked += 1
-            if key != derive_key_chain(ipek, ksn):
+            if material != derive_key_chain(ipek, initial_ksn.with_counter(counter)).material:
                 low_weight_mismatches += 1
     return {
         "transactions": transactions,

@@ -238,6 +238,23 @@ def test_simulation_cipher_builds(monkeypatch, scheme, builds):
     assert report.accepted == 100
 
 
+def test_dukpt_simulation_builds_three_key_objects(monkeypatch):
+    # the BDK, the terminal's IPEK and the host's IPEK for the first message;
+    # every transaction key stays bytes on both sides
+    built = 0
+    real_post_init = key_hierarchy.TdeaKey.__post_init__
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(key_hierarchy.TdeaKey, "__post_init__", counting_post_init)
+    report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 100, seed=0)
+    assert built == 3
+    assert report.accepted == 100
+
+
 def test_simulation_rejects_bad_count():
     with pytest.raises(ValueError):
         run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 0, seed=1)

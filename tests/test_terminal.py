@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dukptlab import tdes
 from dukptlab.errors import (
     CounterExhausted,
+    DecryptFailed,
     EmptyPlaintext,
     KeyRoleError,
     LengthError,
@@ -30,6 +31,8 @@ from dukptlab.terminal import (
     encrypt_data,
     encrypt_pin,
     init_terminal,
+    seal,
+    unseal,
 )
 
 from conftest import (
@@ -228,6 +231,7 @@ def test_published_pin_ct_at_high_counter(ipek, initial_ksn):
     key = derive_key_chain(ipek, initial_ksn.with_counter(0x100000))
     block = encode_iso0(INTEROP_PIN, INTEROP_PAN)
     assert encrypt_pin(key, block).hex().upper() == PUBLISHED_PIN_CT_100000
+    assert seal(key.material, block, None)[0].hex().upper() == PUBLISHED_PIN_CT_100000
 
 
 def test_payload_crypto_validates_inputs(transaction_key, ipek):
@@ -239,6 +243,24 @@ def test_payload_crypto_validates_inputs(transaction_key, ipek):
         encrypt_pin(ipek, bytes(8))
     with pytest.raises(KeyRoleError):
         encrypt_data(ipek, b"payload")
+
+
+@settings(max_examples=50, deadline=None)
+@given(material=st.binary(min_size=16, max_size=16), pin=st.binary(min_size=8, max_size=8),
+       data=st.binary(min_size=1, max_size=40), parts=st.sampled_from(["pin", "data", "both"]))
+def test_unseal_inverts_seal(material, pin, data, parts):
+    pin = None if parts == "data" else pin
+    data = None if parts == "pin" else data
+    pin_ct, data_ct = seal(material, pin, data)
+    assert (pin_ct is None, data_ct is None) == (pin is None, data is None)
+    assert unseal(material, pin_ct, data_ct) == (pin, data)
+
+
+def test_unseal_refuses_data_with_broken_padding():
+    material = bytes(range(16))
+    _, data_ct = seal(material, None, b"one block")  # 9 bytes pad to two blocks
+    with pytest.raises(DecryptFailed):
+        unseal(material, None, data_ct[:8])  # the first block alone has no marker
 
 
 # --- message building -----------------------------------------------------------
