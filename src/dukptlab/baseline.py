@@ -81,11 +81,11 @@ def ms_wrap_session(ctx: MasterSessionContext) -> tuple[bytes, TdeaKey]:
     if len(material) != 16:
         raise LengthError("random source must supply 16 bytes")
     wrapped = ctx.cipher.ecb_encrypt(material)
-    return wrapped, TdeaKey.from_bytes(material, KeyRole.TRANSACTION)
+    return wrapped, TdeaKey(material, KeyRole.TRANSACTION)
 
 
 def ms_unwrap_session(kek: TdeaKey, wrapped: bytes) -> TdeaKey:
     """Host-side inverse of :func:`ms_wrap_session`."""
     if len(wrapped) != 16:
         raise LengthError(f"wrapped session key must be 16 bytes, got {len(wrapped)}")
-    return TdeaKey.from_bytes(tdes.ecb_decrypt(kek.material, wrapped), KeyRole.TRANSACTION)
+    return TdeaKey(tdes.ecb_decrypt(kek.material, wrapped), KeyRole.TRANSACTION)

@@ -7,27 +7,23 @@ host repeats the terminal's derivation, in bytes and ints from parse to
 reply: :meth:`HostRegistry.process_message` reads the KSN once, as one int
 that gives the counter, the device and the key-set id; checks the key set,
 the counter's weight and the device's floor; folds to the transaction key
-as 16 bytes; opens the payload with :func:`~dukptlab.terminal.unseal` and
-holds a PIN block to :func:`~dukptlab.pin_block.structure_ok`; and commits
-floor and table only on an accept. :func:`format_reply` turns the
+as 16 bytes; opens the payload with
+:func:`~dukptlab.key_hierarchy.unseal` and holds a PIN block to
+:func:`~dukptlab.pin_block.structure_ok`; and commits floor and table only
+on an accept. :func:`format_reply` turns the
 :class:`HostVerdict` into the reply. No key object is built on the way; the
 role checks sit at the public entry points.
 
 The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
-keeps a lazy mirror of the device's own future-key table, in its one
-:data:`TABLE_BYTES` layout (stated at
-:func:`~dukptlab.key_hierarchy.fold_chain`). After accepting counter ``L``
-it holds the device's table as it stood when the device issued ``L``,
-before its refill: the slots above ``L``'s lowest set bit as the device has
-them, ``key(L)`` in that bit's slot, the one the device consumes, and zeros
-below it. A later counter ``c`` is folded from slot
-``s = max(highest bit of c ^ L, lowest set bit of L)``, which holds the key
-of ``c >> s << s``, and each step of the fold also derives the step's right
-siblings into the table's slots, one run per step as in the terminal's refill.
-In-order traffic then derives on odd counters only; a device's first
-message and an evicted device start from the BDK. Only an accepted message
-changes the table.
+keeps a lazy mirror of the device's own future-key table. After accepting
+counter ``L`` it holds the device's table as it stood when the device
+issued ``L``: :func:`~dukptlab.key_hierarchy.fold_chain` states what that
+table holds and returns the slots a walk rewrites. A later counter ``c`` is
+folded from slot ``s = max(highest bit of c ^ L, lowest set bit of L)``,
+which holds the key of ``c >> s << s``. In-order traffic then derives on
+odd counters only; a device's first message and an evicted device start
+from the BDK. Only an accepted message changes the table.
 
 The trade-off: the table holds what the device itself held when it issued
 ``L``, ``key(L)`` and keys of later counters, never an earlier counter's
@@ -51,16 +47,13 @@ from enum import Enum
 from .errors import DecryptFailed, DuplicateKeySet, KeyRoleError, UnknownKeySet, WireFormatError
 from .key_hierarchy import (
     COUNTER_BITS, COUNTER_MASK, DEVICE_ID_BITS, KEY_SET_ID_BITS, MAX_COUNTER_WEIGHT,
-    KeyRole, Ksn, TdeaKey, derive_ipek, derive_key_chain, fold_chain,
+    TABLE_BYTES, KeyRole, Ksn, TdeaKey, derive_ipek, derive_key_chain, fold_chain, unseal,
 )
 from .pin_block import structure_ok
-from .terminal import unseal
 from .wire import Scheme, TransactionMessage, parse_wire
 
 # devices whose key table is kept; host_scattered's 682 fit
 TABLE_CACHE_DEVICES = 1024
-# the device's own table: one 16-byte slot per counter bit
-TABLE_BYTES = 16 * COUNTER_BITS
 
 
 class VerdictStatus(Enum):
@@ -93,7 +86,7 @@ class HostRegistry:
     update and its table update are atomic, and no BDK replacement or
     eviction can touch a table while a message is open. Messages therefore
     run one at a time; the interpreter's global lock serializes the host's
-    work anyway. The walk derives into a scratch buffer that is copied into
+    work anyway. The walk returns its slots in a fresh run that is copied into
     the table only on an accept, so any other verdict leaves the table
     byte-identical and its place in the eviction order unchanged.
     """
@@ -167,19 +160,15 @@ class HostRegistry:
                 # last's own slot if counter extends last, else the highest bit where they part
                 slot = max(counter ^ last, last & -last).bit_length() - 1
                 start = bytes(table[16 * slot : 16 * slot + 16])
-            # the walk consumes its start's slot and rewrites every slot below it
-            fresh = bytearray(16 * min(slot + 1, COUNTER_BITS))
-            key = fold_chain(start, msg.ksn, slot, fresh)
+            key, run = fold_chain(start, msg.ksn, slot)
             try:
                 clear_pin, clear_data = _open(key, msg)
             except DecryptFailed:
-                _wipe(fresh)
+                _wipe(run)
                 return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
             self._device_log[device] = counter
-            low = (counter & -counter).bit_length() - 1
-            fresh[16 * low : 16 * low + 16] = key
-            table[: len(fresh)] = fresh
-            _wipe(fresh)
+            table[: len(run)] = run
+            _wipe(run)
             self._tables[device] = table
             self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:
@@ -199,7 +188,8 @@ class HostRegistry:
 
 
 def _open(key: bytes, msg: TransactionMessage) -> tuple[bytes | None, bytes | None]:
-    """:func:`~dukptlab.terminal.unseal` under ``key``, then the PIN block's structure check."""
+    """:func:`~dukptlab.key_hierarchy.unseal` under ``key``, then the PIN block's
+    structure check."""
     clear_pin, clear_data = unseal(key, msg.encrypted_pin_block, msg.encrypted_data)
     if clear_pin is not None and not structure_ok(clear_pin):
         raise DecryptFailed("PIN block fails the format-0 structure check")

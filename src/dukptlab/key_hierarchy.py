@@ -14,8 +14,9 @@ transaction counter. Counters with more than ten set bits are skipped,
 which is exactly what lets a device cover the whole space with a 21-slot
 future-key table.
 
-All functions here are pure, except that :func:`fold_chain` writes the
-siblings it derives into the buffer it is handed; state lives in
+Each key is split into a PIN variant and a data variant by a fixed XOR
+mask; :func:`seal` and :func:`unseal` are the one place a variant meets a
+cipher mode. All functions here are pure; state lives in
 :mod:`dukptlab.terminal` and :mod:`dukptlab.host`.
 """
 
@@ -36,11 +37,15 @@ COUNTER_MASK = 0x1FFFFF
 KEY_SET_ID_BITS = 24
 DEVICE_ID_BITS = 80 - COUNTER_BITS - KEY_SET_ID_BITS
 MAX_COUNTER_WEIGHT = 10
+# a future-key table: one 16-byte slot per counter bit (see fold_chain)
+TABLE_BYTES = 16 * COUNTER_BITS
 
 # masks applied to key halves / whole keys during derivation, XORed by masked()
 KEY_HALF_MASK = 0xC0C0C0C000000000C0C0C0C000000000
 PIN_VARIANT_MASK = 0x00000000000000FF00000000000000FF
 DATA_VARIANT_MASK = 0x0000000000FF00000000000000FF0000
+
+_Parts = tuple[bytes | None, bytes | None]  # a PIN block and data, either absent
 
 
 class KeyRole(Enum):
@@ -84,7 +89,7 @@ class TdeaKey:
             material = bytes.fromhex(text)
         except ValueError as exc:
             raise HexInputError(f"key is not valid hex: {text!r}") from exc
-        return cls.from_bytes(material, role)
+        return cls(material, role)
 
     @property
     def hex(self) -> str:
@@ -280,9 +285,9 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
     """Fold the one-way step over the counter's set bits, MSB first.
 
     ``key(0)`` is the IPEK itself; for each set bit, taken from most to
-    least significant, the accumulated counter names one derivation step.
-    This is the host-side route to any transaction key and the reference
-    the terminal's future-key table must agree with.
+    least significant, the accumulated counter names one derivation step of
+    one child. This is the reference route to any transaction key, which the
+    terminal's future-key table and the host's walk must agree with.
 
     Raises :class:`CounterOverweight` for counters with more than
     :data:`MAX_COUNTER_WEIGHT` set bits; such KSNs are never honored.
@@ -292,42 +297,48 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
         raise CounterOverweight(f"counter {counter:#07x} has {counter.bit_count()} set bits")
     if counter == 0:
         return ipek
-    # no room for siblings: a one-off key derives none
-    return TdeaKey(fold_chain(ipek.material, ksn, COUNTER_BITS, bytearray()), KeyRole.TRANSACTION)
+    material, prefix = ipek.material, 0
+    while prefix != counter:
+        bit = (counter ^ prefix).bit_length() - 1
+        material = derive_children(material, ksn, prefix, bit, bit + 1)
+        prefix |= 1 << bit
+    return TdeaKey(material, KeyRole.TRANSACTION)
 
 
-def fold_chain(material: bytes, ksn: Ksn, slot: int, siblings: bytearray) -> bytes:
-    """Fold from the key in table slot ``slot`` to the key of the KSN's counter ``c``.
+def fold_chain(material: bytes, ksn: Ksn, slot: int) -> tuple[bytes, bytearray]:
+    """Fold from the key in table slot ``slot`` to the key of the KSN's counter ``c``,
+    and return it with the table slots ``0 .. min(slot, 20)`` as the device holds
+    them when it issues ``c``.
 
-    A future-key table has one 16-byte slot per counter bit: slot ``q`` holds
-    the key of a counter whose lowest set bit is ``q``, and slot 21 stands for
-    the IPEK. ``material`` is ``key(c >> slot << slot)``, what a table holds
-    in slot ``slot`` when ``c`` has that bit set. Each set bit of ``c`` below
-    the slot, MSB first, is one node of the walk and one
-    :func:`derive_children` run under the node's key: the child on the way
-    down plus its right siblings, the node's children at the slots between
-    that child's bit and the node's own. Those siblings are the later
-    counters a device's table holds: the key of counter
-    ``(c >> q+1 << q+1) | 1 << q`` goes to slot ``q`` of ``siblings``, and
-    only the slots the buffer holds are derived, so an empty buffer makes
-    this a plain fold. The counter's key is returned. This is the only fold:
-    :func:`derive_key_chain` starts it from the IPEK, and the host from the
-    slot its table holds.
+    A future-key table has one 16-byte slot per counter bit, :data:`TABLE_BYTES`
+    in all: slot ``q`` holds the key of a counter whose lowest set bit is ``q``,
+    and slot 21 stands for the IPEK. ``material`` is ``key(c >> slot << slot)``,
+    what a table holds in slot ``slot`` when ``c`` has that bit set (``c`` is
+    not zero). Each set bit of ``c`` below the slot, MSB first, is one node of
+    the walk and one :func:`derive_children` run under the node's key: the
+    child on the way down plus its right siblings, the node's children at the
+    slots between that child's bit and the node's own. Those siblings are the
+    later counters a device's table holds, so the returned run has the key of
+    counter ``(c >> q+1 << q+1) | 1 << q`` in slot ``q``, ``key(c)`` in slot
+    ``low(c)``, the one the device consumes, and zeros elsewhere. The host
+    starts this walk from the slot its table holds; :func:`derive_key_chain`
+    is the plain fold it is checked against.
     """
     counter = ksn.counter
     prefix = counter >> slot << slot
     rest = counter ^ prefix
-    room = len(siblings) // 16
+    run = bytearray(16 * min(slot + 1, COUNTER_BITS))
     while rest:
         bit = rest.bit_length() - 1
         rest ^= 1 << bit
-        stop = max(min(slot, room), bit + 1)  # the right siblings are at bits bit+1 .. stop-1
-        children = derive_children(material, ksn, prefix, bit, stop)
-        siblings[16 * (bit + 1) : 16 * stop] = children[16:]
+        children = derive_children(material, ksn, prefix, bit, slot)
+        run[16 * (bit + 1) : 16 * slot] = children[16:]
         material = children[:16]
         prefix |= 1 << bit
         slot = bit
-    return material
+    # the last node's slot, or the start's when c has no bit below it, is low(c)
+    run[16 * slot : 16 * slot + 16] = material
+    return material, run
 
 
 def masked(material: bytes, mask: int) -> bytes:
@@ -337,19 +348,37 @@ def masked(material: bytes, mask: int) -> bytes:
     return (int.from_bytes(material, "big") ^ mask).to_bytes(16, "big")
 
 
+def seal(material: bytes, clear_pin_block: bytes | None, data: bytes | None) -> _Parts:
+    """Encrypt the PIN block (one TDEA block) and the data (padded CBC, zero IV) under
+    the PIN and data variants of a transaction key's 16 bytes; an absent part stays None."""
+    pin_ct = None if clear_pin_block is None else tdes.encrypt_block(
+        masked(material, PIN_VARIANT_MASK), clear_pin_block)
+    data_ct = None if data is None else tdes.cbc_encrypt(masked(material, DATA_VARIANT_MASK), data)
+    return pin_ct, data_ct
+
+
+def unseal(material: bytes, pin_ct: bytes | None, data_ct: bytes | None) -> _Parts:
+    """Inverse of :func:`seal`; bad padding on the data raises DecryptFailed."""
+    clear_pin = None if pin_ct is None else tdes.ecb_decrypt(
+        masked(material, PIN_VARIANT_MASK), pin_ct)
+    clear_data = None if data_ct is None else tdes.cbc_decrypt(
+        masked(material, DATA_VARIANT_MASK), data_ct)
+    return clear_pin, clear_data
+
+
 def variant_pin_key(transaction_key: TdeaKey) -> TdeaKey:
     """PIN-encryption variant of a transaction key (fixed XOR mask)."""
-    if transaction_key.role is not KeyRole.TRANSACTION:
-        raise KeyRoleError(
-            f"PIN variant requires a Transaction key, got {transaction_key.role.value}"
-        )
-    return TdeaKey(masked(transaction_key.material, PIN_VARIANT_MASK), KeyRole.PIN_VARIANT)
+    return _variant(transaction_key, "PIN", PIN_VARIANT_MASK, KeyRole.PIN_VARIANT)
 
 
 def variant_data_key(transaction_key: TdeaKey) -> TdeaKey:
     """Data-encryption variant of a transaction key (fixed XOR mask)."""
+    return _variant(transaction_key, "data", DATA_VARIANT_MASK, KeyRole.DATA_VARIANT)
+
+
+def _variant(transaction_key: TdeaKey, name: str, mask: int, role: KeyRole) -> TdeaKey:
     if transaction_key.role is not KeyRole.TRANSACTION:
         raise KeyRoleError(
-            f"data variant requires a Transaction key, got {transaction_key.role.value}"
+            f"{name} variant requires a Transaction key, got {transaction_key.role.value}"
         )
-    return TdeaKey(masked(transaction_key.material, DATA_VARIANT_MASK), KeyRole.DATA_VARIANT)
+    return TdeaKey(masked(transaction_key.material, mask), role)

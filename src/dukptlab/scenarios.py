@@ -37,9 +37,9 @@ from .baseline import (
 )
 from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
 from .host import HostRegistry, VerdictStatus, format_reply
-from .key_hierarchy import COUNTER_MASK, KeyRole, Ksn, TdeaKey, derive_ipek
+from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek, seal
 from .pin_block import encode_iso0
-from .terminal import TerminalState, init_terminal, seal
+from .terminal import TerminalState, init_terminal
 from .wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
 
@@ -291,12 +291,11 @@ class SimulationReport:
 
 
 def _random_initial_ksn(rng: random.Random) -> Ksn:
-    value = int.from_bytes(rng.randbytes(10), "big") & ~COUNTER_MASK
-    return Ksn(value.to_bytes(10, "big"))
+    return Ksn(rng.randbytes(10)).base
 
 
 def _provision_dukpt(rng: random.Random) -> tuple[TdeaKey, TerminalState]:
-    bdk = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
+    bdk = TdeaKey(rng.randbytes(16), KeyRole.BASE_DERIVATION)
     initial_ksn = _random_initial_ksn(rng)
     return bdk, init_terminal(derive_ipek(bdk, initial_ksn), initial_ksn)
 
@@ -355,7 +354,7 @@ def run_simulation(
             return registry.process_message(msg).status
 
     elif scheme is Scheme.FIXED:
-        key = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
+        key = TdeaKey(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         term_fixed = FixedKeyTerminal(key, _random_initial_ksn(rng))
         host_key = tdes.TdeaCipher(key.material)
 
@@ -371,7 +370,7 @@ def run_simulation(
             return VerdictStatus.ACCEPTED
 
     elif scheme is Scheme.MASTER_SESSION:
-        kek = TdeaKey.from_bytes(rng.randbytes(16), KeyRole.BASE_DERIVATION)
+        kek = TdeaKey(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         ctx = MasterSessionContext(kek, random_source=rng.randbytes)
         device_id = _random_initial_ksn(rng)
         host_kek = tdes.TdeaCipher(kek.material)

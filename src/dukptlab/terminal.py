@@ -13,7 +13,8 @@ slot. Every key the table hands out equals the direct derivation chain for
 the same counter, and the tests hold it to that.
 
 The device line is :meth:`TerminalState.issue` (a counter and its key's 16
-bytes) then :func:`seal`; the host opens the message with :func:`unseal`.
+bytes) then :func:`~dukptlab.key_hierarchy.seal`; the host opens the message
+with :func:`~dukptlab.key_hierarchy.unseal`.
 :meth:`~TerminalState.next_transaction_key` and the four key-object payload
 functions are adapters over these that check roles.
 
@@ -26,30 +27,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import tdes
 from .errors import CounterExhausted, EmptyPlaintext, KeyRoleError, LengthError, NonZeroCounter
 from .key_hierarchy import (
-    COUNTER_BITS, DATA_VARIANT_MASK, MAX_COUNTER_WEIGHT, PIN_VARIANT_MASK, KeyRole, Ksn,
-    TdeaKey, derive_children, masked, next_counter, remaining_counters,
+    COUNTER_BITS, MAX_COUNTER_WEIGHT, TABLE_BYTES, KeyRole, Ksn, TdeaKey, derive_children,
+    next_counter, remaining_counters, seal, unseal,
 )
 from .wire import TransactionMessage
-
-_Parts = tuple[bytes | None, bytes | None]  # a PIN block and data, either absent
 
 
 @dataclass
 class TerminalState:
     """Single-owner mutable device state; one transaction at a time.
 
-    ``table`` is the future-key table, ``16 * COUNTER_BITS`` bytes in the
-    slot layout of :func:`~dukptlab.key_hierarchy.fold_chain`; it never
+    ``table`` is the future-key table, :data:`~dukptlab.key_hierarchy.TABLE_BYTES`
+    in the slot layout of :func:`~dukptlab.key_hierarchy.fold_chain`; it never
     shows in the repr. ``counter`` is read-only: only issuance moves it,
     together with the table.
     """
 
     base_ksn: Ksn
     _counter: int = field(default=0, init=False)
-    table: bytearray = field(default_factory=lambda: bytearray(16 * COUNTER_BITS), repr=False)
+    table: bytearray = field(default_factory=lambda: bytearray(TABLE_BYTES), repr=False)
     exhausted: bool = field(default=False, init=False)
 
     @property
@@ -144,24 +142,6 @@ def _material(key: TdeaKey) -> bytes:
     if key.role is not KeyRole.TRANSACTION:
         raise KeyRoleError(f"payload variants require a Transaction key, got {key.role.value}")
     return key.material
-
-
-def seal(material: bytes, clear_pin_block: bytes | None, data: bytes | None) -> _Parts:
-    """Encrypt the PIN block (one TDEA block) and the data (padded CBC, zero IV) under
-    the PIN and data variants of a transaction key's 16 bytes; an absent part stays None."""
-    pin_ct = None if clear_pin_block is None else tdes.encrypt_block(
-        masked(material, PIN_VARIANT_MASK), clear_pin_block)
-    data_ct = None if data is None else tdes.cbc_encrypt(masked(material, DATA_VARIANT_MASK), data)
-    return pin_ct, data_ct
-
-
-def unseal(material: bytes, pin_ct: bytes | None, data_ct: bytes | None) -> _Parts:
-    """Inverse of :func:`seal`; bad padding on the data raises DecryptFailed."""
-    clear_pin = None if pin_ct is None else tdes.ecb_decrypt(
-        masked(material, PIN_VARIANT_MASK), pin_ct)
-    clear_data = None if data_ct is None else tdes.cbc_decrypt(
-        masked(material, DATA_VARIANT_MASK), data_ct)
-    return clear_pin, clear_data
 
 
 def encrypt_pin(key: TdeaKey, clear_pin_block: bytes) -> bytes:

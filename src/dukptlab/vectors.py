@@ -21,11 +21,11 @@ from .key_hierarchy import (
     derive_key_chain,
     next_counter,
     parse_ksn,
+    seal,
     variant_data_key,
     variant_pin_key,
 )
 from .pin_block import encode_iso0
-from .terminal import seal
 
 # defaults for generated files: the published interoperability key pair
 DEFAULT_BDK_HEX = "0123456789ABCDEFFEDCBA9876543210"

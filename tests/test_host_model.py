@@ -6,8 +6,9 @@ with the public ``decrypt_pin``, ``structure_ok`` and ``decrypt_data``, and
 it models the table cache as a list of devices in eviction order. The
 machine drives both with honest in-order and gapped lines from five
 terminals over two key sets, held-back and replayed lines, forged
-ciphertext, overweight, counter-0 and unknown-key-set lines, and BDK
-replacement mid-stream, over a cache of three tables. After every step:
+ciphertext, overweight, counter-0 and unknown-key-set lines, near-misses of
+sent lines on the wire, and BDK replacement mid-stream, over a cache of
+three tables. After every step:
 
 * each verdict, its clear fields and its reply equal the reference's;
 * each device's floor equals the reference's, which moves only on an accept;
@@ -16,11 +17,18 @@ replacement mid-stream, over a cache of three tables. After every step:
 * every table buffer the registry let go of is all zero;
 * no key appears, in hex or as escaped bytes, in any reply or repr.
 
+A near-miss is a sent line with 1-4 characters substituted, inserted or
+deleted, what a bad link or an attacker makes of it. Whatever the host
+replies to one must be ``OK|<counter>`` or a fixed ``ERR|`` name, and a
+reply other than ``OK`` must leave every floor, every table's bytes and the
+eviction order as they were; a seeded bulk test sends 20,000 of them.
+
 40 examples of up to 40 steps each run in about 2 s (2 vCPUs, Python 3.11).
 """
 
 import functools
 import random
+import re
 
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
@@ -33,7 +41,7 @@ from hypothesis.stateful import (
 )
 
 from dukptlab import host
-from dukptlab.errors import DecryptFailed
+from dukptlab.errors import DecryptFailed, WireFormatError
 from dukptlab.host import HostRegistry, VerdictStatus, format_reply
 from dukptlab.key_hierarchy import (
     MAX_COUNTER_WEIGHT,
@@ -44,8 +52,8 @@ from dukptlab.key_hierarchy import (
     next_counter,
 )
 from dukptlab.pin_block import encode_iso0, structure_ok
-from dukptlab.terminal import decrypt_data, decrypt_pin, encrypt_data, encrypt_pin
-from dukptlab.wire import TransactionMessage, encode_wire
+from dukptlab.terminal import decrypt_data, decrypt_pin, encrypt_data, encrypt_pin, init_terminal
+from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
 from conftest import INTEROP_PAN
 
@@ -71,6 +79,18 @@ payload_kinds = st.sampled_from(["pin", "data", "both"])
 pins = st.text("0123456789", min_size=4, max_size=12)
 noise = st.binary(min_size=32, max_size=32)
 
+# what a near-miss edits a line with: hex digits in either case, the field
+# separator, the absent-payload dash, the scheme tags, whitespace, NUL and one
+# non-ASCII digit (ARABIC-INDIC THREE, which str.isalnum() passes)
+MUTATION_TOKENS = [*"0123456789ABCDEFabcdef", "|", "-", "DUKPT1", "DUKPT", "FIXED", "MS",
+                   " ", "\t", "\n", "\x00", "\u0663"]
+EDITS = ["substitute", "substitute", "insert", "delete"]  # a substitution keeps more lines parsing
+edit_lists = st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 1 << 16),
+                                st.sampled_from(MUTATION_TOKENS)), min_size=1, max_size=4)
+# every reply a host may give to any line
+REPLY = re.compile(r"OK\|[1-9][0-9]*|ERR\|(MalformedMessage|UnsupportedScheme|ReplayRejected"
+                   r"|OverweightCounterRejected|UnknownKeySet|DecryptFailed)")
+
 
 @functools.lru_cache(maxsize=None)
 def _ipek(bdk: TdeaKey, base: Ksn) -> TdeaKey:
@@ -95,6 +115,41 @@ def _leaked(text, secrets):
     # repr(s)[2:-1] is the escaped body, which also shows inside a longer buffer's repr
     return [s for s in secrets
             if repr(s)[2:-1] in text or s.hex() in text or s.hex().upper() in text]
+
+
+def _mutate(line, edits):
+    """``line`` with each ``(edit, position, token)`` applied in turn; positions wrap."""
+    for edit, where, token in edits:
+        at = where % (len(line) + 1)
+        if edit == "insert":
+            line = line[:at] + token + line[at:]
+        else:
+            line = line[:at] + (token if edit == "substitute" else "") + line[at + 1:]
+    return line
+
+
+def _random_edits(rng):
+    return [(rng.choice(EDITS), rng.randrange(1 << 16), rng.choice(MUTATION_TOKENS))
+            for _ in range(rng.randint(1, 4))]
+
+
+def _snapshot(registry):
+    """Every floor, and each table's bytes in eviction order."""
+    return dict(registry._device_log), [(d, bytes(t)) for d, t in registry._tables.items()]
+
+
+def _reply(status, msg):
+    return f"OK|{msg.ksn.counter}" if status is VerdictStatus.ACCEPTED else f"ERR|{status.value}"
+
+
+def _send_near_miss(registry, line):
+    """Send ``line``; check the reply's shape, and that a refusal changed nothing."""
+    before = _snapshot(registry)
+    reply = registry.handle_wire_line(line)  # no exception may escape
+    assert REPLY.fullmatch(reply), (line, reply)
+    if not reply.startswith("OK|"):
+        assert _snapshot(registry) == before, (line, reply)
+    return reply
 
 
 def _forged(ksn, kind, raw):
@@ -133,7 +188,8 @@ class HostModel(RuleBasedStateMachine):
             return VerdictStatus.UNKNOWN_KEY_SET, (None, None)
         if ksn.counter.bit_count() > MAX_COUNTER_WEIGHT:
             return VerdictStatus.OVERWEIGHT_COUNTER_REJECTED, (None, None)
-        if ksn.counter <= self.floors[ksn.initial_id]:
+        # a near-miss may name a device of a registered key set that never sent
+        if ksn.counter <= self.floors.get(ksn.initial_id, 0):
             return VerdictStatus.REPLAY_REJECTED, (None, None)
         key = self._key(ksn)
         clear_pin = clear_data = None
@@ -169,8 +225,7 @@ class HostModel(RuleBasedStateMachine):
             assert (verdict.clear_pin_block, verdict.clear_data) == clear
             reply = format_reply(verdict)
             self.texts.append(repr(verdict))
-        accepted = status is VerdictStatus.ACCEPTED
-        assert reply == (f"OK|{msg.ksn.counter}" if accepted else f"ERR|{status.value}")
+        assert reply == _reply(status, msg)
         self.texts += [reply, repr(self.registry)]
 
     # --- traffic ------------------------------------------------------------------
@@ -199,6 +254,22 @@ class HostModel(RuleBasedStateMachine):
     def resend(self, msg, via_wire):
         """A held-back line arrives late, or a delivered one is replayed."""
         self._deliver(msg, via_wire)
+
+    @rule(msg=lines, edits=edit_lists)
+    def near_miss(self, msg, edits):
+        """A sent line, altered on the way; the reference judges what it parses to."""
+        line = _mutate(encode_wire(msg), edits)
+        reply = _send_near_miss(self.registry, line)
+        try:
+            parsed = parse_wire(line)
+        except WireFormatError:
+            assert reply == "ERR|MalformedMessage"
+        else:
+            if parsed.scheme is Scheme.DUKPT:
+                assert reply == _reply(self._reference(parsed)[0], parsed)
+            else:
+                assert reply == "ERR|UnsupportedScheme"
+        self.texts += [reply, repr(self.registry)]
 
     @rule(base=devices, gap=gaps, kind=payload_kinds, raw=noise, via_wire=st.booleans())
     def forged(self, base, gap, kind, raw, via_wire):
@@ -248,3 +319,32 @@ def test_host_matches_reference_model(monkeypatch):
     run_state_machine_as_test(HostModel, settings=settings(
         max_examples=40, stateful_step_count=40, deadline=None,
         suppress_health_check=[HealthCheck.too_slow]))
+
+
+def test_refused_near_misses_of_sent_lines_change_nothing():
+    # 200 lines from two terminals of two key sets, each sent amid 100
+    # near-misses of itself: half before it (the derivation path), half after
+    # (mostly the floor)
+    rng = random.Random(20_000)
+    registry = HostRegistry()
+    for key_set, choices in BDKS.items():
+        registry.register_bdk(key_set, choices[0])
+    terminals = [init_terminal(derive_ipek(BDKS[base.key_set_id][0], base), base)
+                 for base in (DEVICES[0], DEVICES[-1])]
+    replies = set()
+    for n in range(200):
+        kind = ["pin", "data", "both"][n % 3]
+        line = encode_wire(terminals[n % 2].build_message(
+            encode_iso0("1234", INTEROP_PAN) if kind != "data" else None,
+            rng.randbytes(rng.randint(1, 24)) if kind != "pin" else None))
+        for m in range(100):
+            if m == 50:
+                _send_near_miss(registry, line)
+            mutant = _mutate(line, _random_edits(rng))
+            reply = _send_near_miss(registry, mutant)
+            if reply.startswith("OK|"):
+                assert reply == f"OK|{parse_wire(mutant).ksn.counter}"
+            replies.add(reply)
+    # the near-misses reach the parser, the key-set lookup, the floor and the decrypt
+    assert {"ERR|MalformedMessage", "ERR|UnknownKeySet", "ERR|ReplayRejected",
+            "ERR|DecryptFailed"} <= replies

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dukptlab import tdes
+from dukptlab import key_hierarchy, tdes
 from dukptlab.errors import (
     CounterExhausted,
     CounterOverweight,
@@ -283,25 +283,26 @@ _weighted_counters = st.integers(1, COUNTER_MASK).filter(
     lambda c: c.bit_count() <= MAX_COUNTER_WEIGHT)
 
 
-@given(counter=_weighted_counters, kept=st.integers(0, MAX_COUNTER_WEIGHT),
-       room=st.integers(0, 21))
-@example(counter=1, kept=0, room=21)
-@example(counter=0x1FF800, kept=3, room=21)
-@example(counter=0x5A5A5, kept=2, room=0)
-def test_fold_chain_writes_the_right_siblings_its_buffer_holds(ipek, initial_ksn, counter,
-                                                               kept, room):
+@given(counter=_weighted_counters, kept=st.integers(0, MAX_COUNTER_WEIGHT))
+@example(counter=1, kept=0)
+@example(counter=0x1FF800, kept=3)
+@example(counter=0x1FF800, kept=10)  # the start is key(c) itself: no step
+@example(counter=0x5A5A5, kept=2)
+def test_fold_chain_returns_the_run_the_device_holds(ipek, initial_ksn, counter, kept):
     ksn = initial_ksn.with_counter(counter)
     bits = [pos for pos in range(20, -1, -1) if counter >> pos & 1]
-    prefix = sum(1 << pos for pos in bits[:min(kept, len(bits) - 1)])
+    prefix = sum(1 << pos for pos in bits[:kept])
     top = (prefix & -prefix).bit_length() - 1 if prefix else 21
-    siblings = bytearray(16 * room)
     start = _reference_key(ipek.material, ksn, prefix)
-    assert fold_chain(start, ksn, top, siblings) == _reference_key(ipek.material, ksn, counter)
-    assert len(siblings) == 16 * room
+    key, run = fold_chain(start, ksn, top)
+    assert key == _reference_key(ipek.material, ksn, counter)
+    assert len(run) == 16 * min(top + 1, 21)
     low = (counter & -counter).bit_length() - 1
-    for q in range(room):
-        slot = bytes(siblings[16 * q : 16 * q + 16])
-        if low < q < top and not counter >> q & 1:
+    for q in range(len(run) // 16):
+        slot = bytes(run[16 * q : 16 * q + 16])
+        if q == low:
+            assert slot == key
+        elif low < q < top and not counter >> q & 1:
             sibling = (counter >> q + 1 << q + 1) | 1 << q
             assert slot == _reference_key(ipek.material, ksn, sibling)
         else:
@@ -315,7 +316,7 @@ def test_fold_chain_starts_from_any_slot(ipek, initial_ksn, counter):
     expected = _reference_key(ipek.material, ksn, counter)
     for slot in range(22):
         start = _reference_key(ipek.material, ksn, counter >> slot << slot)
-        assert fold_chain(start, ksn, slot, bytearray()) == expected
+        assert fold_chain(start, ksn, slot)[0] == expected
 
 
 def test_derive_children_rejects_material_that_is_not_16_bytes(ipek, initial_ksn):
@@ -327,6 +328,17 @@ def test_derive_children_rejects_material_that_is_not_16_bytes(ipek, initial_ksn
 @pytest.mark.parametrize("counter,expected", sorted(FROZEN_KEYS.items()))
 def test_chain_reproduces_frozen_keys(ipek, initial_ksn, counter, expected):
     assert derive_key_chain(ipek, initial_ksn.with_counter(counter)).hex == expected
+
+
+def test_chain_folds_one_child_per_set_bit_without_the_walk(ipek, initial_ksn):
+    walk = mock.patch.object(key_hierarchy, "fold_chain", side_effect=AssertionError("walked"))
+    steps = mock.patch.object(key_hierarchy, "derive_children", wraps=derive_children)
+    with walk, steps as batches:
+        for counter, expected in sorted(FROZEN_KEYS.items()):
+            batches.reset_mock()
+            assert derive_key_chain(ipek, initial_ksn.with_counter(counter)).hex == expected
+            assert batches.call_count == counter.bit_count()
+            assert all(low + 1 == high for (_, _, _, low, high), _ in batches.call_args_list)
 
 
 def test_chain_counter_zero_is_ipek(ipek, initial_ksn):
@@ -395,10 +407,12 @@ def test_variant_frozen_vectors(ipek, initial_ksn):
 
 
 def test_variant_roles_enforced(ipek):
-    with pytest.raises(KeyRoleError):
+    with pytest.raises(KeyRoleError, match="^PIN variant requires a Transaction key, got Initial$"):
         variant_pin_key(ipek)  # Initial, not Transaction
     tk = TdeaKey.from_bytes(bytes(16), KeyRole.TRANSACTION)
     pin_key = variant_pin_key(tk)
     assert pin_key.role is KeyRole.PIN_VARIANT
-    with pytest.raises(KeyRoleError):
+    assert variant_data_key(tk).role is KeyRole.DATA_VARIANT
+    with pytest.raises(KeyRoleError,
+                       match="^data variant requires a Transaction key, got PinVariant$"):
         variant_data_key(pin_key)  # variants cannot be re-derived

@@ -21,6 +21,8 @@ from dukptlab.key_hierarchy import (
     KeyRole,
     TdeaKey,
     derive_key_chain,
+    seal,
+    unseal,
 )
 from dukptlab.pin_block import encode_iso0
 from dukptlab.wire import TransactionMessage
@@ -31,8 +33,6 @@ from dukptlab.terminal import (
     encrypt_data,
     encrypt_pin,
     init_terminal,
-    seal,
-    unseal,
 )
 
 from conftest import (
