@@ -38,10 +38,6 @@ class EmptyPlaintext(DukptError, ValueError):
     """Nothing to encrypt."""
 
 
-class EmptyMessage(DukptError, ValueError):
-    """Transaction message carries no payload at all."""
-
-
 class DecryptFailed(DukptError):
     """Decryption produced structurally invalid output (bad padding or
     a clear text that fails its integrity shape check)."""
@@ -69,6 +65,10 @@ class UnknownKeySet(DukptError):
 
 class WireFormatError(DukptError, ValueError):
     """Wire line does not parse as a transaction message."""
+
+
+class EmptyMessage(WireFormatError):
+    """Transaction message carries no payload at all."""
 
 
 class VectorFormatError(DukptError, ValueError):

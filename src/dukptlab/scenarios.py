@@ -36,7 +36,7 @@ from .baseline import (
     ms_wrap_session,
 )
 from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
-from .host import HostRegistry, VerdictStatus, format_reply
+from .host import HostRegistry, VerdictStatus
 from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek, seal
 from .pin_block import encode_iso0
 from .terminal import TerminalState, init_terminal
@@ -102,18 +102,28 @@ class ApplicabilityVerdict:
         )
 
 
-_SE_RULES = {
+# a device-started verdict by where the key is kept: (status, dependency it brings, reasons)
+_STORAGE_RULES = {
+    SecureStorage.CERTIFIED_DEVICE: (ApplicabilityStatus.APPLICABLE, None, ()),
     SecureStorage.SIM_SE: (
+        ApplicabilityStatus.APPLICABLE_WITH_DEPENDENCY,
         Dependency.MOBILE_NETWORK_OPERATOR,
-        ReasonCode.MOBILE_NETWORK_OPERATOR_DEPENDENCY,
+        (ReasonCode.MOBILE_NETWORK_OPERATOR_DEPENDENCY,),
     ),
     SecureStorage.EMBEDDED_SE: (
+        ApplicabilityStatus.APPLICABLE_WITH_DEPENDENCY,
         Dependency.DEVICE_MANUFACTURER,
-        ReasonCode.DEVICE_MANUFACTURER_DEPENDENCY,
+        (ReasonCode.DEVICE_MANUFACTURER_DEPENDENCY,),
     ),
     SecureStorage.MICRO_SD_SE: (
+        ApplicabilityStatus.APPLICABLE_WITH_DEPENDENCY,
         Dependency.WALLET_PROVIDER,
-        ReasonCode.WALLET_PROVIDER_DEPENDENCY,
+        (ReasonCode.WALLET_PROVIDER_DEPENDENCY,),
+    ),
+    SecureStorage.NONE: (
+        ApplicabilityStatus.NOT_APPLICABLE,
+        None,
+        (ReasonCode.NO_SECURE_IPEK_STORAGE,),
     ),
 }
 
@@ -121,38 +131,21 @@ _SE_RULES = {
 def evaluate_applicability(profile: EndpointProfile) -> ApplicabilityVerdict:
     """Deterministic verdict for one endpoint profile.
 
-    Rule order: server-initiated transactions are ruled out before anything
-    else (the initiating party holds no device key, whatever the device's
-    storage looks like); then endpoints with no secure storage are not
-    applicable; then each secure-element form factor is applicable with its
-    characteristic dependency; certified devices are applicable outright.
+    Rule order: the storage decides a device-started transaction's status,
+    reasons and the dependency it adds to the profile's own; a server-started
+    transaction then overrides status and reasons with ``RuledOut`` (the
+    initiating party holds no device key, whatever the storage) and keeps
+    the dependency set.
     """
-    deps = set(profile.dependencies)
-    se_rule = _SE_RULES.get(profile.secure_key_storage)
+    status, dependency, reasons = _STORAGE_RULES[profile.secure_key_storage]
+    dependencies = frozenset({*profile.dependencies, dependency} - {None})
     if profile.transaction_origin is TransactionOrigin.SERVER:
-        if se_rule:
-            deps.add(se_rule[0])
-        return ApplicabilityVerdict(
-            ApplicabilityStatus.RULED_OUT,
-            (
-                ReasonCode.SERVER_INITIATED_NO_DEVICE_KEY_RELATIONSHIP,
-                ReasonCode.DEPENDENCY_NOT_DESIRABLE,
-            ),
-            frozenset(deps),
+        status = ApplicabilityStatus.RULED_OUT
+        reasons = (
+            ReasonCode.SERVER_INITIATED_NO_DEVICE_KEY_RELATIONSHIP,
+            ReasonCode.DEPENDENCY_NOT_DESIRABLE,
         )
-    if profile.secure_key_storage is SecureStorage.NONE:
-        return ApplicabilityVerdict(
-            ApplicabilityStatus.NOT_APPLICABLE,
-            (ReasonCode.NO_SECURE_IPEK_STORAGE,),
-            frozenset(deps),
-        )
-    if se_rule:
-        dependency, reason = se_rule
-        deps.add(dependency)
-        return ApplicabilityVerdict(
-            ApplicabilityStatus.APPLICABLE_WITH_DEPENDENCY, (reason,), frozenset(deps)
-        )
-    return ApplicabilityVerdict(ApplicabilityStatus.APPLICABLE, (), frozenset(deps))
+    return ApplicabilityVerdict(status, reasons, dependencies)
 
 
 BUILTIN_PROFILES: dict[str, EndpointProfile] = {
@@ -239,10 +232,14 @@ def applicability_table(profiles: list[EndpointProfile] | None = None) -> str:
                 "+".join(r.value for r in verdict.reasons) or "-",
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return _columns(rows)
+
+
+def _columns(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned text columns two spaces apart, with no trailing blanks."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
     return "\n".join(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows
     )
 
 
@@ -285,9 +282,7 @@ class SimulationReport:
         return " ".join(f"{k}={v}" for k, v in self._fields())
 
     def table(self) -> str:
-        pairs = self._fields()
-        width = max(len(k) for k, _ in pairs)
-        return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
+        return _columns(self._fields())
 
 
 def _random_initial_ksn(rng: random.Random) -> Ksn:
@@ -437,6 +432,11 @@ def clone_attack_demo(
 ) -> CloneAttackReport:
     """Copy a terminal's state and run clone and original against one host.
 
+    Schedule: the original sends once before the theft; then the two
+    alternate, clone first, until the clone has sent ``n_clone`` lines and
+    the original ``n_legit`` in all. Each line goes through
+    :meth:`HostRegistry.handle_wire_line`; the report is read from the replies.
+
     Because the clone holds identical key material, its first message is
     cryptographically indistinguishable from the original's and the host
     accepts it. What *does* make cloning visible is counter policy: once
@@ -452,36 +452,26 @@ def clone_attack_demo(
     registry = _host_for(bdk, legit)
     payload = b"checkout-request"
     replies: list[str] = []
-    counts = {status: 0 for status in VerdictStatus}
 
-    def send(term: TerminalState) -> VerdictStatus:
-        line = encode_wire(term.build_message(data=payload))
+    def send(term: TerminalState) -> str:
         host = registry if enforce_replay else _host_for(bdk, legit)
-        verdict = host.process_message(parse_wire(line))
-        replies.append(format_reply(verdict))
-        counts[verdict.status] += 1
-        return verdict.status
+        replies.append(host.handle_wire_line(encode_wire(term.build_message(data=payload))))
+        return replies[-1]
 
     send(legit)  # the device transacts at least once before the theft
     clone = copy.deepcopy(legit)
-
-    clone_first = send(clone) if n_clone >= 1 else None
-    legit_after = send(legit) if n_legit >= 2 else None
-
-    clone_left = max(n_clone - 1, 0)
-    legit_left = max(n_legit - 2, 0)
-    while clone_left or legit_left:
-        if clone_left:
-            send(clone)
-            clone_left -= 1
-        if legit_left:
-            send(legit)
-            legit_left -= 1
-
+    from_clone: list[str] = []
+    from_legit: list[str] = []
+    for i in range(max(n_clone, n_legit - 1)):
+        if i < n_clone:
+            from_clone.append(send(clone))
+        if i < n_legit - 1:
+            from_legit.append(send(legit))
+    replay_rejected = f"ERR|{VerdictStatus.REPLAY_REJECTED.value}"
     return CloneAttackReport(
-        clone_first_accepted=clone_first is VerdictStatus.ACCEPTED,
-        legit_replay_rejected=legit_after is VerdictStatus.REPLAY_REJECTED,
-        accepted=counts[VerdictStatus.ACCEPTED],
-        replay_rejected=counts[VerdictStatus.REPLAY_REJECTED],
+        clone_first_accepted=bool(from_clone) and from_clone[0].startswith("OK|"),
+        legit_replay_rejected=from_legit[:1] == [replay_rejected],
+        accepted=sum(reply.startswith("OK|") for reply in replies),
+        replay_rejected=replies.count(replay_rejected),
         reply_lines=replies,
     )

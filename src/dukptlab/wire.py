@@ -77,9 +77,7 @@ def encode_wire(msg: TransactionMessage) -> str:
     return "|".join(fields)
 
 
-def _parse_payload(field: str, name: str) -> bytes | None:
-    if field == "-":
-        return None
+def _parse_hex(field: str, name: str) -> bytes:
     # bytes.fromhex tolerates embedded whitespace and isalnum() passes
     # non-ASCII digits; the wire format takes neither
     if field and not len(field) % 2 and field.isascii() and field.isalnum():
@@ -92,24 +90,19 @@ def _parse_payload(field: str, name: str) -> bytes | None:
 
 def parse_wire(line: str) -> TransactionMessage:
     fields = line.strip().split("|")
-    if not fields or fields[0] != WIRE_TAG:
+    if fields[0] != WIRE_TAG:
         raise WireFormatError(f"line does not start with {WIRE_TAG}")
-    if len(fields) < 5:
-        raise WireFormatError(f"expected at least 5 fields, got {len(fields)}")
+    if len(fields) not in (5, 6):
+        raise WireFormatError(f"expected 5 or 6 fields, got {len(fields)}")
     try:
         ksn = parse_ksn(fields[1])
-    except (ValueError, WireFormatError) as exc:
+    except ValueError as exc:
         raise WireFormatError(f"bad KSN field: {exc}") from exc
-    pin_ct = _parse_payload(fields[2], "pinblock")
-    data_ct = _parse_payload(fields[3], "data")
+    pin_ct = None if fields[2] == "-" else _parse_hex(fields[2], "pinblock")
+    data_ct = None if fields[3] == "-" else _parse_hex(fields[3], "data")
     scheme = _SCHEMES.get(fields[4])
     if scheme is None:
         raise WireFormatError(f"unknown scheme tag {fields[4]!r}")
-    expected = 6 if scheme is Scheme.MASTER_SESSION else 5
-    if len(fields) != expected:
-        raise WireFormatError(f"expected exactly {expected} fields, got {len(fields)}")
-    wrapped = _parse_payload(fields[5], "wrapped session key") if expected == 6 else None
-    try:
-        return TransactionMessage(ksn, pin_ct, data_ct, scheme, wrapped)
-    except EmptyMessage as exc:
-        raise WireFormatError(str(exc)) from exc
+    # no "-" here: a wrapped session key is sent only when present
+    wrapped = _parse_hex(fields[5], "wrapped session key") if len(fields) == 6 else None
+    return TransactionMessage(ksn, pin_ct, data_ct, scheme, wrapped)

@@ -1,12 +1,18 @@
 """Applicability verdicts, simulations, and the clone attack demo."""
 
+import copy
+import random
+
 import pytest
 
 from dukptlab import key_hierarchy, tdes
 from dukptlab.errors import ProfileFormatError, ProfileIncompatible
+from dukptlab.host import HostRegistry, VerdictStatus, format_reply
 from dukptlab.scenarios import (
     BUILTIN_PROFILES,
     ApplicabilityStatus,
+    ApplicabilityVerdict,
+    CloneAttackReport,
     Dependency,
     EndpointProfile,
     ReasonCode,
@@ -19,7 +25,8 @@ from dukptlab.scenarios import (
     parse_profile_line,
     run_simulation,
 )
-from dukptlab.wire import Scheme
+from dukptlab.terminal import init_terminal
+from dukptlab.wire import Scheme, encode_wire, parse_wire
 
 
 # --- verdict engine ---------------------------------------------------------------
@@ -81,6 +88,52 @@ def test_non_applicable_statuses_always_carry_reasons():
             )
             if verdict.status is not ApplicabilityStatus.APPLICABLE:
                 assert verdict.reasons
+
+
+def _reference_verdict(profile):
+    """The rules as an ``if`` chain, one branch per outcome, server origin first."""
+    se_rules = {
+        SecureStorage.SIM_SE: (
+            Dependency.MOBILE_NETWORK_OPERATOR, ReasonCode.MOBILE_NETWORK_OPERATOR_DEPENDENCY),
+        SecureStorage.EMBEDDED_SE: (
+            Dependency.DEVICE_MANUFACTURER, ReasonCode.DEVICE_MANUFACTURER_DEPENDENCY),
+        SecureStorage.MICRO_SD_SE: (
+            Dependency.WALLET_PROVIDER, ReasonCode.WALLET_PROVIDER_DEPENDENCY),
+    }
+    deps = set(profile.dependencies)
+    se_rule = se_rules.get(profile.secure_key_storage)
+    if profile.transaction_origin is TransactionOrigin.SERVER:
+        if se_rule:
+            deps.add(se_rule[0])
+        return ApplicabilityVerdict(
+            ApplicabilityStatus.RULED_OUT,
+            (ReasonCode.SERVER_INITIATED_NO_DEVICE_KEY_RELATIONSHIP,
+             ReasonCode.DEPENDENCY_NOT_DESIRABLE),
+            frozenset(deps),
+        )
+    if profile.secure_key_storage is SecureStorage.NONE:
+        return ApplicabilityVerdict(
+            ApplicabilityStatus.NOT_APPLICABLE, (ReasonCode.NO_SECURE_IPEK_STORAGE,),
+            frozenset(deps))
+    if se_rule:
+        deps.add(se_rule[0])
+        return ApplicabilityVerdict(
+            ApplicabilityStatus.APPLICABLE_WITH_DEPENDENCY, (se_rule[1],), frozenset(deps))
+    return ApplicabilityVerdict(ApplicabilityStatus.APPLICABLE, (), frozenset(deps))
+
+
+def test_storage_table_matches_the_reference_on_every_profile():
+    subsets = [
+        frozenset(d for i, d in enumerate(Dependency) if mask >> i & 1)
+        for mask in range(2 ** len(Dependency))
+    ]
+    profiles = [
+        EndpointProfile("x", storage, origin, deps)
+        for storage in SecureStorage for origin in TransactionOrigin for deps in subsets
+    ]
+    assert len(profiles) == 80
+    for profile in profiles:
+        assert evaluate_applicability(profile) == _reference_verdict(profile), profile
 
 
 def test_verdict_is_deterministic():
@@ -297,6 +350,58 @@ def test_clone_demo_exactly_one_acceptance_per_counter_pair():
     err = sum(1 for line in report.reply_lines if line.startswith("ERR"))
     assert ok == report.accepted and err == report.replay_rejected
     assert report.replay_rejected == 5
+
+
+def _reference_clone_report(n_legit, n_clone, seed, enforce_replay):
+    """The demo's schedule as counted sends, each through process_message."""
+    rng = random.Random(seed)
+    bdk = key_hierarchy.TdeaKey(rng.randbytes(16), key_hierarchy.KeyRole.BASE_DERIVATION)
+    initial_ksn = key_hierarchy.Ksn(rng.randbytes(10)).base
+    legit = init_terminal(key_hierarchy.derive_ipek(bdk, initial_ksn), initial_ksn)
+
+    def host():
+        registry = HostRegistry()
+        registry.register_bdk(initial_ksn.key_set_id, bdk)
+        return registry
+
+    registry = host()
+    replies, counts = [], {status: 0 for status in VerdictStatus}
+
+    def send(term):
+        line = encode_wire(term.build_message(data=b"checkout-request"))
+        verdict = (registry if enforce_replay else host()).process_message(parse_wire(line))
+        replies.append(format_reply(verdict))
+        counts[verdict.status] += 1
+        return verdict.status
+
+    send(legit)
+    clone = copy.deepcopy(legit)
+    clone_first = send(clone) if n_clone >= 1 else None
+    legit_after = send(legit) if n_legit >= 2 else None
+    clone_left, legit_left = max(n_clone - 1, 0), max(n_legit - 2, 0)
+    while clone_left or legit_left:
+        if clone_left:
+            send(clone)
+            clone_left -= 1
+        if legit_left:
+            send(legit)
+            legit_left -= 1
+    return CloneAttackReport(
+        clone_first_accepted=clone_first is VerdictStatus.ACCEPTED,
+        legit_replay_rejected=legit_after is VerdictStatus.REPLAY_REJECTED,
+        accepted=counts[VerdictStatus.ACCEPTED],
+        replay_rejected=counts[VerdictStatus.REPLAY_REJECTED],
+        reply_lines=replies,
+    )
+
+
+@pytest.mark.parametrize("enforce_replay", [True, False], ids=["policy", "no_policy"])
+@pytest.mark.parametrize("seed", [1, 11])
+@pytest.mark.parametrize("n_legit, n_clone", [(1, 0), (1, 3), (3, 0), (2, 5), (6, 2), (4, 4)])
+def test_clone_demo_matches_the_reference_schedule(n_legit, n_clone, seed, enforce_replay):
+    report = clone_attack_demo(n_legit, n_clone, seed=seed, enforce_replay=enforce_replay)
+    expected = _reference_clone_report(n_legit, n_clone, seed, enforce_replay)
+    assert report == expected  # every field, the reply lines included
 
 
 def test_clone_demo_validates_args():

@@ -58,6 +58,9 @@ def test_lowercase_hex_accepted():
 def test_message_requires_some_payload():
     with pytest.raises(EmptyMessage):
         TransactionMessage(KSN)
+    # and, being a WireFormatError, needs no translation in parse_wire
+    with pytest.raises(WireFormatError):
+        TransactionMessage(KSN)
 
 
 def test_message_validates_payload_shapes():
@@ -112,6 +115,12 @@ def test_unspoiled_lines_parse():
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-|TLS",
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-|MS",
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-|DUKPT|EXTRA",
+        # a sixth field only MS carries, and never a seventh
+        "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-|DUKPT|-",
+        "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-|FIXED|00112233445566778899AABBCCDDEEFF",
+        "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA|-|DUKPT|-|-",
+        "|".join(_MS_FIELDS + ["00112233445566778899AABBCCDDEEFF"]),
+        "|".join(_MS_FIELDS[:5] + ["-"]),
         "DUKPT1|FFFF9876543210E00001|AAAA AAAAAAAAAAAA|-|DUKPT",
         "DUKPT1|FFFF9876543210E00001|AAAAAAAAAAAAAAAA||DUKPT",
         *(_spoiled(fields, index, spoil) for fields, index in _HEX_FIELDS for spoil in _SPOILERS),
@@ -120,6 +129,7 @@ def test_unspoiled_lines_parse():
 def test_parse_rejects_malformed(line):
     with pytest.raises(WireFormatError):
         parse_wire(line)
+    assert HostRegistry().handle_wire_line(line) == "ERR|MalformedMessage"
 
 
 @pytest.mark.parametrize("tag", ["dukpt", "Dukpt", " DUKPT", "MS ", ""])
