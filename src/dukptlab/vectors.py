@@ -10,20 +10,21 @@ inputs (``pin``/``pan`` for the PIN leg, ``data`` for the data leg).
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Iterable, TextIO
 
-from .errors import VectorFormatError
+from .errors import KeyRoleError, VectorFormatError
 from .key_hierarchy import (
+    DATA_VARIANT_MASK,
+    PIN_VARIANT_MASK,
     KeyRole,
     TdeaKey,
     derive_ipek,
     derive_key_chain,
+    masked,
     next_counter,
     parse_ksn,
     seal,
-    variant_data_key,
-    variant_pin_key,
 )
 from .pin_block import encode_iso0
 
@@ -34,16 +35,14 @@ DEFAULT_PIN = "1234"
 DEFAULT_PAN = "4012345678909"
 DEFAULT_DATA = b"Sale: 42.00 USD"
 
-_REQUIRED = ("bdk", "ksn", "counter", "key", "pin_variant", "data_variant")
-_OPTIONAL = ("pin", "pan", "pin_ct", "data", "data_ct")
-
 
 @dataclass(frozen=True)
 class VectorRecord:
-    """Expected derivation outputs for one (bdk, initial ksn, counter)."""
+    """Expected derivation outputs for one (bdk, initial ksn, counter); the fields
+    are the line's, in line order, and those with a default are optional."""
 
     bdk: str
-    initial_ksn: str
+    ksn: str
     counter: int
     key: str
     pin_variant: str
@@ -55,52 +54,70 @@ class VectorRecord:
     data_ct: str | None = None
 
     def to_line(self) -> str:
-        pairs = [
-            ("bdk", self.bdk),
-            ("ksn", self.initial_ksn),
-            ("counter", f"{self.counter:06X}"),
-            ("key", self.key),
-            ("pin_variant", self.pin_variant),
-            ("data_variant", self.data_variant),
-        ]
-        for name in _OPTIONAL:
-            value = getattr(self, name)
-            if value is not None:
-                pairs.append((name, value))
-        return " ".join(f"{k}={v}" for k, v in pairs)
+        values = asdict(self) | {"counter": f"{self.counter:06X}"}
+        return " ".join(f"{name}={value}" for name, value in values.items() if value is not None)
+
+
+# each field, and what an empty hex value parses to: absent if optional, "" if required
+_EMPTY = {f.name: "" if f.default is MISSING else f.default for f in fields(VectorRecord)}
+_AS_WRITTEN = ("counter", "pin", "pan")  # every other field is hex, and upper-cased
 
 
 def parse_record(line: str) -> VectorRecord:
-    fields: dict[str, str] = {}
+    values: dict[str, str | None] = {}
     for token in line.split():
         if "=" not in token:
             raise VectorFormatError(f"token without '=': {token!r}")
         name, _, value = token.partition("=")
-        if name not in _REQUIRED and name not in _OPTIONAL:
+        if name not in _EMPTY:
             raise VectorFormatError(f"unknown field {name!r}")
-        if name in fields:
+        if name in values:
             raise VectorFormatError(f"duplicate field {name!r}")
-        fields[name] = value
-    missing = [name for name in _REQUIRED if name not in fields]
+        values[name] = value if name in _AS_WRITTEN else value.upper() or _EMPTY[name]
+    missing = [name for name, empty in _EMPTY.items() if empty == "" and name not in values]
     if missing:
         raise VectorFormatError(f"missing fields: {', '.join(missing)}")
     # to_line writes six hex digits; int() alone would also take a sign, 0x and underscores
-    text = fields["counter"]
+    text = values["counter"]
     if not 0 < len(text) <= 6 or any(ch not in string.hexdigits for ch in text):
         raise VectorFormatError(f"bad counter {text!r}")
-    return VectorRecord(
-        bdk=fields["bdk"].upper(),
-        initial_ksn=fields["ksn"].upper(),
-        counter=int(text, 16),
-        key=fields["key"].upper(),
-        pin_variant=fields["pin_variant"].upper(),
-        data_variant=fields["data_variant"].upper(),
-        pin=fields.get("pin"),
-        pan=fields.get("pan"),
-        pin_ct=fields.get("pin_ct", "").upper() or None,
-        data=fields.get("data", "").upper() or None,
-        data_ct=fields.get("data_ct", "").upper() or None,
-    )
+    return VectorRecord(**values | {"counter": int(text, 16)})
+
+
+def _derive(record: VectorRecord) -> tuple[VectorRecord, list[str]]:
+    """``record`` with the key its bdk, ksn and counter derive to, both variants, and
+    each ciphertext it carries sealed from its own inputs; a ciphertext whose inputs
+    are missing or rejected derives to None, and a note says why."""
+    bdk = TdeaKey.from_hex(record.bdk, KeyRole.BASE_DERIVATION)
+    ksn = parse_ksn(record.ksn).with_counter(record.counter)
+    if record.counter == 0:
+        raise KeyRoleError("counter 0 names the initial key, not a transaction key")
+    material = derive_key_chain(derive_ipek(bdk, ksn), ksn).material
+    notes = []
+    if record.pin_ct is not None and None in (record.pin, record.pan):
+        notes.append("pin_ct present without pin/pan")
+    if record.data_ct is not None and record.data is None:
+        notes.append("data_ct present without data")
+
+    def decoded(name, decode, *inputs):
+        if getattr(record, name) is None or None in inputs:
+            return None
+        try:  # a bad pin, pan or data field fails this record, not the run
+            return decode(*inputs)
+        except ValueError as exc:
+            notes.append(f"{name} inputs rejected: {exc}")
+            return None
+
+    pin_ct, data_ct = seal(material, decoded("pin_ct", encode_iso0, record.pin, record.pan),
+                           decoded("data_ct", bytes.fromhex, record.data))
+    return replace(
+        record,
+        key=material.hex().upper(),
+        pin_variant=masked(material, PIN_VARIANT_MASK).hex().upper(),
+        data_variant=masked(material, DATA_VARIANT_MASK).hex().upper(),
+        pin_ct=pin_ct and pin_ct.hex().upper(),
+        data_ct=data_ct and data_ct.hex().upper(),
+    ), notes
 
 
 def generate(
@@ -113,29 +130,16 @@ def generate(
         raise ValueError("count must be at least 1")
     bdk = TdeaKey.from_hex(bdk_hex, KeyRole.BASE_DERIVATION)
     initial_ksn = parse_ksn(ksn_hex).base
-    ipek = derive_ipek(bdk, initial_ksn)
-    clear_block = encode_iso0(DEFAULT_PIN, DEFAULT_PAN)
+    # the inputs, with "" for each value to derive
+    template = VectorRecord(
+        bdk.hex, initial_ksn.hex, 0, "", "", "",
+        DEFAULT_PIN, DEFAULT_PAN, "", DEFAULT_DATA.hex().upper(), "",
+    )
     records = []
     counter = 0
     for _ in range(count):
         counter = next_counter(counter)
-        ksn = initial_ksn.with_counter(counter)
-        key = derive_key_chain(ipek, ksn)
-        records.append(
-            VectorRecord(
-                bdk=bdk.hex,
-                initial_ksn=initial_ksn.hex,
-                counter=counter,
-                key=key.hex,
-                pin_variant=variant_pin_key(key).hex,
-                data_variant=variant_data_key(key).hex,
-                pin=DEFAULT_PIN,
-                pan=DEFAULT_PAN,
-                pin_ct=seal(key.material, clear_block, None)[0].hex().upper(),
-                data=DEFAULT_DATA.hex().upper(),
-                data_ct=seal(key.material, None, DEFAULT_DATA)[1].hex().upper(),
-            )
-        )
+        records.append(_derive(replace(template, counter=counter))[0])
     return records
 
 
@@ -144,37 +148,14 @@ def verify(records: Iterable[VectorRecord]) -> list[str]:
     failures = []
     for index, record in enumerate(records, start=1):
         try:
-            bdk = TdeaKey.from_hex(record.bdk, KeyRole.BASE_DERIVATION)
-            ksn = parse_ksn(record.initial_ksn).with_counter(record.counter)
-            key = derive_key_chain(derive_ipek(bdk, ksn), ksn)
+            derived, notes = _derive(record)
         except Exception as exc:  # derivation itself may reject a bad record
             failures.append(f"record {index}: derivation failed: {exc}")
             continue
-        checks = [
-            ("key", record.key, key.hex),
-            ("pin_variant", record.pin_variant, variant_pin_key(key).hex),
-            ("data_variant", record.data_variant, variant_data_key(key).hex),
-        ]
-        legs = []
-        if record.pin_ct is not None:
-            if record.pin is None or record.pan is None:
-                failures.append(f"record {index}: pin_ct present without pin/pan")
-            else:
-                legs.append(("pin_ct", record.pin_ct, lambda: seal(
-                    key.material, encode_iso0(record.pin, record.pan), None)[0]))
-        if record.data_ct is not None:
-            if record.data is None:
-                failures.append(f"record {index}: data_ct present without data")
-            else:
-                legs.append(("data_ct", record.data_ct, lambda: seal(
-                    key.material, None, bytes.fromhex(record.data))[1]))
-        for name, expected, leg in legs:
-            try:  # a bad pin, pan or data field fails this record, not the run
-                checks.append((name, expected, leg().hex().upper()))
-            except ValueError as exc:
-                failures.append(f"record {index}: {name} inputs rejected: {exc}")
-        for name, expected, actual in checks:
-            if expected != actual:
+        failures += [f"record {index}: {note}" for note in notes]
+        for name, expected in asdict(record).items():
+            actual = getattr(derived, name)
+            if actual is not None and actual != expected:
                 failures.append(
                     f"record {index} (counter {record.counter:06X}): "
                     f"{name} expected {expected}, derived {actual}"

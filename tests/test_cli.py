@@ -239,3 +239,17 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--scheme", "rot13", "--profile", "pos"])
     assert excinfo.value.code == 2
+
+
+def test_vectors_verify_names_a_counter_zero_record_and_goes_on(capsys, tmp_path):
+    out_path = tmp_path / "v.txt"
+    run(capsys, "vectors", "generate", "--count", "2", "--out", str(out_path))
+    lines = out_path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace("counter=000001", "counter=000000")
+    lines[2] = lines[2].replace(" key=", " key=00", 1)
+    out_path.write_text("".join(lines))
+    code, out, err = run(capsys, "vectors", "verify", "--file", str(out_path))
+    assert code == 1 and err == ""
+    assert "record 1: derivation failed: counter 0 names the initial key" in out
+    assert "record 2 (counter 000002): key expected 00" in out
+    assert "FAIL: 2 mismatch(es) in 2 record(s)" in out
