@@ -22,28 +22,13 @@ import argparse
 import sys
 
 from . import vectors as vectors_mod
-from .errors import (
-    CounterExhausted,
-    CounterOverweight,
-    DukptError,
-    ProfileIncompatible,
-)
+from .errors import CounterExhausted, CounterOverweight, DukptError, ProfileIncompatible
 from .key_hierarchy import (
-    DATA_VARIANT_MASK,
-    PIN_VARIANT_MASK,
-    KeyRole,
-    TdeaKey,
-    derive_ipek,
-    derive_key_chain,
-    masked,
+    DATA_VARIANT_MASK, PIN_VARIANT_MASK, KeyRole, TdeaKey, derive_ipek, derive_key_chain, masked,
     parse_ksn,
 )
 from .scenarios import (
-    BUILTIN_PROFILES,
-    EndpointProfile,
-    applicability_table,
-    load_profiles_file,
-    run_simulation,
+    BUILTIN_PROFILES, EndpointProfile, applicability_table, load_profiles_file, run_simulation,
 )
 from .wire import Scheme
 

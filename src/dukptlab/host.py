@@ -64,6 +64,9 @@ class VerdictStatus(Enum):
     DECRYPT_FAILED = "DecryptFailed"
 
 
+_DUKPT, _ACCEPTED = Scheme.DUKPT, VerdictStatus.ACCEPTED  # read per line; quicker than a member
+
+
 @dataclass(frozen=True)
 class HostVerdict:
     """Outcome of processing one message; clear fields only when accepted."""
@@ -75,7 +78,7 @@ class HostVerdict:
 
     @property
     def accepted(self) -> bool:
-        return self.status is VerdictStatus.ACCEPTED
+        return self.status is _ACCEPTED
 
 
 class HostRegistry:
@@ -137,7 +140,7 @@ class HostRegistry:
 
     def process_message(self, msg: TransactionMessage) -> HostVerdict:
         """Authenticate-by-derivation: re-derive, decrypt, enforce policy."""
-        if msg.scheme is not Scheme.DUKPT:
+        if msg.scheme is not _DUKPT:
             raise ValueError(f"host engine processes DUKPT messages, got {msg.scheme.value}")
         value = int.from_bytes(msg.ksn.raw, "big")
         counter = value & COUNTER_MASK
@@ -173,7 +176,7 @@ class HostRegistry:
             self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:
                 _wipe(self._tables.popitem(last=False)[1])
-            return HostVerdict(VerdictStatus.ACCEPTED, counter, clear_pin, clear_data)
+            return HostVerdict(_ACCEPTED, counter, clear_pin, clear_data)
 
     def handle_wire_line(self, line: str) -> str:
         """Process one transport line and produce the reply line."""
@@ -181,7 +184,7 @@ class HostRegistry:
             msg = parse_wire(line)
         except WireFormatError:
             return "ERR|MalformedMessage"
-        if msg.scheme is not Scheme.DUKPT:
+        if msg.scheme is not _DUKPT:
             return "ERR|UnsupportedScheme"
         verdict = self.process_message(msg)
         return format_reply(verdict)

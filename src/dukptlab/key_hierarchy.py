@@ -45,6 +45,11 @@ KEY_HALF_MASK = 0xC0C0C0C000000000C0C0C0C000000000
 PIN_VARIANT_MASK = 0x00000000000000FF00000000000000FF
 DATA_VARIANT_MASK = 0x0000000000FF00000000000000FF0000
 
+# derive_children's layout for n children: a 1 in each 64-bit block, and one every 63 bits
+_BLOCK_MASK = (1 << 64) - 1
+_REPUNITS = [((1 << 64 * n) - 1) // _BLOCK_MASK for n in range(COUNTER_BITS + 1)]
+_STEPS = [((1 << 63 * n) - 1) // (_BLOCK_MASK >> 1) for n in range(COUNTER_BITS + 1)]
+
 _Parts = tuple[bytes | None, bytes | None]  # a PIN block and data, either absent
 
 
@@ -242,28 +247,40 @@ def derive_children(material: bytes, ksn: Ksn, prefix: int, low: int, high: int)
     The child in slot ``q`` is the key of counter ``prefix | 1 << q``; ``prefix``
     is clear on those bits. Its step message is the rightmost 8 bytes of
     ``ksn`` with the counter bits replaced by that counter. Each half of a
-    child is single-DES under one half-key of the parent, with pre/post
-    whitening by the other half; recovering the parent from a child requires
-    a key search. Those keys depend on the parent alone, so one ECB pass per
-    half over the concatenated messages derives every child, and no slot
-    builds a cipher of its own. The children come back as one run of 16-byte
-    slots, the layout of a future-key table (see :func:`fold_chain`); an
-    empty run builds no cipher.
+    child is single-DES under the left half of a key, the parent masked with
+    :data:`KEY_HALF_MASK` for the left and the parent for the right, with
+    pre/post whitening ``w`` by that key's right half; recovering the parent
+    from a child requires a key search. Those keys depend on the parent alone,
+    so one ECB pass per half derives every child: exactly two cipher builds
+    for a non-empty run, none for an empty one. A pass's plaintext is one int
+    built at a fixed op count, ``((base ^ w) * rep) ^ steps`` for the ``n``
+    children: the repunit ``rep = (2**(64*n) - 1) // (2**64 - 1)`` has a 1 in
+    every 64-bit block, and ``steps``, the 63-bit-stride repunit shifted left
+    by ``high - 1``, sets bit ``q`` in slot ``q``'s block, the first child's
+    block leftmost; nothing carries between blocks. The two passes' halves are
+    interleaved into one run of 16-byte slots, the layout of a future-key
+    table (see :func:`fold_chain`).
     """
     if low >= high:
         return b""
+    if len(material) != 16:
+        raise LengthError(f"key material must be 16 bytes, got {len(material)}")
+    n = high - low
+    rep, steps = _REPUNITS[n], _STEPS[n] << high - 1
     base = (int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK) | prefix
-    messages = b"".join([(base | 1 << q).to_bytes(8, "big") for q in range(low, high)])
-    size = len(messages)
-    message = int.from_bytes(messages, "big")
-    # 8-byte halves, interleaved left/right per child by extended-slice assignment
-    children = array("Q", bytes(2 * size))
-    # the left half of a child comes from the masked parent, the right from the parent
-    for half, key in enumerate((masked(material, KEY_HALF_MASK), material)):
-        whitening = int.from_bytes(key[8:] * (size // 8), "big")
-        cipher = tdes.ecb_encrypt(key[:8], (message ^ whitening).to_bytes(size, "big"))
-        whitened = int.from_bytes(cipher, "big") ^ whitening
-        children[half::2] = array("Q", whitened.to_bytes(size, "big"))
+    parent = int.from_bytes(material, "big")
+    masked_parent = parent ^ KEY_HALF_MASK
+    w_left, w_right = masked_parent & _BLOCK_MASK, parent & _BLOCK_MASK
+    left = tdes.ecb_encrypt((masked_parent >> 64).to_bytes(8, "big"),
+                            ((base ^ w_left) * rep ^ steps).to_bytes(8 * n, "big"))
+    right = tdes.ecb_encrypt(material[:8], ((base ^ w_right) * rep ^ steps).to_bytes(8 * n, "big"))
+    left = int.from_bytes(left, "big") ^ w_left * rep
+    right = int.from_bytes(right, "big") ^ w_right * rep
+    if n == 1:
+        return (left << 64 | right).to_bytes(16, "big")
+    children = array("Q", bytes(16 * n))
+    children[::2] = array("Q", left.to_bytes(8 * n, "big"))
+    children[1::2] = array("Q", right.to_bytes(8 * n, "big"))
     return children.tobytes()
 
 
@@ -326,14 +343,13 @@ def fold_chain(material: bytes, ksn: Ksn, slot: int) -> tuple[bytes, bytearray]:
     """
     counter = ksn.counter
     prefix = counter >> slot << slot
-    rest = counter ^ prefix
     run = bytearray(16 * min(slot + 1, COUNTER_BITS))
-    while rest:
-        bit = rest.bit_length() - 1
-        rest ^= 1 << bit
-        children = derive_children(material, ksn, prefix, bit, slot)
-        run[16 * (bit + 1) : 16 * slot] = children[16:]
-        material = children[:16]
+    while prefix != counter:
+        bit = (counter ^ prefix).bit_length() - 1
+        material = derive_children(material, ksn, prefix, bit, slot)
+        if slot > bit + 1:  # right siblings of the child on the way down
+            run[16 * bit + 16 : 16 * slot] = material[16:]
+            material = material[:16]
         prefix |= 1 << bit
         slot = bit
     # the last node's slot, or the start's when c has no bit below it, is low(c)

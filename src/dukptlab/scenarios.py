@@ -29,12 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import tdes
-from .baseline import (
-    FixedKeyTerminal,
-    MasterSessionContext,
-    fixed_encrypt,
-    ms_wrap_session,
-)
+from .baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap_session
 from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
 from .host import HostRegistry, VerdictStatus
 from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek, seal

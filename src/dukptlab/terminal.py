@@ -1,16 +1,16 @@
 """Terminal-side engine: the future-key table and per-transaction issuance.
 
 A device is initialized once with its IPEK and immediately converts it into
-21 future keys, one per counter bit position; the IPEK itself is never
-stored. The keys live in one table of 16-byte slots, the layout the host's
-mirror of it keeps too (the slot rule is stated once, at
-:func:`~dukptlab.key_hierarchy.fold_chain`): slot ``q`` serves counter bit
-``q``, and an all-zero slot is empty. Each transaction consumes the slot of
-the lowest set bit of the freshly advanced counter, refills every slot
-below it with one run of the one-way step over those slots
-(:func:`~dukptlab.key_hierarchy.derive_children`), and zeroes the consumed
-slot. Every key the table hands out equals the direct derivation chain for
-the same counter, and the tests hold it to that.
+21 future keys, one per counter bit position, in one 21-slot run of the
+one-way step; the IPEK itself is never stored. The keys live in one table of
+16-byte slots, the layout the host's mirror of it keeps too (the slot rule
+is stated once, at :func:`~dukptlab.key_hierarchy.fold_chain`): slot ``q``
+serves counter bit ``q``, and an all-zero slot is empty. Each transaction
+consumes the slot of the lowest set bit of the freshly advanced counter,
+refills every slot below it with one run of the one-way step over those
+slots (:func:`~dukptlab.key_hierarchy.derive_children`), and zeroes the
+consumed slot. Every key the table hands out equals the direct derivation
+chain for the same counter, and the tests hold it to that.
 
 The device line is :meth:`TerminalState.issue` (a counter and its key's 16
 bytes) then :func:`~dukptlab.key_hierarchy.seal`; the host opens the message

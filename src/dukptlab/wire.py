@@ -27,6 +27,7 @@ class Scheme(Enum):
 
 
 _SCHEMES = {scheme.value: scheme for scheme in Scheme}
+_MASTER_SESSION = Scheme.MASTER_SESSION  # read on every message; quicker than the member
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class TransactionMessage:
             not self.encrypted_data or len(self.encrypted_data) % 8
         ):
             raise WireFormatError("encrypted data must be a positive multiple of 8 bytes")
-        if self.scheme is Scheme.MASTER_SESSION:
+        if self.scheme is _MASTER_SESSION:
             if self.wrapped_session_key is None or len(self.wrapped_session_key) != 16:
                 raise WireFormatError("an MS message carries a 16-byte wrapped session key")
         elif self.wrapped_session_key is not None:

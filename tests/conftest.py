@@ -7,6 +7,7 @@ against these strings; they are never recomputed by the code under test.
 """
 
 import pytest
+from hypothesis import settings
 
 from dukptlab.host import HostRegistry
 from dukptlab.key_hierarchy import KeyRole, TdeaKey, derive_ipek, parse_ksn
@@ -47,6 +48,10 @@ PUBLISHED_PIN_CT_100000 = "73EC88AD0AC5830E"
 
 # second key for wrong-BDK scenarios
 OTHER_BDK_HEX = "FEDCBA98765432100123456789ABCDEF"
+
+# a deeper run of the property tests, chosen with --hypothesis-profile=deep;
+# tier-1 keeps hypothesis's default profile
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -258,6 +258,10 @@ def _runs(draw):
 )
 @example(material=bytes(16), raw_ksn=bytes(10), run=(0b1010, 3, 3))
 @example(material=bytes(range(16)), raw_ksn=bytes(10), run=(0, 0, 21))
+# all-ones keys and KSNs: a carry or borrow between 64-bit blocks would show
+@example(material=b"\xff" * 16, raw_ksn=b"\xff" * 10, run=(0, 0, 21))
+@example(material=b"\xff" * 16, raw_ksn=b"\xff" * 10, run=(0, 20, 21))
+@example(material=b"\xff" * 16, raw_ksn=b"\xff" * 10, run=(0x1FF800, 0, 11))
 def test_derive_children_matches_per_child_reference(material, raw_ksn, run):
     prefix, low, high = run
     ksn = Ksn(raw_ksn)
@@ -265,8 +269,7 @@ def test_derive_children_matches_per_child_reference(material, raw_ksn, run):
         children = derive_children(material, ksn, prefix, low, high)
     assert children == b"".join(_reference_child(material, ksn, prefix | 1 << q)
                                 for q in range(low, high))
-    if low == high:
-        assert builds.call_count == 0
+    assert builds.call_count == (0 if low == high else 2)
 
 
 def _reference_key(material, ksn, counter):
