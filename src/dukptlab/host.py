@@ -2,34 +2,31 @@
 
 The registry is a software stand-in for the HSM that would normally hold
 base derivation keys: BDKs go in through :meth:`HostRegistry.register_bdk`
-and never come out through any reply, verdict, or log. For each message the
-host repeats the terminal's derivation, in bytes and ints from parse to
-reply: :meth:`HostRegistry.process_message` reads the KSN once, as one int
-that gives the counter, the device and the key-set id; checks the key set,
-the counter's weight and the device's floor; folds to the transaction key
-as 16 bytes; opens the payload with
-:func:`~dukptlab.key_hierarchy.unseal` and holds a PIN block to
-:func:`~dukptlab.pin_block.structure_ok`; and commits floor and table only
-on an accept. :func:`format_reply` turns the
-:class:`HostVerdict` into the reply. No key object is built on the way; the
-role checks sit at the public entry points.
+and never come out through any reply, verdict, or log. A wire line stays in
+bytes and ints from parse to reply: :meth:`~HostRegistry.handle_wire_line`
+hands the KSN's 10 bytes and the payloads from
+:func:`~dukptlab.wire.parse_fields` to the one policy path, which reads the
+KSN once as an int (counter, device, key-set id, the fold's step messages),
+checks key set, counter weight and floor, folds to the 16-byte key, opens
+the payload with :func:`~dukptlab.key_hierarchy.unseal` (a PIN block also
+with :func:`~dukptlab.pin_block.structure_ok`) and commits only on an
+accept. The reply is ``OK|<counter>`` or a fixed ``ERR|`` string. No
+message, verdict or key object is built, and a ``Ksn`` only for a first
+IPEK. :meth:`~HostRegistry.process_message` runs the same path and returns
+a :class:`HostVerdict`; role checks sit at the public entry points.
 
 The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
-keeps a lazy mirror of the device's own future-key table. After accepting
-counter ``L`` it holds the device's table as it stood when the device
-issued ``L``: :func:`~dukptlab.key_hierarchy.fold_chain` states what that
-table holds and returns the slots a walk rewrites. A later counter ``c`` is
+mirrors the device's own future-key table as it stood when the device
+issued the last accepted counter ``L`` (what that holds is stated at
+:func:`~dukptlab.key_hierarchy.fold_chain`). A later counter ``c`` is
 folded from slot ``s = max(highest bit of c ^ L, lowest set bit of L)``,
-which holds the key of ``c >> s << s``. In-order traffic then derives on
-odd counters only; a device's first message and an evicted device start
-from the BDK. Only an accepted message changes the table.
-
-The trade-off: the table holds what the device itself held when it issued
-``L``, ``key(L)`` and keys of later counters, never an earlier counter's
-key, until the device is evicted (least recently accepted first) or its BDK
-is replaced, and is zero-overwritten then. It holds no IPEK or BDK copy,
-and the BDK the registry already holds opens every one of these keys anyway.
+which holds the key of ``c >> s << s``, so in-order traffic derives on odd
+counters only; a device's first message and an evicted device start from
+the BDK. Only an accept changes the table. It holds ``key(L)`` and later
+counters' keys, never an earlier counter's key or an IPEK or BDK copy (the
+registry's BDK opens all of them anyway), and is zero-overwritten when the
+device is evicted (least recently accepted first) or its BDK is replaced.
 
 Two policies guard the counter, and neither can be turned off: KSNs whose
 counter exceeds the weight bound are rejected outright, and each device's
@@ -50,7 +47,7 @@ from .key_hierarchy import (
     TABLE_BYTES, KeyRole, Ksn, TdeaKey, derive_ipek, derive_key_chain, fold_chain, unseal,
 )
 from .pin_block import structure_ok
-from .wire import Scheme, TransactionMessage, parse_wire
+from .wire import Scheme, TransactionMessage, parse_fields
 
 # devices whose key table is kept; host_scattered's 682 fit
 TABLE_CACHE_DEVICES = 1024
@@ -65,6 +62,7 @@ class VerdictStatus(Enum):
 
 
 _DUKPT, _ACCEPTED = Scheme.DUKPT, VerdictStatus.ACCEPTED  # read per line; quicker than a member
+_ERR_REPLIES = {s: f"ERR|{s.value}" for s in VerdictStatus if s is not _ACCEPTED}
 
 
 @dataclass(frozen=True)
@@ -84,14 +82,12 @@ class HostVerdict:
 class HostRegistry:
     """BDK store, per-device replay log and per-device key tables.
 
-    One lock guards all three. :meth:`process_message` holds it from the BDK
-    lookup to the commit, so a device's counter check, its decrypt, its log
-    update and its table update are atomic, and no BDK replacement or
-    eviction can touch a table while a message is open. Messages therefore
-    run one at a time; the interpreter's global lock serializes the host's
-    work anyway. The walk returns its slots in a fresh run that is copied into
-    the table only on an accept, so any other verdict leaves the table
-    byte-identical and its place in the eviction order unchanged.
+    One lock guards all three, held by the policy path from the BDK lookup to
+    the commit, so a device's counter check, decrypt, log update and table
+    update are atomic and no BDK replacement or eviction touches a table while
+    a message is open; the interpreter's global lock serializes the work
+    anyway. The walk's fresh run reaches the table only on an accept, so no
+    other verdict changes the table's bytes or its place in the eviction order.
     """
 
     def __init__(self) -> None:
@@ -142,33 +138,39 @@ class HostRegistry:
         """Authenticate-by-derivation: re-derive, decrypt, enforce policy."""
         if msg.scheme is not _DUKPT:
             raise ValueError(f"host engine processes DUKPT messages, got {msg.scheme.value}")
-        value = int.from_bytes(msg.ksn.raw, "big")
+        return HostVerdict(*self._process(msg.ksn.raw, msg.encrypted_pin_block,
+                                          msg.encrypted_data))
+
+    def _process(self, ksn_raw: bytes, pin_ct: bytes | None,
+                 data_ct: bytes | None) -> tuple[VerdictStatus, int, bytes | None, bytes | None]:
+        """The one policy path: a verdict's fields for a DUKPT message's parts."""
+        value = int.from_bytes(ksn_raw, "big")
         counter = value & COUNTER_MASK
         device = value >> COUNTER_BITS
         with self._lock:
             bdk = self._bdks.get(device >> DEVICE_ID_BITS)
             if bdk is None:
-                return HostVerdict(VerdictStatus.UNKNOWN_KEY_SET, counter)
+                return VerdictStatus.UNKNOWN_KEY_SET, counter, None, None
             if counter.bit_count() > MAX_COUNTER_WEIGHT:
-                return HostVerdict(VerdictStatus.OVERWEIGHT_COUNTER_REJECTED, counter)
+                return VerdictStatus.OVERWEIGHT_COUNTER_REJECTED, counter, None, None
             # counter 0 names the initial key, never a transaction: it fails too
             last = self._device_log.get(device, 0)
             if counter <= last:
-                return HostVerdict(VerdictStatus.REPLAY_REJECTED, counter)
+                return VerdictStatus.REPLAY_REJECTED, counter, None, None
             table = self._tables.get(device)
             if table is None:
                 table = bytearray(TABLE_BYTES)
-                slot, start = COUNTER_BITS, derive_ipek(bdk, msg.ksn).material
+                slot, start = COUNTER_BITS, derive_ipek(bdk, Ksn(ksn_raw)).material
             else:
                 # last's own slot if counter extends last, else the highest bit where they part
                 slot = max(counter ^ last, last & -last).bit_length() - 1
                 start = bytes(table[16 * slot : 16 * slot + 16])
-            key, run = fold_chain(start, msg.ksn, slot)
+            key, run = fold_chain(start, value, slot)
             try:
-                clear_pin, clear_data = _open(key, msg)
+                clear_pin, clear_data = _open(key, pin_ct, data_ct)
             except DecryptFailed:
                 _wipe(run)
-                return HostVerdict(VerdictStatus.DECRYPT_FAILED, counter)
+                return VerdictStatus.DECRYPT_FAILED, counter, None, None
             self._device_log[device] = counter
             table[: len(run)] = run
             _wipe(run)
@@ -176,24 +178,24 @@ class HostRegistry:
             self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:
                 _wipe(self._tables.popitem(last=False)[1])
-            return HostVerdict(_ACCEPTED, counter, clear_pin, clear_data)
+            return _ACCEPTED, counter, clear_pin, clear_data
 
     def handle_wire_line(self, line: str) -> str:
         """Process one transport line and produce the reply line."""
         try:
-            msg = parse_wire(line)
+            ksn_raw, pin_ct, data_ct, scheme, _ = parse_fields(line)
         except WireFormatError:
             return "ERR|MalformedMessage"
-        if msg.scheme is not _DUKPT:
+        if scheme is not _DUKPT:
             return "ERR|UnsupportedScheme"
-        verdict = self.process_message(msg)
-        return format_reply(verdict)
+        status, counter, _, _ = self._process(ksn_raw, pin_ct, data_ct)
+        return f"OK|{counter}" if status is _ACCEPTED else _ERR_REPLIES[status]
 
 
-def _open(key: bytes, msg: TransactionMessage) -> tuple[bytes | None, bytes | None]:
+def _open(key: bytes, pin: bytes | None, data: bytes | None) -> tuple[bytes | None, bytes | None]:
     """:func:`~dukptlab.key_hierarchy.unseal` under ``key``, then the PIN block's
     structure check."""
-    clear_pin, clear_data = unseal(key, msg.encrypted_pin_block, msg.encrypted_data)
+    clear_pin, clear_data = unseal(key, pin, data)
     if clear_pin is not None and not structure_ok(clear_pin):
         raise DecryptFailed("PIN block fails the format-0 structure check")
     return clear_pin, clear_data
@@ -205,6 +207,4 @@ def _wipe(buffer: bytearray) -> None:
 
 def format_reply(verdict: HostVerdict) -> str:
     """Reply line: ``OK|<counter-decimal>`` or ``ERR|<status-name>``."""
-    if verdict.accepted:
-        return f"OK|{verdict.derived_counter}"
-    return f"ERR|{verdict.status.value}"
+    return f"OK|{verdict.derived_counter}" if verdict.accepted else _ERR_REPLIES[verdict.status]

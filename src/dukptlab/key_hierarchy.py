@@ -131,22 +131,22 @@ class Ksn:
             raise LengthError(f"KSN must be 10 bytes, got {len(self.raw)}")
 
     @property
-    def _value(self) -> int:
+    def value(self) -> int:
         return int.from_bytes(self.raw, "big")
 
     @property
     def counter(self) -> int:
-        return self._value & COUNTER_MASK
+        return self.value & COUNTER_MASK
 
     @property
     def initial_id(self) -> int:
         """The 59 identifier bits above the counter."""
-        return self._value >> COUNTER_BITS
+        return self.value >> COUNTER_BITS
 
     @property
     def key_set_id(self) -> int:
         """Leftmost 24 bits; selects the base derivation key."""
-        return self._value >> COUNTER_BITS + DEVICE_ID_BITS
+        return self.value >> COUNTER_BITS + DEVICE_ID_BITS
 
     @property
     def base(self) -> "Ksn":
@@ -156,7 +156,7 @@ class Ksn:
     def with_counter(self, counter: int) -> "Ksn":
         if not 0 <= counter <= COUNTER_MASK:
             raise ValueError(f"counter out of 21-bit range: {counter:#x}")
-        value = (self._value & ~COUNTER_MASK) | counter
+        value = (self.value & ~COUNTER_MASK) | counter
         return Ksn(value.to_bytes(10, "big"))
 
     @property
@@ -240,26 +240,26 @@ def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
     return TdeaKey(left + right, KeyRole.INITIAL)
 
 
-def derive_children(material: bytes, ksn: Ksn, prefix: int, low: int, high: int) -> bytes:
+def derive_children(material: bytes, ksn: int, prefix: int, low: int, high: int) -> bytes:
     """The non-reversible derivation step: the children of ``material = key(prefix)``
     in table slots ``low .. high-1``.
 
     The child in slot ``q`` is the key of counter ``prefix | 1 << q``; ``prefix``
-    is clear on those bits. Its step message is the rightmost 8 bytes of
-    ``ksn`` with the counter bits replaced by that counter. Each half of a
-    child is single-DES under the left half of a key, the parent masked with
-    :data:`KEY_HALF_MASK` for the left and the parent for the right, with
-    pre/post whitening ``w`` by that key's right half; recovering the parent
-    from a child requires a key search. Those keys depend on the parent alone,
-    so one ECB pass per half derives every child: exactly two cipher builds
+    is clear on those bits. Its step message is the rightmost 64 bits of the KSN
+    ``ksn``, an int (:attr:`Ksn.value`), with the counter bits replaced by that
+    counter. Each half of a child is single-DES under the left half of a key, the
+    parent masked with :data:`KEY_HALF_MASK` for the left and the parent for the
+    right, with pre/post whitening ``w`` by that key's right half; recovering the
+    parent from a child requires a key search. Those keys depend on the parent
+    alone, so one ECB pass per half derives every child: exactly two cipher builds
     for a non-empty run, none for an empty one. A pass's plaintext is one int
     built at a fixed op count, ``((base ^ w) * rep) ^ steps`` for the ``n``
     children: the repunit ``rep = (2**(64*n) - 1) // (2**64 - 1)`` has a 1 in
-    every 64-bit block, and ``steps``, the 63-bit-stride repunit shifted left
-    by ``high - 1``, sets bit ``q`` in slot ``q``'s block, the first child's
-    block leftmost; nothing carries between blocks. The two passes' halves are
-    interleaved into one run of 16-byte slots, the layout of a future-key
-    table (see :func:`fold_chain`).
+    every 64-bit block, and ``steps``, the 63-bit-stride repunit shifted left by
+    ``high - 1``, sets bit ``q`` in slot ``q``'s block, the first child's block
+    leftmost; nothing carries between blocks. The two passes' halves are
+    interleaved into one run of 16-byte slots, the layout of a future-key table
+    (see :func:`fold_chain`).
     """
     if low >= high:
         return b""
@@ -267,7 +267,7 @@ def derive_children(material: bytes, ksn: Ksn, prefix: int, low: int, high: int)
         raise LengthError(f"key material must be 16 bytes, got {len(material)}")
     n = high - low
     rep, steps = _REPUNITS[n], _STEPS[n] << high - 1
-    base = (int.from_bytes(ksn.raw[-8:], "big") & ~COUNTER_MASK) | prefix
+    base = ksn & _BLOCK_MASK & ~COUNTER_MASK | prefix
     parent = int.from_bytes(material, "big")
     masked_parent = parent ^ KEY_HALF_MASK
     w_left, w_right = masked_parent & _BLOCK_MASK, parent & _BLOCK_MASK
@@ -294,7 +294,7 @@ def nrkgp(current_key: TdeaKey, ksn: Ksn) -> TdeaKey:
     if counter == 0:
         raise ValueError("nrkgp needs a KSN with at least one counter bit set")
     low = (counter & -counter).bit_length() - 1
-    material = derive_children(current_key.material, ksn, counter ^ 1 << low, low, low + 1)
+    material = derive_children(current_key.material, ksn.value, counter ^ 1 << low, low, low + 1)
     return TdeaKey(material, KeyRole.TRANSACTION)
 
 
@@ -317,15 +317,15 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
     material, prefix = ipek.material, 0
     while prefix != counter:
         bit = (counter ^ prefix).bit_length() - 1
-        material = derive_children(material, ksn, prefix, bit, bit + 1)
+        material = derive_children(material, ksn.value, prefix, bit, bit + 1)
         prefix |= 1 << bit
     return TdeaKey(material, KeyRole.TRANSACTION)
 
 
-def fold_chain(material: bytes, ksn: Ksn, slot: int) -> tuple[bytes, bytearray]:
-    """Fold from the key in table slot ``slot`` to the key of the KSN's counter ``c``,
-    and return it with the table slots ``0 .. min(slot, 20)`` as the device holds
-    them when it issues ``c``.
+def fold_chain(material: bytes, ksn: int, slot: int) -> tuple[bytes, bytearray]:
+    """Fold from the key in table slot ``slot`` to the key of counter ``c`` of the KSN
+    ``ksn``, given as the int :attr:`Ksn.value`, and return it with the table slots
+    ``0 .. min(slot, 20)`` as the device holds them when it issues ``c``.
 
     A future-key table has one 16-byte slot per counter bit, :data:`TABLE_BYTES`
     in all: slot ``q`` holds the key of a counter whose lowest set bit is ``q``,
@@ -341,7 +341,7 @@ def fold_chain(material: bytes, ksn: Ksn, slot: int) -> tuple[bytes, bytearray]:
     starts this walk from the slot its table holds; :func:`derive_key_chain`
     is the plain fold it is checked against.
     """
-    counter = ksn.counter
+    counter = ksn & COUNTER_MASK
     prefix = counter >> slot << slot
     run = bytearray(16 * min(slot + 1, COUNTER_BITS))
     while prefix != counter:

@@ -109,7 +109,8 @@ class TerminalState:
         # the bits below the consumed one are clear, so every child adds one
         # set bit: either all of them fit under the weight bound or none do
         if counter.bit_count() < MAX_COUNTER_WEIGHT:
-            self.table[: 16 * low] = derive_children(material, self.base_ksn, counter, 0, low)
+            ksn = self.base_ksn.value
+            self.table[: 16 * low] = derive_children(material, ksn, counter, 0, low)
         self.table[16 * low : 16 * low + 16] = bytes(16)
         self._counter = counter
         return counter, material
@@ -129,7 +130,7 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
         raise KeyRoleError(f"terminal init needs an Initial key, got {ipek.role.value}")
     if initial_ksn.counter != 0:
         raise NonZeroCounter(f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
-    children = derive_children(ipek.material, initial_ksn, 0, 0, COUNTER_BITS)
+    children = derive_children(ipek.material, initial_ksn.value, 0, 0, COUNTER_BITS)
     return TerminalState(initial_ksn, table=bytearray(children))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyMessage, WireFormatError
-from .key_hierarchy import Ksn, parse_ksn
+from .key_hierarchy import Ksn
 
 WIRE_TAG = "DUKPT1"
 
@@ -46,19 +46,23 @@ class TransactionMessage:
     wrapped_session_key: bytes | None = None
 
     def __post_init__(self) -> None:
-        if self.encrypted_pin_block is None and self.encrypted_data is None:
-            raise EmptyMessage("message must carry a PIN block or data (or both)")
-        if self.encrypted_pin_block is not None and len(self.encrypted_pin_block) != 8:
-            raise WireFormatError("encrypted PIN block must be 8 bytes")
-        if self.encrypted_data is not None and (
-            not self.encrypted_data or len(self.encrypted_data) % 8
-        ):
-            raise WireFormatError("encrypted data must be a positive multiple of 8 bytes")
-        if self.scheme is _MASTER_SESSION:
-            if self.wrapped_session_key is None or len(self.wrapped_session_key) != 16:
-                raise WireFormatError("an MS message carries a 16-byte wrapped session key")
-        elif self.wrapped_session_key is not None:
-            raise WireFormatError("only an MS message carries a wrapped session key")
+        _check_payload(self.encrypted_pin_block, self.encrypted_data, self.scheme,
+                       self.wrapped_session_key)
+
+
+def _check_payload(pin_ct: bytes | None, data_ct: bytes | None, scheme: Scheme,
+                   wrapped: bytes | None) -> None:
+    if pin_ct is None and data_ct is None:
+        raise EmptyMessage("message must carry a PIN block or data (or both)")
+    if pin_ct is not None and len(pin_ct) != 8:
+        raise WireFormatError("encrypted PIN block must be 8 bytes")
+    if data_ct is not None and (not data_ct or len(data_ct) % 8):
+        raise WireFormatError("encrypted data must be a positive multiple of 8 bytes")
+    if scheme is _MASTER_SESSION:
+        if wrapped is None or len(wrapped) != 16:
+            raise WireFormatError("an MS message carries a 16-byte wrapped session key")
+    elif wrapped is not None:
+        raise WireFormatError("only an MS message carries a wrapped session key")
 
 
 def _hex_or_dash(value: bytes | None) -> str:
@@ -79,26 +83,24 @@ def encode_wire(msg: TransactionMessage) -> str:
 
 
 def _parse_hex(field: str, name: str) -> bytes:
-    # bytes.fromhex tolerates embedded whitespace and isalnum() passes
-    # non-ASCII digits; the wire format takes neither
-    if field and not len(field) % 2 and field.isascii() and field.isalnum():
-        try:
-            return bytes.fromhex(field)
-        except ValueError:
-            pass
+    try:
+        raw = bytes.fromhex(field)  # hex digits, but it skips whitespace: two digits a byte
+    except ValueError:
+        raw = b""
+    if raw and 2 * len(raw) == len(field):
+        return raw
     raise WireFormatError(f"{name} is not valid even-length hex: {field!r}")
 
 
-def parse_wire(line: str) -> TransactionMessage:
+def _split(line: str) -> tuple[bytes, bytes | None, bytes | None, Scheme, bytes | None]:
     fields = line.strip().split("|")
     if fields[0] != WIRE_TAG:
         raise WireFormatError(f"line does not start with {WIRE_TAG}")
     if len(fields) not in (5, 6):
         raise WireFormatError(f"expected 5 or 6 fields, got {len(fields)}")
-    try:
-        ksn = parse_ksn(fields[1])
-    except ValueError as exc:
-        raise WireFormatError(f"bad KSN field: {exc}") from exc
+    ksn_raw = _parse_hex(fields[1], "KSN")
+    if len(ksn_raw) != 10:
+        raise WireFormatError(f"KSN is not 20 hex digits: {fields[1]!r}")
     pin_ct = None if fields[2] == "-" else _parse_hex(fields[2], "pinblock")
     data_ct = None if fields[3] == "-" else _parse_hex(fields[3], "data")
     scheme = _SCHEMES.get(fields[4])
@@ -106,4 +108,16 @@ def parse_wire(line: str) -> TransactionMessage:
         raise WireFormatError(f"unknown scheme tag {fields[4]!r}")
     # no "-" here: a wrapped session key is sent only when present
     wrapped = _parse_hex(fields[5], "wrapped session key") if len(fields) == 6 else None
-    return TransactionMessage(ksn, pin_ct, data_ct, scheme, wrapped)
+    return ksn_raw, pin_ct, data_ct, scheme, wrapped
+
+
+def parse_fields(line: str) -> tuple[bytes, bytes | None, bytes | None, Scheme, bytes | None]:
+    """``(ksn_raw, pin_ct, data_ct, scheme, wrapped)``, checked as :func:`parse_wire` checks."""
+    _, pin_ct, data_ct, scheme, wrapped = fields = _split(line)
+    _check_payload(pin_ct, data_ct, scheme, wrapped)
+    return fields
+
+
+def parse_wire(line: str) -> TransactionMessage:
+    ksn_raw, pin_ct, data_ct, scheme, wrapped = _split(line)
+    return TransactionMessage(Ksn(ksn_raw), pin_ct, data_ct, scheme, wrapped)

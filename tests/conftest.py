@@ -49,6 +49,37 @@ PUBLISHED_PIN_CT_100000 = "73EC88AD0AC5830E"
 # second key for wrong-BDK scenarios
 OTHER_BDK_HEX = "FEDCBA98765432100123456789ABCDEF"
 
+# the benchmark traffic's malformed wire lines (perfbench/traffic.py), as templates
+MALFORMED_TEMPLATES = ["", "DUKPT1", "DUKPT2|{ksn}|{pin}|-|DUKPT", "DUKPT1|{ksn}|{pin}|-",
+                       "DUKPT1|{ksn}|{pin}|-|DUKPT|extra", "DUKPT1|{ksn_short}|{pin}|-|DUKPT",
+                       "DUKPT1|{ksn}|{pin_short}|-|DUKPT", "DUKPT1|{ksn}|-|-|DUKPT",
+                       "DUKPT1|{ksn}|{pin}|ABC|DUKPT", "DUKPT1|{ksn}|{pin}|-|NOPE",
+                       "DUKPT1|{ksn_bad}|{pin}|-|DUKPT"]
+# what a near-miss edits a wire line with: hex digits in either case, the separator, the
+# dash, scheme tags, whitespace, NUL, a non-ASCII digit, and the 0x, _ and sign that
+# int(s, 16) would take
+EDIT_TOKENS = [*"0123456789ABCDEFabcdef", "|", "-", "DUKPT1", "DUKPT", "FIXED", "MS", " ", "\t",
+               "\x00", "\u0663", "0x", "_", "+"]
+
+
+def malformed_line(template, ksn_hex, pin_hex):
+    return template.format(ksn=ksn_hex, ksn_short=ksn_hex[:-2], ksn_bad=ksn_hex[:-1] + "G",
+                           pin=pin_hex, pin_short=pin_hex[:-2])
+
+
+def edited(line, edits):
+    """``line`` after each ``(kind, position, token)`` edit in turn; a kind is
+    ``substitute``, ``insert`` or ``delete``, and a position wraps around the line."""
+    chars = list(line)
+    for kind, at, token in edits:
+        at %= len(chars) + 1
+        if kind != "insert" and at < len(chars):
+            del chars[at]
+        if kind != "delete":
+            chars.insert(at, token)
+    return "".join(chars)
+
+
 # a deeper run of the property tests, chosen with --hypothesis-profile=deep;
 # tier-1 keeps hypothesis's default profile
 settings.register_profile("deep", max_examples=2000, deadline=None)

@@ -3,11 +3,16 @@
 import random
 import sys
 import threading
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dukptlab import host
-from dukptlab.errors import CounterOverweight, DuplicateKeySet, KeyRoleError, UnknownKeySet
+from dukptlab.errors import (
+    CounterOverweight, DuplicateKeySet, KeyRoleError, UnknownKeySet, WireFormatError,
+)
 from dukptlab.host import HostRegistry, VerdictStatus, format_reply
 from dukptlab.key_hierarchy import (
     COUNTER_MASK,
@@ -22,9 +27,12 @@ from dukptlab.key_hierarchy import (
 )
 from dukptlab.pin_block import encode_iso0
 from dukptlab.terminal import encrypt_data, encrypt_pin, init_terminal
-from dukptlab.wire import Scheme, TransactionMessage, encode_wire
+from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
-from conftest import INTEROP_PAN, INTEROP_PIN, OTHER_BDK_HEX
+from conftest import (
+    EDIT_TOKENS, INTEROP_PAN, INTEROP_PIN, MALFORMED_TEMPLATES, OTHER_BDK_HEX, edited,
+    malformed_line,
+)
 
 CLEAR_BLOCK_ARGS = (INTEROP_PIN, INTEROP_PAN)
 
@@ -455,10 +463,10 @@ def test_bdk_replaced_while_a_message_is_open_drops_its_chain(monkeypatch, regis
     opened, release = threading.Event(), threading.Event()
     verdicts = []
 
-    def open_and_wait(key, msg):
+    def open_and_wait(*args):
         opened.set()
         release.wait(timeout=120)
-        return real_open(key, msg)
+        return real_open(*args)
 
     monkeypatch.setattr(host, "_open", open_and_wait)
     message = threading.Thread(
@@ -572,3 +580,90 @@ def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
         assert replies == [f"OK|{n}" for n in range(1, 13) for _ in range(8)]
     assert len(registry._tables) == 5
     _assert_cache_matches_reference(registry)
+
+
+# --- the two entry points -------------------------------------------------------------
+
+# key-set id -> devices; the last set is never registered
+_STREAM_KEY_SETS = {0x5A5A5A: 2, 0xC3C3C3: 2, 0x0F0F0F: 1}
+_STREAM_BDKS = {key_set: TdeaKey.from_bytes(random.Random(key_set).randbytes(16))
+                for key_set in _STREAM_KEY_SETS}
+_STREAM_KINDS = {"honest": 30, "gapped": 8, "replayed": 8, "tampered": 3, "forged": 3,
+                 "overweight": 4, "unknown": 4, "fixed": 3, "ms": 3, "near-miss": 10,
+                 "malformed": 5}
+
+
+
+def _stream(seed, n_lines=60):
+    """A seeded mix of honest, gapped, replayed, tampered, forged, overweight,
+    unknown-key-set, FIXED and MS, near-miss and malformed lines from five devices
+    over three key sets. A tampered line is an honest one with its last data block
+    zeroed, so its PIN block opens and its data does not."""
+    rng = random.Random(seed)
+    terminals = [init_terminal(derive_ipek(_STREAM_BDKS[key_set], ksn), ksn)
+                 for key_set, count in _STREAM_KEY_SETS.items()
+                 for ksn in (_device_ksn(key_set, i) for i in range(count))]
+    sent = []
+    for _ in range(n_lines):
+        kind = rng.choices(list(_STREAM_KINDS), weights=list(_STREAM_KINDS.values()))[0]
+        term = rng.choice(terminals[:-1] if kind != "unknown" else terminals[-1:])
+        ksn = term.base_ksn.with_counter(rng.randrange(1, 1 << 21))
+        if kind == "replayed" and sent:
+            line = rng.choice(sent)
+        elif kind == "near-miss" and sent:
+            kinds = ["substitute", "substitute", "insert", "delete"]
+            line = edited(rng.choice(sent), [
+                (rng.choice(kinds), rng.randrange(1 << 16), rng.choice(EDIT_TOKENS))
+                for _ in range(rng.randint(1, 4))])
+        elif kind == "malformed":
+            line = malformed_line(rng.choice(MALFORMED_TEMPLATES), ksn.hex, rng.randbytes(8).hex())
+        elif kind == "overweight":
+            counter = sum(1 << b for b in rng.sample(range(21), rng.randint(11, 21)))
+            line = encode_wire(TransactionMessage(ksn.with_counter(counter), rng.randbytes(8)))
+        elif kind in ("fixed", "ms"):
+            scheme = Scheme.FIXED if kind == "fixed" else Scheme.MASTER_SESSION
+            wrapped = rng.randbytes(16) if kind == "ms" else None
+            line = encode_wire(TransactionMessage(ksn, None, rng.randbytes(16), scheme, wrapped))
+        elif kind == "tampered":
+            msg = _message(term)
+            line = encode_wire(replace(msg, encrypted_data=msg.encrypted_data[:-8]
+                                       + bytes(8)))
+        elif kind == "forged":
+            line = encode_wire(TransactionMessage(ksn, rng.randbytes(8), rng.randbytes(16)))
+        else:
+            for _ in range(rng.randint(1, 40) if kind == "gapped" else 0):
+                term.issue()
+            payload = rng.choice([(True, True), (True, False), (False, True)])
+            line = encode_wire(term.build_message(
+                encode_iso0(*CLEAR_BLOCK_ARGS) if payload[0] else None,
+                rng.randbytes(rng.randrange(1, 40)) if payload[1] else None))
+            sent.append(line)
+        yield line
+
+
+def _reply_through_message(registry, line):
+    """The reply as perfbench's pre-check builds it: parse_wire, process_message,
+    format_reply, with the malformed and unsupported replies written out."""
+    try:
+        msg = parse_wire(line)
+    except WireFormatError:
+        return "ERR|MalformedMessage"
+    if msg.scheme is not Scheme.DUKPT:
+        return "ERR|UnsupportedScheme"
+    return format_reply(registry.process_message(msg))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
+@settings(deadline=None)
+def test_wire_line_and_message_entry_points_agree(seed):
+    wire_host, message_host = HostRegistry(), HostRegistry()
+    for key_set in list(_STREAM_BDKS)[:-1]:
+        wire_host.register_bdk(key_set, _STREAM_BDKS[key_set])
+        message_host.register_bdk(key_set, _STREAM_BDKS[key_set])
+    # three tables for four known devices, so evictions happen too
+    with mock.patch.object(host, "TABLE_CACHE_DEVICES", 3):
+        for line in _stream(seed):
+            assert wire_host.handle_wire_line(line) == _reply_through_message(message_host, line)
+            assert wire_host._device_log == message_host._device_log
+            assert list(wire_host._tables.items()) == list(message_host._tables.items())

@@ -266,7 +266,7 @@ def test_derive_children_matches_per_child_reference(material, raw_ksn, run):
     prefix, low, high = run
     ksn = Ksn(raw_ksn)
     with mock.patch.object(tdes, "_cipher", wraps=tdes._cipher) as builds:
-        children = derive_children(material, ksn, prefix, low, high)
+        children = derive_children(material, ksn.value, prefix, low, high)
     assert children == b"".join(_reference_child(material, ksn, prefix | 1 << q)
                                 for q in range(low, high))
     assert builds.call_count == (0 if low == high else 2)
@@ -297,7 +297,7 @@ def test_fold_chain_returns_the_run_the_device_holds(ipek, initial_ksn, counter,
     prefix = sum(1 << pos for pos in bits[:kept])
     top = (prefix & -prefix).bit_length() - 1 if prefix else 21
     start = _reference_key(ipek.material, ksn, prefix)
-    key, run = fold_chain(start, ksn, top)
+    key, run = fold_chain(start, ksn.value, top)
     assert key == _reference_key(ipek.material, ksn, counter)
     assert len(run) == 16 * min(top + 1, 21)
     low = (counter & -counter).bit_length() - 1
@@ -319,13 +319,13 @@ def test_fold_chain_starts_from_any_slot(ipek, initial_ksn, counter):
     expected = _reference_key(ipek.material, ksn, counter)
     for slot in range(22):
         start = _reference_key(ipek.material, ksn, counter >> slot << slot)
-        assert fold_chain(start, ksn, slot)[0] == expected
+        assert fold_chain(start, ksn.value, slot)[0] == expected
 
 
 def test_derive_children_rejects_material_that_is_not_16_bytes(ipek, initial_ksn):
     for size in (8, 15, 17, 24):
         with pytest.raises(LengthError):
-            derive_children((ipek.material * 2)[:size], initial_ksn, 0, 0, 1)
+            derive_children((ipek.material * 2)[:size], initial_ksn.value, 0, 0, 1)
 
 
 @pytest.mark.parametrize("counter,expected", sorted(FROZEN_KEYS.items()))

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 from dukptlab.errors import EmptyMessage, WireFormatError
 from dukptlab.host import HostRegistry
 from dukptlab.key_hierarchy import parse_ksn
-from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_wire
+from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_fields, parse_wire
+
+from conftest import EDIT_TOKENS, MALFORMED_TEMPLATES, edited, malformed_line
 
 KSN = parse_ksn("FFFF9876543210E00001")
 
@@ -143,3 +145,64 @@ def test_unknown_scheme_tags_are_malformed(tag):
         parse_wire(five)
     host = HostRegistry()
     assert host.handle_wire_line(six) == host.handle_wire_line(five) == "ERR|MalformedMessage"
+
+
+# --- parse_fields against parse_wire ----------------------------------------------------
+
+# KSN fields int(s, 16) would take (a 0x prefix, _ separators, a sign, whitespace), a
+# non-ASCII digit, and 18, 19, 21 and 22 characters: the field stays exactly 20 ASCII
+# hex digits
+_KSN_SPOILERS = ["0xFF9876543210E00001", "FFFF_9876543210E0001", "FFFF9876_543210E00001",
+                 "+FFF9876543210E00001", "-FFF9876543210E00001", "FFFF 9876543210E0001",
+                 "FFFF9876543210E0000 ", " FFFF9876543210E0001", "FFFF\t9876543210E0001",
+                 "\u0660FFF9876543210E00001", "FFFF9876543210E0000", "FFFF9876543210E000001",
+                 "FFFF9876543210E000", "FFFF9876543210E0000001",
+                 # 20 digits and whitespace, which bytes.fromhex would skip
+                 "FFFF 9876543210E00001", "FFFF9876543210E00001\t"]
+
+
+def _either(parse, line):
+    try:
+        return parse(line)
+    except WireFormatError:
+        return None
+
+
+def _assert_parsers_agree(line):
+    msg, fields = _either(parse_wire, line), _either(parse_fields, line)
+    assert (msg is None) == (fields is None), line
+    if msg is not None:
+        assert fields == (msg.ksn.raw, msg.encrypted_pin_block, msg.encrypted_data, msg.scheme,
+                          msg.wrapped_session_key)
+
+
+@pytest.mark.parametrize("ksn", _KSN_SPOILERS)
+@pytest.mark.parametrize("fields", [_DUKPT_FIELDS, _MS_FIELDS])
+def test_parse_fields_refuses_a_ksn_that_is_not_20_hex_digits(fields, ksn):
+    line = "|".join(fields[:1] + [ksn] + fields[2:])
+    with pytest.raises(WireFormatError):
+        parse_fields(line)
+    _assert_parsers_agree(line)
+
+
+@pytest.mark.parametrize("template", MALFORMED_TEMPLATES)
+def test_parse_fields_refuses_the_malformed_lines(template):
+    line = malformed_line(template, _DUKPT_FIELDS[1], _DUKPT_FIELDS[2])
+    with pytest.raises(WireFormatError):
+        parse_fields(line)
+    _assert_parsers_agree(line)
+
+
+def test_parse_fields_reads_lowercase_hex():
+    line = "|".join(f.lower() if 1 <= i <= 3 else f for i, f in enumerate(_DUKPT_FIELDS))
+    assert parse_fields(line) == (bytes.fromhex(_DUKPT_FIELDS[1]), bytes.fromhex("AA" * 8),
+                                  bytes.fromhex(_DUKPT_FIELDS[3]), Scheme.DUKPT, None)
+    _assert_parsers_agree(line)
+
+
+@given(base=st.sampled_from([_DUKPT_FIELDS, _MS_FIELDS,
+                             ["DUKPT1", "FFFF9876543210E00001", "-", "00" * 8, "FIXED"]]),
+       edits=st.lists(st.tuples(st.sampled_from(["substitute", "insert", "delete"]),
+                                st.integers(0, 200), st.sampled_from(EDIT_TOKENS)), max_size=4))
+def test_parse_fields_agrees_with_parse_wire(base, edits):
+    _assert_parsers_agree(edited("|".join(base), edits))
