@@ -263,12 +263,10 @@ def derive_children(material: bytes, ksn: int, prefix: int, low: int, high: int)
     """
     if low >= high:
         return b""
-    if len(material) != 16:
-        raise LengthError(f"key material must be 16 bytes, got {len(material)}")
+    parent = _key_int(material)
     n = high - low
     rep, steps = _REPUNITS[n], _STEPS[n] << high - 1
     base = ksn & _BLOCK_MASK & ~COUNTER_MASK | prefix
-    parent = int.from_bytes(material, "big")
     masked_parent = parent ^ KEY_HALF_MASK
     w_left, w_right = masked_parent & _BLOCK_MASK, parent & _BLOCK_MASK
     left = tdes.ecb_encrypt((masked_parent >> 64).to_bytes(8, "big"),
@@ -357,28 +355,35 @@ def fold_chain(material: bytes, ksn: int, slot: int) -> tuple[bytes, bytearray]:
     return material, run
 
 
-def masked(material: bytes, mask: int) -> bytes:
-    """16-byte key material XORed with one of this module's 128-bit masks."""
+def _key_int(material: bytes) -> int:
     if len(material) != 16:
         raise LengthError(f"key material must be 16 bytes, got {len(material)}")
-    return (int.from_bytes(material, "big") ^ mask).to_bytes(16, "big")
+    return int.from_bytes(material, "big")
+
+
+def masked(material: bytes, mask: int) -> bytes:
+    """16-byte key material XORed with one of this module's 128-bit masks."""
+    return (_key_int(material) ^ mask).to_bytes(16, "big")
 
 
 def seal(material: bytes, clear_pin_block: bytes | None, data: bytes | None) -> _Parts:
     """Encrypt the PIN block (one TDEA block) and the data (padded CBC, zero IV) under
     the PIN and data variants of a transaction key's 16 bytes; an absent part stays None."""
+    key = _key_int(material)
     pin_ct = None if clear_pin_block is None else tdes.encrypt_block(
-        masked(material, PIN_VARIANT_MASK), clear_pin_block)
-    data_ct = None if data is None else tdes.cbc_encrypt(masked(material, DATA_VARIANT_MASK), data)
+        (key ^ PIN_VARIANT_MASK).to_bytes(16, "big"), clear_pin_block)
+    data_ct = None if data is None else tdes.cbc_encrypt(
+        (key ^ DATA_VARIANT_MASK).to_bytes(16, "big"), data)
     return pin_ct, data_ct
 
 
 def unseal(material: bytes, pin_ct: bytes | None, data_ct: bytes | None) -> _Parts:
     """Inverse of :func:`seal`; bad padding on the data raises DecryptFailed."""
+    key = _key_int(material)
     clear_pin = None if pin_ct is None else tdes.ecb_decrypt(
-        masked(material, PIN_VARIANT_MASK), pin_ct)
+        (key ^ PIN_VARIANT_MASK).to_bytes(16, "big"), pin_ct)
     clear_data = None if data_ct is None else tdes.cbc_decrypt(
-        masked(material, DATA_VARIANT_MASK), data_ct)
+        (key ^ DATA_VARIANT_MASK).to_bytes(16, "big"), data_ct)
     return clear_pin, clear_data
 
 

@@ -336,9 +336,8 @@ def run_simulation(
         registry = _host_for(bdk, term)
 
         def send() -> tuple[TransactionMessage, bytes]:
-            counter, material = term.issue()
-            ksn = term.base_ksn.with_counter(counter)
-            return TransactionMessage(ksn, *seal(material, clear_block, payload)), material
+            material = term.issue()[1]
+            return TransactionMessage(term.ksn, *seal(material, clear_block, payload)), material
 
         def receive(msg: TransactionMessage) -> VerdictStatus:
             return registry.process_message(msg).status

@@ -13,20 +13,23 @@ thirds of a build, which every per-transaction key pays per use. The factory is
 private API, verified on cryptography 48.0.0 (the declared floor); without it,
 importing this module raises ``ImportError`` naming the installed version.
 
+A one-shot over one block builds zero-IV CBC, which on one block is ECB both ways
+(NIST SP 800-38A) and costs the factory three ABC ``isinstance`` checks to ECB's six;
+multi-block ECB stays ECB, as undoing CBC's chaining would cost an ``update`` a block.
+
 A :class:`TdeaCipher` is a loaded key: it builds each cipher context it
 needs once and keeps it for every later message. Only long-lived keys are
-loaded: the fixed-key scheme's permanent key and the Master/Session KEK,
-each by its holder in :mod:`dukptlab.baseline` and once more by the host
-side of a simulation run. The module-level functions build a context on the
-same key bundle and drop it, so a per-transaction key's contexts end with
-the call. The kept CBC encryption context chains on from the last
-ciphertext block it produced; that block is XORed into the next message's
-first plaintext block, so every message still starts from the zero IV and
-encrypts exactly as a one-shot call would. A context is only ever fed whole
-blocks. CBC decryption under a loaded key keeps no chaining state: it runs
-the kept ECB decryption context and XORs each block with the ciphertext
-block before it. A loaded key still has a single owner: two threads
-encrypting CBC under one key would interleave its chaining state.
+loaded: the fixed-key scheme's permanent key and the Master/Session KEK, each
+by its holder in :mod:`dukptlab.baseline` and once more by a simulation run's
+host side. The one-shots build a context on the same key bundle and drop it,
+so a per-transaction key's contexts end with the call. The kept CBC encryption
+context chains on from the last ciphertext block it produced; that block is
+XORed into the next message's first plaintext block, so every message still starts
+from the zero IV and encrypts exactly as a one-shot call would. A context is only
+ever fed whole blocks. CBC decryption under a loaded key keeps no chaining state: it
+runs the kept ECB decryption context and XORs each block with the ciphertext block
+before it. A loaded key still has a single owner: two threads encrypting CBC under
+one key would interleave its chaining state.
 
 Padding is the 0x80-marker scheme: append one 0x80 byte, then 0x00 bytes up
 to the next 8-byte boundary. It is mandatory, so every ciphertext decrypts
@@ -137,22 +140,22 @@ def _unpadded(data: bytes) -> bytes:
 
 
 def encrypt_block(key: bytes, block: bytes) -> bytes:
-    """TDEA-ECB of a single 8-byte block; an 8-byte key means single DES."""
+    """TDEA-ECB of a single 8-byte block (run as zero-IV CBC); an 8-byte key means single DES."""
     if len(block) != BLOCK_SIZE:
         raise LengthError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return _cipher(_bundle(key), _ECB, True).update(block)
+    return _cipher(_bundle(key), _CBC, True).update(block)
 
 
 def ecb_encrypt(key: bytes, data: bytes) -> bytes:
-    """One-shot :meth:`TdeaCipher.ecb_encrypt`."""
+    """One-shot :meth:`TdeaCipher.ecb_encrypt`; one block runs as zero-IV CBC."""
     _whole_blocks(data, LengthError, "ECB payload")
-    return _cipher(_bundle(key), _ECB, True).update(data)
+    return _cipher(_bundle(key), _CBC if len(data) == BLOCK_SIZE else _ECB, True).update(data)
 
 
 def ecb_decrypt(key: bytes, data: bytes) -> bytes:
-    """One-shot :meth:`TdeaCipher.ecb_decrypt`."""
+    """One-shot :meth:`TdeaCipher.ecb_decrypt`; one block runs as zero-IV CBC."""
     _whole_blocks(data, LengthError, "ECB payload")
-    return _cipher(_bundle(key), _ECB, False).update(data)
+    return _cipher(_bundle(key), _CBC if len(data) == BLOCK_SIZE else _ECB, False).update(data)
 
 
 def pad(data: bytes) -> bytes:

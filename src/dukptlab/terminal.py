@@ -13,10 +13,10 @@ consumed slot. Every key the table hands out equals the direct derivation
 chain for the same counter, and the tests hold it to that.
 
 The device line is :meth:`TerminalState.issue` (a counter and its key's 16
-bytes) then :func:`~dukptlab.key_hierarchy.seal`; the host opens the message
-with :func:`~dukptlab.key_hierarchy.unseal`.
-:meth:`~TerminalState.next_transaction_key` and the four key-object payload
-functions are adapters over these that check roles.
+bytes), :func:`~dukptlab.key_hierarchy.seal` and :attr:`TerminalState.ksn`, the
+one route to a message's KSN; the host opens the message with
+:func:`~dukptlab.key_hierarchy.unseal`. :meth:`~TerminalState.next_transaction_key`
+and the four key-object payload functions are adapters that check roles.
 
 Key erasure is modeled by zero-overwriting the table in place;
 tamper-resistant hardware is out of scope, but the visible contract (no
@@ -24,8 +24,6 @@ spent key material remains reachable from the state) is real.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import CounterExhausted, EmptyPlaintext, KeyRoleError, LengthError, NonZeroCounter
 from .key_hierarchy import (
@@ -35,20 +33,30 @@ from .key_hierarchy import (
 from .wire import TransactionMessage
 
 
-@dataclass
 class TerminalState:
     """Single-owner mutable device state; one transaction at a time.
 
     ``table`` is the future-key table, :data:`~dukptlab.key_hierarchy.TABLE_BYTES`
-    in the slot layout of :func:`~dukptlab.key_hierarchy.fold_chain`; it never
-    shows in the repr. ``counter`` is read-only: only issuance moves it,
-    together with the table.
+    in the slot layout of :func:`~dukptlab.key_hierarchy.fold_chain`. The base KSN
+    is held as an int; ``base_ksn``, ``ksn`` and ``counter`` are read-only, and only
+    issuance moves the counter, with the table. The default repr shows no key.
     """
 
-    base_ksn: Ksn
-    _counter: int = field(default=0, init=False)
-    table: bytearray = field(default_factory=lambda: bytearray(TABLE_BYTES), repr=False)
-    exhausted: bool = field(default=False, init=False)
+    __slots__ = ("_base", "_counter", "table", "exhausted")
+
+    def __init__(self, base_ksn: Ksn, table: bytearray | None = None):
+        self._base, self._counter, self.exhausted = base_ksn.base.value, 0, False
+        self.table = bytearray(TABLE_BYTES) if table is None else table
+
+    @property
+    def base_ksn(self) -> Ksn:
+        """The device's initial KSN: its identifier with a zero counter."""
+        return Ksn(self._base.to_bytes(10, "big"))
+
+    @property
+    def ksn(self) -> Ksn:
+        """The KSN of the last issued key, the one its message carries."""
+        return Ksn((self._base | self._counter).to_bytes(10, "big"))
 
     @property
     def counter(self) -> int:
@@ -66,8 +74,8 @@ class TerminalState:
 
     def next_transaction_key(self) -> tuple[Ksn, TdeaKey]:
         """Advance the counter and issue the key for it (see :meth:`issue`)."""
-        counter, material = self.issue()
-        return self.base_ksn.with_counter(counter), TdeaKey(material, KeyRole.TRANSACTION)
+        material = self.issue()[1]
+        return self.ksn, TdeaKey(material, KeyRole.TRANSACTION)
 
     def build_message(
         self, clear_pin_block: bytes | None = None, data: bytes | None = None
@@ -83,9 +91,8 @@ class TerminalState:
         _check_pin_block(clear_pin_block)
         if data is not None and not data:
             raise EmptyPlaintext("refusing to encrypt an empty payload")
-        counter, material = self.issue()
-        pin_ct, data_ct = seal(material, clear_pin_block, data)
-        return TransactionMessage(self.base_ksn.with_counter(counter), pin_ct, data_ct)
+        pin_ct, data_ct = seal(self.issue()[1], clear_pin_block, data)
+        return TransactionMessage(self.ksn, pin_ct, data_ct)
 
     def issue(self) -> tuple[int, bytes]:
         """Advance the counter and take its key's material from the table.
@@ -100,7 +107,8 @@ class TerminalState:
         try:
             counter = next_counter(self._counter)
         except CounterExhausted:
-            self._retire()
+            self.table[:] = bytes(len(self.table))
+            self.exhausted = True
             raise
         low = (counter & -counter).bit_length() - 1
         material = bytes(self.table[16 * low : 16 * low + 16])
@@ -108,16 +116,11 @@ class TerminalState:
             raise RuntimeError(f"future-key slot {low} is empty")
         # the bits below the consumed one are clear, so every child adds one
         # set bit: either all of them fit under the weight bound or none do
-        if counter.bit_count() < MAX_COUNTER_WEIGHT:
-            ksn = self.base_ksn.value
-            self.table[: 16 * low] = derive_children(material, ksn, counter, 0, low)
+        if low and counter.bit_count() < MAX_COUNTER_WEIGHT:
+            self.table[: 16 * low] = derive_children(material, self._base, counter, 0, low)
         self.table[16 * low : 16 * low + 16] = bytes(16)
         self._counter = counter
         return counter, material
-
-    def _retire(self) -> None:
-        self.table[:] = bytes(len(self.table))
-        self.exhausted = True
 
 
 def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
@@ -147,7 +150,6 @@ def _material(key: TdeaKey) -> bytes:
 
 def encrypt_pin(key: TdeaKey, clear_pin_block: bytes) -> bytes:
     """Encrypt one clear PIN block under the PIN variant of ``key``."""
-    _check_pin_block(clear_pin_block)
     return seal(_material(key), clear_pin_block, None)[0]
 
 

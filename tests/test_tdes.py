@@ -115,6 +115,48 @@ def test_factory_matches_public_cipher(key, data, cbc):
     assert tdes._cipher(key, mode, False).update(data) == public.decryptor().update(data)
 
 
+# --- one-block one-shots -------------------------------------------------------
+
+_many_blocks = st.integers(2, 21).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n))
+
+
+@pytest.mark.filterwarnings("ignore::cryptography.utils.CryptographyDeprecationWarning")  # 8/16-byte keys
+@settings(max_examples=100, deadline=None)
+@given(key=_keys, block=st.binary(min_size=8, max_size=8), data=_many_blocks)
+def test_one_shots_match_public_ecb(key, block, data):
+    # one block runs as zero-IV CBC and more as ECB: both must be ECB to the public Cipher
+    public = Cipher(TripleDES(key), modes.ECB())
+    assert tdes.encrypt_block(key, block) == public.encryptor().update(block)
+    for payload in (block, data):
+        assert tdes.ecb_encrypt(key, payload) == public.encryptor().update(payload)
+        assert tdes.ecb_decrypt(key, payload) == public.decryptor().update(payload)
+
+
+def test_one_block_one_shots_build_zero_iv_cbc(monkeypatch):
+    # the route itself, so a silent revert to ECB on one block shows: a one-shot
+    # over one block builds zero-IV CBC, a longer one ECB, and a loaded key
+    # ECB on any length, since it keeps the context for later messages
+    built = []
+    real_cipher = tdes._cipher
+
+    def recording_cipher(key, mode, encrypt):
+        built.append((mode.name, getattr(mode, "initialization_vector", None), encrypt))
+        return real_cipher(key, mode, encrypt)
+
+    monkeypatch.setattr(tdes, "_cipher", recording_cipher)
+    tdes.encrypt_block(KEY16, bytes(8))
+    tdes.ecb_encrypt(KEY16, bytes(8))
+    tdes.ecb_decrypt(KEY16, bytes(8))
+    tdes.ecb_encrypt(KEY16, bytes(16))
+    tdes.ecb_decrypt(KEY16, bytes(168))
+    loaded = tdes.TdeaCipher(KEY16)
+    loaded.ecb_encrypt(bytes(8))
+    loaded.ecb_decrypt(bytes(8))
+    cbc, ecb = ("CBC", bytes(8)), ("ECB", None)
+    assert built == [(*cbc, True), (*cbc, True), (*cbc, False), (*ecb, True), (*ecb, False),
+                     (*ecb, True), (*ecb, False)]
+
+
 def test_missing_factory_fails_at_import(monkeypatch):
     monkeypatch.delattr(_openssl, "ciphers")
     spec = importlib.util.spec_from_file_location("dukptlab._tdes_without_factory", tdes.__file__)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dukptlab import tdes
+from dukptlab import terminal as terminal_mod
 from dukptlab.errors import (
     CounterExhausted,
     DecryptFailed,
@@ -17,10 +18,14 @@ from dukptlab.errors import (
 )
 from dukptlab.key_hierarchy import (
     COUNTER_SPACE,
+    DATA_VARIANT_MASK,
     MAX_COUNTER_WEIGHT,
+    PIN_VARIANT_MASK,
     KeyRole,
     TdeaKey,
     derive_key_chain,
+    masked,
+    next_counter,
     seal,
     unseal,
 )
@@ -178,6 +183,37 @@ def test_counter_is_read_only(terminal):
     assert terminal.counter == 0
 
 
+def test_base_ksn_and_ksn_are_read_only(terminal, initial_ksn):
+    # the state holds the base KSN as an int: a KSN set apart from it would go stale
+    for name in ("base_ksn", "ksn"):
+        with pytest.raises(AttributeError):
+            setattr(terminal, name, initial_ksn.with_counter(1))
+    assert terminal.base_ksn == terminal.ksn == initial_ksn
+    assert TerminalState(initial_ksn.with_counter(0x1FFFFF)).base_ksn == initial_ksn
+
+
+def test_every_message_ksn_is_the_base_with_its_counter(ipek, initial_ksn, monkeypatch):
+    # build_message's KSN is base | counter on every usable counter up to 0x4400,
+    # and the refill runs only when the consumed slot has slots below it
+    device = init_terminal(ipek, initial_ksn)
+    runs = 0
+    real_derive_children = terminal_mod.derive_children
+
+    def counting_derive_children(*args):
+        nonlocal runs
+        runs += 1
+        return real_derive_children(*args)
+
+    monkeypatch.setattr(terminal_mod, "derive_children", counting_derive_children)
+    counter = expected_runs = 0
+    while (counter := next_counter(counter)) <= 0x4400:
+        ksn = device.build_message(data=b"payload").ksn
+        assert ksn == device.ksn == device.base_ksn.with_counter(counter)
+        expected_runs += counter & 1 == 0 and counter.bit_count() < MAX_COUNTER_WEIGHT
+    assert device.counter == 0x4400
+    assert runs == expected_runs
+
+
 def test_remaining_transactions_counts_down(terminal):
     assert terminal.remaining_transactions() == COUNTER_SPACE
     terminal.next_transaction_key()
@@ -254,6 +290,29 @@ def test_unseal_inverts_seal(material, pin, data, parts):
     pin_ct, data_ct = seal(material, pin, data)
     assert (pin_ct is None, data_ct is None) == (pin is None, data is None)
     assert unseal(material, pin_ct, data_ct) == (pin, data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(material=st.binary(min_size=16, max_size=16), pin=st.binary(min_size=8, max_size=8),
+       data=st.binary(min_size=1, max_size=40))
+def test_seal_and_unseal_match_the_masked_variants(material, pin, data):
+    # the codec reads the key once as an int; the reference masks it per variant
+    pin_key, data_key = masked(material, PIN_VARIANT_MASK), masked(material, DATA_VARIANT_MASK)
+    pin_ct, data_ct = tdes.encrypt_block(pin_key, pin), tdes.cbc_encrypt(data_key, data)
+    assert seal(material, pin, data) == (pin_ct, data_ct)
+    assert unseal(material, pin_ct, data_ct) == (
+        tdes.ecb_decrypt(pin_key, pin_ct), tdes.cbc_decrypt(data_key, data_ct))
+
+
+@pytest.mark.parametrize("size", [15, 17])
+@pytest.mark.parametrize("parts", ["pin", "data", "both"])
+def test_seal_and_unseal_refuse_material_that_is_not_16_bytes(size, parts):
+    pin = None if parts == "data" else bytes(8)
+    data = None if parts == "pin" else b"payload"
+    with pytest.raises(LengthError, match=f"^key material must be 16 bytes, got {size}$"):
+        seal(bytes(size), pin, data)
+    with pytest.raises(LengthError, match=f"^key material must be 16 bytes, got {size}$"):
+        unseal(bytes(size), pin, data and bytes(8))
 
 
 def test_unseal_refuses_data_with_broken_padding():
