@@ -17,16 +17,15 @@ a :class:`HostVerdict`; role checks sit at the public entry points.
 
 The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
-mirrors the device's own future-key table as it stood when the device
-issued the last accepted counter ``L`` (what that holds is stated at
-:func:`~dukptlab.key_hierarchy.fold_chain`). A later counter ``c`` is
-folded from slot ``s = max(highest bit of c ^ L, lowest set bit of L)``,
-which holds the key of ``c >> s << s``, so in-order traffic derives on odd
-counters only; a device's first message and an evicted device start from
-the BDK. Only an accept changes the table. It holds ``key(L)`` and later
-counters' keys, never an earlier counter's key or an IPEK or BDK copy (the
-registry's BDK opens all of them anyway), and is zero-overwritten when the
-device is evicted (least recently accepted first) or its BDK is replaced.
+keeps, byte for byte, the device's own future-key table after it issued the
+last accepted counter ``L`` (the rule is stated at
+:func:`~dukptlab.key_hierarchy.fold_chain`). A later counter ``c`` is folded
+from slot ``s``, the highest bit where ``c`` and ``L`` part, which holds the
+key of ``c >> s << s``, so the host derives where the device does; a device's
+first message and an evicted device start from the BDK. Only an accept
+changes the table. It holds later counters' keys only, never a spent key or
+an IPEK or BDK copy, and is zero-overwritten when the device is evicted
+(least recently accepted first) or its BDK is replaced.
 
 Two policies guard the counter, and neither can be turned off: KSNs whose
 counter exceeds the weight bound are rejected outright, and each device's
@@ -82,6 +81,8 @@ class HostVerdict:
 class HostRegistry:
     """BDK store, per-device replay log and per-device key tables.
 
+    A device's table is its own after it issued its logged counter ``L``; a line
+    at ``c`` folds from the slot of the highest bit where ``c`` and ``L`` part.
     One lock guards all three, held by the policy path from the BDK lookup to
     the commit, so a device's counter check, decrypt, log update and table
     update are atomic and no BDK replacement or eviction touches a table while
@@ -162,8 +163,7 @@ class HostRegistry:
                 table = bytearray(TABLE_BYTES)
                 slot, start = COUNTER_BITS, derive_ipek(bdk, Ksn(ksn_raw)).material
             else:
-                # last's own slot if counter extends last, else the highest bit where they part
-                slot = max(counter ^ last, last & -last).bit_length() - 1
+                slot = (counter ^ last).bit_length() - 1  # the highest bit where they part
                 start = bytes(table[16 * slot : 16 * slot + 16])
             key, run = fold_chain(start, value, slot)
             try:

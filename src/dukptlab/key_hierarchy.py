@@ -258,8 +258,8 @@ def derive_children(material: bytes, ksn: int, prefix: int, low: int, high: int)
     every 64-bit block, and ``steps``, the 63-bit-stride repunit shifted left by
     ``high - 1``, sets bit ``q`` in slot ``q``'s block, the first child's block
     leftmost; nothing carries between blocks. The two passes' halves are
-    interleaved into one run of 16-byte slots, the layout of a future-key table
-    (see :func:`fold_chain`).
+    interleaved into one run of 16-byte slots, slots ``low .. high-1`` of a
+    future-key table (see :func:`fold_chain`).
     """
     if low >= high:
         return b""
@@ -321,23 +321,21 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
 
 
 def fold_chain(material: bytes, ksn: int, slot: int) -> tuple[bytes, bytearray]:
-    """Fold from the key in table slot ``slot`` to the key of counter ``c`` of the KSN
-    ``ksn``, given as the int :attr:`Ksn.value`, and return it with the table slots
-    ``0 .. min(slot, 20)`` as the device holds them when it issues ``c``.
+    """The device's table after it issues counter ``c`` of the KSN ``ksn`` (the int
+    :attr:`Ksn.value`): ``key(c)`` and the table's slots ``0 .. min(slot, 20)``.
 
-    A future-key table has one 16-byte slot per counter bit, :data:`TABLE_BYTES`
-    in all: slot ``q`` holds the key of a counter whose lowest set bit is ``q``,
-    and slot 21 stands for the IPEK. ``material`` is ``key(c >> slot << slot)``,
-    what a table holds in slot ``slot`` when ``c`` has that bit set (``c`` is
-    not zero). Each set bit of ``c`` below the slot, MSB first, is one node of
-    the walk and one :func:`derive_children` run under the node's key: the
-    child on the way down plus its right siblings, the node's children at the
-    slots between that child's bit and the node's own. Those siblings are the
-    later counters a device's table holds, so the returned run has the key of
-    counter ``(c >> q+1 << q+1) | 1 << q`` in slot ``q``, ``key(c)`` in slot
-    ``low(c)``, the one the device consumes, and zeros elsewhere. The host
-    starts this walk from the slot its table holds; :func:`derive_key_chain`
-    is the plain fold it is checked against.
+    A future-key table has one 16-byte slot per counter bit, :data:`TABLE_BYTES` in
+    all. At counter ``c`` (0 for a fresh device), slot ``q`` holds the key of
+    ``(c >> q+1 << q+1) | 1 << q``, the next counter to consume it, if bit ``q`` of
+    ``c`` is clear and that counter is usable, and is zero otherwise. ``slot`` is the
+    highest bit where ``c`` and an earlier counter part, or 21 for the IPEK; the
+    slots above it are the same at both counters, and ``material`` is the earlier
+    table's key in it, ``key(c >> slot << slot)``. Each set bit of ``c`` below the
+    slot, MSB first, is one node of the walk and one :func:`derive_children` run
+    under the node's key: the child on the way down plus its right siblings. The
+    walk ends in the slot the device consumes, ``low(c)`` or the start's: it stays
+    zero, and one more run fills the slots below it with ``key(c)``'s children.
+    :func:`derive_key_chain` is the plain fold it is checked against.
     """
     counter = ksn & COUNTER_MASK
     prefix = counter >> slot << slot
@@ -345,13 +343,14 @@ def fold_chain(material: bytes, ksn: int, slot: int) -> tuple[bytes, bytearray]:
     while prefix != counter:
         bit = (counter ^ prefix).bit_length() - 1
         material = derive_children(material, ksn, prefix, bit, slot)
-        if slot > bit + 1:  # right siblings of the child on the way down
-            run[16 * bit + 16 : 16 * slot] = material[16:]
-            material = material[:16]
+        run[16 * bit + 16 : 16 * slot] = material[16:]  # the right siblings
+        material = material[:16]
         prefix |= 1 << bit
         slot = bit
-    # the last node's slot, or the start's when c has no bit below it, is low(c)
-    run[16 * slot : 16 * slot + 16] = material
+    # the bits below the consumed slot are clear, so every child adds one set
+    # bit: either all of them fit under the weight bound or none do
+    if counter.bit_count() < MAX_COUNTER_WEIGHT:
+        run[: 16 * slot] = derive_children(material, ksn, counter, 0, slot)
     return material, run
 
 

@@ -3,14 +3,13 @@
 A device is initialized once with its IPEK and immediately converts it into
 21 future keys, one per counter bit position, in one 21-slot run of the
 one-way step; the IPEK itself is never stored. The keys live in one table of
-16-byte slots, the layout the host's mirror of it keeps too (the slot rule
-is stated once, at :func:`~dukptlab.key_hierarchy.fold_chain`): slot ``q``
-serves counter bit ``q``, and an all-zero slot is empty. Each transaction
-consumes the slot of the lowest set bit of the freshly advanced counter,
-refills every slot below it with one run of the one-way step over those
-slots (:func:`~dukptlab.key_hierarchy.derive_children`), and zeroes the
-consumed slot. Every key the table hands out equals the direct derivation
-chain for the same counter, and the tests hold it to that.
+16-byte slots: slot ``q`` serves counter bit ``q``, and an all-zero slot is
+empty. Each transaction consumes the slot of the lowest set bit of the
+freshly advanced counter; the consumed slot is zeroed and the slots below it
+take the consumed key's children. The fresh table and each one after it come
+from :func:`~dukptlab.key_hierarchy.fold_chain`, which states the table rule
+once; the host keeps the same table. Every key the table hands out equals the
+direct derivation chain for the same counter, and the tests hold it to that.
 
 The device line is :meth:`TerminalState.issue` (a counter and its key's 16
 bytes), :func:`~dukptlab.key_hierarchy.seal` and :attr:`TerminalState.ksn`, the
@@ -27,8 +26,8 @@ from __future__ import annotations
 
 from .errors import CounterExhausted, EmptyPlaintext, KeyRoleError, LengthError, NonZeroCounter
 from .key_hierarchy import (
-    COUNTER_BITS, MAX_COUNTER_WEIGHT, TABLE_BYTES, KeyRole, Ksn, TdeaKey, derive_children,
-    next_counter, remaining_counters, seal, unseal,
+    COUNTER_BITS, TABLE_BYTES, KeyRole, Ksn, TdeaKey, fold_chain, next_counter,
+    remaining_counters, seal, unseal,
 )
 from .wire import TransactionMessage
 
@@ -97,10 +96,11 @@ class TerminalState:
     def issue(self) -> tuple[int, bytes]:
         """Advance the counter and take its key's material from the table.
 
-        The consumed slot first seeds every slot below it with the children
-        this key can still reach, then is zeroed; the counter moves with the
-        table, once the slot is found full. Exhaustion is permanent: the
-        table is zeroed and the device refuses further traffic.
+        The table becomes :func:`~dukptlab.key_hierarchy.fold_chain`'s table at
+        the new counter, from the consumed slot: that slot zeroed, the slots below
+        it refilled, and the run it came in wiped. The counter moves with the
+        table, once the slot is found full. Exhaustion is permanent: the table
+        is zeroed and the device refuses further traffic.
         """
         if self.exhausted:
             raise CounterExhausted("terminal is spent; re-injection required")
@@ -114,11 +114,9 @@ class TerminalState:
         material = bytes(self.table[16 * low : 16 * low + 16])
         if not any(material):
             raise RuntimeError(f"future-key slot {low} is empty")
-        # the bits below the consumed one are clear, so every child adds one
-        # set bit: either all of them fit under the weight bound or none do
-        if low and counter.bit_count() < MAX_COUNTER_WEIGHT:
-            self.table[: 16 * low] = derive_children(material, self._base, counter, 0, low)
-        self.table[16 * low : 16 * low + 16] = bytes(16)
+        run = fold_chain(material, self._base | counter, low)[1]
+        self.table[: len(run)] = run
+        run[:] = bytes(len(run))
         self._counter = counter
         return counter, material
 
@@ -133,8 +131,8 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
         raise KeyRoleError(f"terminal init needs an Initial key, got {ipek.role.value}")
     if initial_ksn.counter != 0:
         raise NonZeroCounter(f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
-    children = derive_children(ipek.material, initial_ksn.value, 0, 0, COUNTER_BITS)
-    return TerminalState(initial_ksn, table=bytearray(children))
+    table = fold_chain(ipek.material, initial_ksn.value, COUNTER_BITS)[1]
+    return TerminalState(initial_ksn, table=table)
 
 
 def _check_pin_block(block: bytes | None) -> None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from dukptlab.host import HostRegistry
-from dukptlab.key_hierarchy import KeyRole, TdeaKey, derive_ipek, parse_ksn
+from dukptlab.key_hierarchy import MAX_COUNTER_WEIGHT, KeyRole, TdeaKey, derive_ipek, parse_ksn
 from dukptlab.terminal import init_terminal
 
 INTEROP_BDK_HEX = "0123456789ABCDEFFEDCBA9876543210"
@@ -78,6 +78,20 @@ def edited(line, edits):
         if kind != "delete":
             chars.insert(at, token)
     return "".join(chars)
+
+
+def table_counters(counter):
+    """Slot -> counter of each key in a device's future-key table after it issues
+    ``counter`` (0: the fresh device), the table the host keeps for the last counter
+    it accepted. Slot ``q`` holds the key of ``(counter >> q+1 << q+1) | 1 << q``,
+    the next counter to consume it, where bit ``q`` of ``counter`` is clear and that
+    counter is usable; every other slot is zero."""
+    slots = {}
+    for q in range(21):
+        later = counter >> q + 1 << q + 1 | 1 << q
+        if not counter >> q & 1 and later.bit_count() <= MAX_COUNTER_WEIGHT:
+            slots[q] = later
+    return slots
 
 
 # a deeper run of the property tests, chosen with --hypothesis-profile=deep;

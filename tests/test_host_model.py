@@ -55,7 +55,7 @@ from dukptlab.pin_block import encode_iso0, structure_ok
 from dukptlab.terminal import decrypt_data, decrypt_pin, encrypt_data, encrypt_pin, init_terminal
 from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
-from conftest import INTEROP_PAN
+from conftest import INTEROP_PAN, table_counters
 
 CACHE_DEVICES = 3
 KEY_SETS = {0x5A5A5A: 3, 0xC3C3C3: 2}  # registered key-set id -> its devices
@@ -100,15 +100,6 @@ def _ipek(bdk: TdeaKey, base: Ksn) -> TdeaKey:
 @functools.lru_cache(maxsize=None)
 def _reference_key(bdk: TdeaKey, ksn: Ksn) -> TdeaKey:
     return derive_key_chain(_ipek(bdk, ksn.base), ksn)
-
-
-def _table_counters(counter):
-    """Slot -> counter of each key held by the table of last accepted ``counter``."""
-    low = (counter & -counter).bit_length() - 1
-    slots = {q: (counter >> q + 1 << q + 1) | 1 << q
-             for q in range(low + 1, 21) if not counter >> q & 1}
-    slots[low] = counter
-    return slots
 
 
 def _leaked(text, secrets):
@@ -211,7 +202,7 @@ class HostModel(RuleBasedStateMachine):
 
     def _reference_table(self, device):
         base = Ksn((device << 21).to_bytes(10, "big"))
-        slots = _table_counters(self.floors[device])
+        slots = table_counters(self.floors[device])
         return b"".join(self._key(base.with_counter(slots[q])).material if q in slots
                         else bytes(16) for q in range(21))
 

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from dukptlab import key_hierarchy, tdes
 from dukptlab.errors import (
@@ -40,6 +40,7 @@ from conftest import (
     FROZEN_PIN_VARIANT_1,
     INTEROP_IPEK_HEX,
     INTEROP_KSN_HEX,
+    table_counters,
 )
 
 
@@ -286,30 +287,39 @@ _weighted_counters = st.integers(1, COUNTER_MASK).filter(
     lambda c: c.bit_count() <= MAX_COUNTER_WEIGHT)
 
 
-@given(counter=_weighted_counters, kept=st.integers(0, MAX_COUNTER_WEIGHT))
-@example(counter=1, kept=0)
-@example(counter=0x1FF800, kept=3)
-@example(counter=0x1FF800, kept=10)  # the start is key(c) itself: no step
-@example(counter=0x5A5A5, kept=2)
-def test_fold_chain_returns_the_run_the_device_holds(ipek, initial_ksn, counter, kept):
+@st.composite
+def _usable_pairs(draw):
+    """Usable counters ``last < counter``: ``counter`` keeps ``last``'s bits above
+    the highest bit where they part, sets that bit, and takes any bits below it."""
+    last = draw(st.integers(0, COUNTER_MASK).filter(
+        lambda c: c.bit_count() <= MAX_COUNTER_WEIGHT))
+    slot = draw(st.integers(0, 20).filter(lambda q: not last >> q & 1))
+    counter = last >> slot + 1 << slot + 1 | 1 << slot | draw(st.integers(0, (1 << slot) - 1))
+    assume(counter.bit_count() <= MAX_COUNTER_WEIGHT)
+    return last, counter
+
+
+@given(pair=_usable_pairs())
+@example(pair=(0, 1))
+@example(pair=(0, 0x1FF800))
+@example(pair=(0x7FC, 0x7FE))  # weight 9 to 10: the slot below 0x7FE stays empty
+@example(pair=(0x7FE, 0x800))
+@example(pair=(0x0FF800, 0x1FF800))
+@example(pair=(0x5A5A5, 0x5A5A6))
+def test_tables_move_from_any_counter_to_a_later_one(ipek, initial_ksn, pair):
+    # the table at last, itself a fold_chain result, folded from the highest bit
+    # where counter and last part, is the device's table at counter
+    last, counter = pair
     ksn = initial_ksn.with_counter(counter)
-    bits = [pos for pos in range(20, -1, -1) if counter >> pos & 1]
-    prefix = sum(1 << pos for pos in bits[:kept])
-    top = (prefix & -prefix).bit_length() - 1 if prefix else 21
-    start = _reference_key(ipek.material, ksn, prefix)
-    key, run = fold_chain(start, ksn.value, top)
-    assert key == _reference_key(ipek.material, ksn, counter)
-    assert len(run) == 16 * min(top + 1, 21)
-    low = (counter & -counter).bit_length() - 1
-    for q in range(len(run) // 16):
-        slot = bytes(run[16 * q : 16 * q + 16])
-        if q == low:
-            assert slot == key
-        elif low < q < top and not counter >> q & 1:
-            sibling = (counter >> q + 1 << q + 1) | 1 << q
-            assert slot == _reference_key(ipek.material, ksn, sibling)
-        else:
-            assert slot == bytes(16)
+    table = fold_chain(ipek.material, initial_ksn.with_counter(last).value, 21)[1]
+    slot = (counter ^ last).bit_length() - 1
+    key, run = fold_chain(bytes(table[16 * slot : 16 * slot + 16]), ksn.value, slot)
+    assert len(run) == 16 * (slot + 1)
+    table[: len(run)] = run
+    assert key == derive_key_chain(ipek, ksn).material
+    slots = table_counters(counter)
+    assert table == b"".join(derive_key_chain(ipek, ksn.with_counter(slots[q])).material
+                             if q in slots else bytes(16) for q in range(21))
 
 
 @given(counter=_weighted_counters)

@@ -250,29 +250,29 @@ def test_report_renderings_exclude_elapsed_time():
     assert "elapsed" not in report.table()
 
 
-def test_dukpt_simulation_host_derives_on_odd_counters_only(monkeypatch):
-    # the host's walk (key_hierarchy.fold_chain) looks derive_children up as a
-    # key_hierarchy global, so this counts the host's batches; the terminal
-    # imported its own binding, so its table refills are not counted. The
-    # host's table already holds every even counter's key as a sibling, so
-    # counters 1-100 take the IPEK batch for counter 1 plus one batch for each
-    # odd counter 3-99 (a fold per message from the IPEK would take 319 steps).
-    calls = 0
+def test_dukpt_simulation_host_derives_where_the_device_does(monkeypatch):
+    # both sides' tables are written by key_hierarchy.fold_chain, which looks
+    # derive_children up as a module global, so this records the parent counter of
+    # every non-empty run on either side. The host keeps the device's table, so each
+    # side derives the IPEK's 21 children once (the device at init, the host for
+    # counter 1) and then the children of each even counter 2-100 (a fold per
+    # message from the IPEK would take 319 steps)
+    parents = []
     real_derive_children = key_hierarchy.derive_children
 
-    def counting_derive_children(*args):
-        nonlocal calls
-        calls += 1
-        return real_derive_children(*args)
+    def recording_derive_children(material, ksn, prefix, low, high):
+        if low < high:
+            parents.append(prefix)
+        return real_derive_children(material, ksn, prefix, low, high)
 
-    monkeypatch.setattr(key_hierarchy, "derive_children", counting_derive_children)
+    monkeypatch.setattr(key_hierarchy, "derive_children", recording_derive_children)
     report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 100, seed=0)
-    assert calls == 50
+    assert sorted(parents) == sorted(2 * [0, *range(2, 101, 2)])
     assert report.distinct_keys == 100
 
 
 @pytest.mark.parametrize("scheme,builds", [
-    (Scheme.DUKPT, 606),  # per-transaction keys: every use builds its cipher
+    (Scheme.DUKPT, 608),  # per-transaction keys: every use builds its cipher
     (Scheme.FIXED, 2),  # the key, loaded once by the terminal and once by the host
     (Scheme.MASTER_SESSION, 202),  # the KEK, loaded on each side, plus two per session key
 ])

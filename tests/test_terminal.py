@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dukptlab import tdes
-from dukptlab import terminal as terminal_mod
+from dukptlab import key_hierarchy, tdes
 from dukptlab.errors import (
     CounterExhausted,
     DecryptFailed,
@@ -194,17 +193,17 @@ def test_base_ksn_and_ksn_are_read_only(terminal, initial_ksn):
 
 def test_every_message_ksn_is_the_base_with_its_counter(ipek, initial_ksn, monkeypatch):
     # build_message's KSN is base | counter on every usable counter up to 0x4400,
-    # and the refill runs only when the consumed slot has slots below it
+    # and the refill derives only when the consumed slot has slots below it
     device = init_terminal(ipek, initial_ksn)
     runs = 0
-    real_derive_children = terminal_mod.derive_children
+    real_derive_children = key_hierarchy.derive_children
 
-    def counting_derive_children(*args):
+    def counting_derive_children(material, ksn, prefix, low, high):
         nonlocal runs
-        runs += 1
-        return real_derive_children(*args)
+        runs += low < high
+        return real_derive_children(material, ksn, prefix, low, high)
 
-    monkeypatch.setattr(terminal_mod, "derive_children", counting_derive_children)
+    monkeypatch.setattr(key_hierarchy, "derive_children", counting_derive_children)
     counter = expected_runs = 0
     while (counter := next_counter(counter)) <= 0x4400:
         ksn = device.build_message(data=b"payload").ksn
