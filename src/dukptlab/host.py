@@ -1,19 +1,18 @@
 """Acquirer-side processing: key registry, re-derivation, and policy.
 
 The registry is a software stand-in for the HSM that would normally hold
-base derivation keys: BDKs go in through :meth:`HostRegistry.register_bdk`
-and never come out through any reply, verdict, or log. A wire line stays in
-bytes and ints from parse to reply: :meth:`~HostRegistry.handle_wire_line`
-hands the KSN's 10 bytes and the payloads from
-:func:`~dukptlab.wire.parse_fields` to the one policy path, which reads the
-KSN once as an int (counter, device, key-set id, the fold's step messages),
-checks key set, counter weight and floor, folds to the 16-byte key, opens
-the payload with :func:`~dukptlab.key_hierarchy.unseal` (a PIN block also
-with :func:`~dukptlab.pin_block.structure_ok`) and commits only on an
-accept. The reply is ``OK|<counter>`` or a fixed ``ERR|`` string. No
-message, verdict or key object is built, and a ``Ksn`` only for a first
-IPEK. :meth:`~HostRegistry.process_message` runs the same path and returns
-a :class:`HostVerdict`; role checks sit at the public entry points.
+base derivation keys: a BDK goes in through :meth:`HostRegistry.register_bdk`,
+which loads it once (:func:`~dukptlab.key_hierarchy.load_bdk`), and never
+comes out through any reply, verdict, or log. :meth:`~HostRegistry.handle_wire_line`
+hands the KSN's 10 bytes and the payloads from :func:`~dukptlab.wire.parse_fields`
+to the one policy path, which reads the KSN once as an int, checks key set,
+counter weight and floor, folds to the 16-byte key, opens the payload with
+:func:`~dukptlab.key_hierarchy.unseal` (a PIN block also with
+:func:`~dukptlab.pin_block.structure_ok`) and commits only on an accept; it
+builds no message, verdict, ``Ksn`` or key object. The reply is
+``OK|<counter>`` or a fixed ``ERR|`` string, read back by :func:`reply_status`.
+:meth:`~HostRegistry.process_message` runs the same path and returns a
+:class:`HostVerdict`; role checks sit at the public entry points.
 
 The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
@@ -21,11 +20,12 @@ keeps, byte for byte, the device's own future-key table after it issued the
 last accepted counter ``L`` (the rule is stated at
 :func:`~dukptlab.key_hierarchy.fold_chain`). A later counter ``c`` is folded
 from slot ``s``, the highest bit where ``c`` and ``L`` part, which holds the
-key of ``c >> s << s``, so the host derives where the device does; a device's
-first message and an evicted device start from the BDK. Only an accept
-changes the table. It holds later counters' keys only, never a spent key or
-an IPEK or BDK copy, and is zero-overwritten when the device is evicted
-(least recently accepted first) or its BDK is replaced.
+key of ``c >> s << s``, so the host derives where the device does, into a
+spare buffer copied over the table only on an accept. A device's first
+message and an evicted device start from the BDK, folded into a new table.
+A table holds later counters' keys only, never a spent key or an IPEK or BDK
+copy, and is zero-overwritten when the device is evicted (least recently
+accepted first) or its BDK is replaced.
 
 Two policies guard the counter, and neither can be turned off: KSNs whose
 counter exceeds the weight bound are rejected outright, and each device's
@@ -40,10 +40,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DecryptFailed, DuplicateKeySet, KeyRoleError, UnknownKeySet, WireFormatError
+from .errors import DecryptFailed, DuplicateKeySet, UnknownKeySet, WireFormatError
 from .key_hierarchy import (
     COUNTER_BITS, COUNTER_MASK, DEVICE_ID_BITS, KEY_SET_ID_BITS, MAX_COUNTER_WEIGHT,
-    TABLE_BYTES, KeyRole, Ksn, TdeaKey, derive_ipek, derive_key_chain, fold_chain, unseal,
+    TABLE_BYTES, KeyRole, Ksn, LoadedBdk, TdeaKey, derive_key_chain, fold_chain, ipek_material,
+    load_bdk, unseal,
 )
 from .pin_block import structure_ok
 from .wire import Scheme, TransactionMessage, parse_fields
@@ -62,6 +63,7 @@ class VerdictStatus(Enum):
 
 _DUKPT, _ACCEPTED = Scheme.DUKPT, VerdictStatus.ACCEPTED  # read per line; quicker than a member
 _ERR_REPLIES = {s: f"ERR|{s.value}" for s in VerdictStatus if s is not _ACCEPTED}
+_REPLY_STATUSES = {reply: s for s, reply in _ERR_REPLIES.items()}
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,18 @@ class HostRegistry:
     the commit, so a device's counter check, decrypt, log update and table
     update are atomic and no BDK replacement or eviction touches a table while
     a message is open; the interpreter's global lock serializes the work
-    anyway. The walk's fresh run reaches the table only on an accept, so no
-    other verdict changes the table's bytes or its place in the eviction order.
+    anyway, and the loaded BDKs' kept cipher contexts are used only under it.
+    A cached device's walk reaches its table only on an accept, so no other
+    verdict changes the table's bytes or its place in the eviction order.
     """
 
     def __init__(self) -> None:
-        self._bdks: dict[int, TdeaKey] = {}
+        self._bdks: dict[int, LoadedBdk] = {}
         self._device_log: dict[int, int] = {}
         self._lock = threading.Lock()
         # device -> its TABLE_BYTES key table at the logged counter, LRU order
         self._tables: OrderedDict[int, bytearray] = OrderedDict()
+        self._spare = bytearray(TABLE_BYTES)  # a cached device's walk, zero between lines
 
     def register_bdk(self, key_set_id: int, bdk: TdeaKey, overwrite: bool = False) -> None:
         """Install the base derivation key serving one key-set identifier.
@@ -104,16 +108,15 @@ class HostRegistry:
         Replacing a BDK (``overwrite=True``) wipes its devices' tables but
         keeps their replay floors, since a reset would reopen counters already
         accepted: a device re-injected with the same initial KSN is accepted
-        only above its old floor.
+        only above its old floor. The old BDK's loaded contexts are dropped.
         """
         if not 0 <= key_set_id < (1 << KEY_SET_ID_BITS):
             raise ValueError(f"key-set id out of 24-bit range: {key_set_id:#x}")
-        if bdk.role is not KeyRole.BASE_DERIVATION:
-            raise KeyRoleError(f"registry stores BaseDerivation keys, got {bdk.role.value}")
+        loaded = load_bdk(bdk)
         with self._lock:
             if key_set_id in self._bdks and not overwrite:
                 raise DuplicateKeySet(f"key set {key_set_id:06X} already registered")
-            self._bdks[key_set_id] = bdk
+            self._bdks[key_set_id] = loaded
             # tables derived under a replaced BDK would open nothing under the new one
             for device in [d for d in self._tables if d >> DEVICE_ID_BITS == key_set_id]:
                 _wipe(self._tables.pop(device))
@@ -131,9 +134,10 @@ class HostRegistry:
         """
         with self._lock:
             bdk = self._bdks.get(ksn.key_set_id)
-        if bdk is None:
-            raise UnknownKeySet(f"no BDK for key set {ksn.key_set_id:06X}")
-        return derive_key_chain(derive_ipek(bdk, ksn), ksn)
+            if bdk is None:
+                raise UnknownKeySet(f"no BDK for key set {ksn.key_set_id:06X}")
+            ipek = TdeaKey(ipek_material(bdk, ksn.value), KeyRole.INITIAL)
+        return derive_key_chain(ipek, ksn)
 
     def process_message(self, msg: TransactionMessage) -> HostVerdict:
         """Authenticate-by-derivation: re-derive, decrypt, enforce policy."""
@@ -160,20 +164,21 @@ class HostRegistry:
                 return VerdictStatus.REPLAY_REJECTED, counter, None, None
             table = self._tables.get(device)
             if table is None:
-                table = bytearray(TABLE_BYTES)
-                slot, start = COUNTER_BITS, derive_ipek(bdk, Ksn(ksn_raw)).material
+                slot, start = COUNTER_BITS, ipek_material(bdk, value)
+                walk = table = bytearray(TABLE_BYTES)
             else:
                 slot = (counter ^ last).bit_length() - 1  # the highest bit where they part
-                start = bytes(table[16 * slot : 16 * slot + 16])
-            key, run = fold_chain(start, value, slot)
+                start, walk = bytes(table[16 * slot : 16 * slot + 16]), self._spare
+            key = fold_chain(start, value, slot, walk)
             try:
                 clear_pin, clear_data = _open(key, pin_ct, data_ct)
             except DecryptFailed:
-                _wipe(run)
+                _wipe(walk)
                 return VerdictStatus.DECRYPT_FAILED, counter, None, None
             self._device_log[device] = counter
-            table[: len(run)] = run
-            _wipe(run)
+            if walk is not table:
+                table[: 16 * slot + 16] = walk[: 16 * slot + 16]
+                _wipe(walk)
             self._tables[device] = table
             self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:
@@ -208,3 +213,12 @@ def _wipe(buffer: bytearray) -> None:
 def format_reply(verdict: HostVerdict) -> str:
     """Reply line: ``OK|<counter-decimal>`` or ``ERR|<status-name>``."""
     return f"OK|{verdict.derived_counter}" if verdict.accepted else _ERR_REPLIES[verdict.status]
+
+
+def reply_status(reply: str) -> VerdictStatus:
+    """The status a verdict's reply line names; any other line raises ``ValueError``."""
+    if reply[:3] == "OK|" and reply[3:].isascii() and reply[3:].isdigit():
+        return _ACCEPTED
+    if reply in _REPLY_STATUSES:
+        return _REPLY_STATUSES[reply]
+    raise ValueError(f"not a verdict reply: {reply!r}")

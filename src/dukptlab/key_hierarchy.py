@@ -16,8 +16,8 @@ future-key table.
 
 Each key is split into a PIN variant and a data variant by a fixed XOR
 mask; :func:`seal` and :func:`unseal` are the one place a variant meets a
-cipher mode. All functions here are pure; state lives in
-:mod:`dukptlab.terminal` and :mod:`dukptlab.host`.
+cipher mode. State lives in :mod:`dukptlab.terminal` and :mod:`dukptlab.host`:
+:func:`fold_chain` writes the table it is handed, and the rest is pure.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ DEVICE_ID_BITS = 80 - COUNTER_BITS - KEY_SET_ID_BITS
 MAX_COUNTER_WEIGHT = 10
 # a future-key table: one 16-byte slot per counter bit (see fold_chain)
 TABLE_BYTES = 16 * COUNTER_BITS
+_EMPTY_SLOT = bytes(16)
 
 # masks applied to key halves / whole keys during derivation, XORed by masked()
 KEY_HALF_MASK = 0xC0C0C0C000000000C0C0C0C000000000
@@ -51,6 +52,7 @@ _REPUNITS = [((1 << 64 * n) - 1) // _BLOCK_MASK for n in range(COUNTER_BITS + 1)
 _STEPS = [((1 << 63 * n) - 1) // (_BLOCK_MASK >> 1) for n in range(COUNTER_BITS + 1)]
 
 _Parts = tuple[bytes | None, bytes | None]  # a PIN block and data, either absent
+LoadedBdk = tuple[tdes.TdeaCipher, tdes.TdeaCipher]  # see load_bdk
 
 
 class KeyRole(Enum):
@@ -224,20 +226,23 @@ def remaining_counters(counter: int) -> int:
     return COUNTER_SPACE + 1 - _count_weight_limited(counter)
 
 
-def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
-    """Derive a device's initial key from the base derivation key.
-
-    The counter bits of ``initial_ksn`` are cleared before use, so any KSN
-    belonging to the device yields the same result. Left half: TDEA-encrypt
-    the leftmost 8 KSN bytes under the BDK. Right half: the same plaintext
-    under the BDK with :data:`KEY_HALF_MASK` folded in.
-    """
+def load_bdk(bdk: TdeaKey) -> LoadedBdk:
+    """A BDK loaded for :func:`ipek_material`: itself, and under :data:`KEY_HALF_MASK`."""
     if bdk.role is not KeyRole.BASE_DERIVATION:
         raise KeyRoleError(f"IPEK derivation needs a BaseDerivation key, got {bdk.role.value}")
-    block = initial_ksn.base.raw[:8]
-    left = tdes.encrypt_block(bdk.material, block)
-    right = tdes.encrypt_block(masked(bdk.material, KEY_HALF_MASK), block)
-    return TdeaKey(left + right, KeyRole.INITIAL)
+    return tdes.TdeaCipher(bdk.material), tdes.TdeaCipher(masked(bdk.material, KEY_HALF_MASK))
+
+
+def ipek_material(loaded: LoadedBdk, ksn: int) -> bytes:
+    """A device's initial key from the KSN ``ksn`` (the int :attr:`Ksn.value`), counter
+    bits cleared: the leftmost 8 KSN bytes TDEA-encrypted under each key of ``loaded``."""
+    block = ((ksn & ~COUNTER_MASK) >> 16).to_bytes(8, "big")
+    return loaded[0].ecb_encrypt(block) + loaded[1].ecb_encrypt(block)
+
+
+def derive_ipek(bdk: TdeaKey, initial_ksn: Ksn) -> TdeaKey:
+    """Derive a device's initial key from the base derivation key (see :func:`ipek_material`)."""
+    return TdeaKey(ipek_material(load_bdk(bdk), initial_ksn.value), KeyRole.INITIAL)
 
 
 def derive_children(material: bytes, ksn: int, prefix: int, low: int, high: int) -> bytes:
@@ -320,38 +325,43 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
     return TdeaKey(material, KeyRole.TRANSACTION)
 
 
-def fold_chain(material: bytes, ksn: int, slot: int) -> tuple[bytes, bytearray]:
-    """The device's table after it issues counter ``c`` of the KSN ``ksn`` (the int
-    :attr:`Ksn.value`): ``key(c)`` and the table's slots ``0 .. min(slot, 20)``.
+def fold_chain(material: bytes, ksn: int, slot: int, table: bytearray) -> bytes:
+    """Write slots ``0 .. min(slot, 20)`` of the device's ``table`` after it issues
+    counter ``c`` of the KSN ``ksn`` (the int :attr:`Ksn.value`); return ``key(c)``.
 
     A future-key table has one 16-byte slot per counter bit, :data:`TABLE_BYTES` in
-    all. At counter ``c`` (0 for a fresh device), slot ``q`` holds the key of
-    ``(c >> q+1 << q+1) | 1 << q``, the next counter to consume it, if bit ``q`` of
-    ``c`` is clear and that counter is usable, and is zero otherwise. ``slot`` is the
-    highest bit where ``c`` and an earlier counter part, or 21 for the IPEK; the
-    slots above it are the same at both counters, and ``material`` is the earlier
-    table's key in it, ``key(c >> slot << slot)``. Each set bit of ``c`` below the
-    slot, MSB first, is one node of the walk and one :func:`derive_children` run
-    under the node's key: the child on the way down plus its right siblings. The
-    walk ends in the slot the device consumes, ``low(c)`` or the start's: it stays
-    zero, and one more run fills the slots below it with ``key(c)``'s children.
+    all; another length raises :class:`LengthError` before a write. At counter ``c``
+    (0 for a fresh device), slot ``q`` holds the key of ``(c >> q+1 << q+1) | 1 << q``,
+    the next counter to consume it, if bit ``q`` of ``c`` is clear and that counter is
+    usable, and is zero otherwise. ``slot`` is the highest bit where ``c`` and an
+    earlier counter part, or 21 for the IPEK; the slots above it are the same at both
+    counters and are not written, and ``material`` is the earlier table's key in it,
+    ``key(c >> slot << slot)``. Each set bit of ``c`` below the slot, MSB first, is one
+    node of the walk, its slot zeroed, and one :func:`derive_children` run under its
+    key: the child on the way down plus its right siblings. The walk ends in the slot
+    the device consumes, ``low(c)`` or the start's, zeroed too: one more run fills the
+    slots below it with ``key(c)``'s children, or zeros at weight 10.
     :func:`derive_key_chain` is the plain fold it is checked against.
     """
+    if len(table) != TABLE_BYTES:
+        raise LengthError(f"a future-key table is {TABLE_BYTES} bytes, got {len(table)}")
     counter = ksn & COUNTER_MASK
     prefix = counter >> slot << slot
-    run = bytearray(16 * min(slot + 1, COUNTER_BITS))
+    if slot < COUNTER_BITS:
+        table[16 * slot : 16 * slot + 16] = _EMPTY_SLOT
     while prefix != counter:
         bit = (counter ^ prefix).bit_length() - 1
-        material = derive_children(material, ksn, prefix, bit, slot)
-        run[16 * bit + 16 : 16 * slot] = material[16:]  # the right siblings
-        material = material[:16]
+        run = derive_children(material, ksn, prefix, bit, slot)
+        table[16 * bit : 16 * slot] = run  # the child on the way down, then its right siblings
+        table[16 * bit : 16 * bit + 16] = _EMPTY_SLOT  # which is the next node
+        material = run[:16]
         prefix |= 1 << bit
         slot = bit
     # the bits below the consumed slot are clear, so every child adds one set
     # bit: either all of them fit under the weight bound or none do
-    if counter.bit_count() < MAX_COUNTER_WEIGHT:
-        run[: 16 * slot] = derive_children(material, ksn, counter, 0, slot)
-    return material, run
+    table[: 16 * slot] = (derive_children(material, ksn, counter, 0, slot)
+                          if counter.bit_count() < MAX_COUNTER_WEIGHT else bytes(16 * slot))
+    return material
 
 
 def _key_int(material: bytes) -> int:

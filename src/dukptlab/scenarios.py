@@ -31,7 +31,7 @@ from enum import Enum
 from . import tdes
 from .baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap_session
 from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
-from .host import HostRegistry, VerdictStatus
+from .host import HostRegistry, VerdictStatus, reply_status
 from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek, seal
 from .pin_block import encode_iso0
 from .terminal import TerminalState, init_terminal
@@ -310,7 +310,8 @@ def run_simulation(
     same (seed-derived) payload, which is what makes the fixed-key scheme's
     ciphertext reuse — and its absence under per-transaction keys —
     directly observable in the report. ``distinct_keys`` counts the keys
-    the senders used for accepted transactions.
+    the senders used for accepted transactions. Each receiver takes the wire
+    line; the DUKPT status is read from :meth:`HostRegistry.handle_wire_line`'s reply.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -330,7 +331,7 @@ def run_simulation(
 
     # each branch provisions (its RNG draws, in this order, fix the report for
     # a seed) and defines one transaction's terminal side, which returns the
-    # message with the key it used, and host side
+    # message with the key it used, and host side, which takes its wire line
     if scheme is Scheme.DUKPT:
         bdk, term = _provision_dukpt(rng)
         registry = _host_for(bdk, term)
@@ -339,8 +340,8 @@ def run_simulation(
             material = term.issue()[1]
             return TransactionMessage(term.ksn, *seal(material, clear_block, payload)), material
 
-        def receive(msg: TransactionMessage) -> VerdictStatus:
-            return registry.process_message(msg).status
+        def receive(line: str) -> VerdictStatus:
+            return reply_status(registry.handle_wire_line(line))
 
     elif scheme is Scheme.FIXED:
         key = TdeaKey(rng.randbytes(16), KeyRole.BASE_DERIVATION)
@@ -354,8 +355,8 @@ def run_simulation(
                 scheme=Scheme.FIXED,
             ), key.material
 
-        def receive(msg: TransactionMessage) -> VerdictStatus:
-            host_key.cbc_decrypt(msg.encrypted_data)
+        def receive(line: str) -> VerdictStatus:
+            host_key.cbc_decrypt(parse_wire(line).encrypted_data)
             return VerdictStatus.ACCEPTED
 
     elif scheme is Scheme.MASTER_SESSION:
@@ -373,8 +374,9 @@ def run_simulation(
                 wrapped_session_key=wrapped,
             ), session.material
 
-        def receive(msg: TransactionMessage) -> VerdictStatus:
+        def receive(line: str) -> VerdictStatus:
             # an MS message holds a 16-byte wrapped key, the check ms_unwrap_session makes
+            msg = parse_wire(line)
             tdes.cbc_decrypt(host_kek.ecb_decrypt(msg.wrapped_session_key), msg.encrypted_data)
             return VerdictStatus.ACCEPTED
 
@@ -386,15 +388,14 @@ def run_simulation(
     seen_ciphertexts: set[tuple[bytes | None, bytes | None]] = set()
     for _ in range(count):
         sent, material = send()
-        msg = parse_wire(encode_wire(sent))
         try:
-            status = receive(msg)
+            status = receive(encode_wire(sent))
         except DecryptFailed:
             status = VerdictStatus.DECRYPT_FAILED
         status_counts[status] += 1
         if status is VerdictStatus.ACCEPTED:
             seen_keys.add(material)
-        seen_ciphertexts.add((msg.encrypted_pin_block, msg.encrypted_data))
+        seen_ciphertexts.add((sent.encrypted_pin_block, sent.encrypted_data))
 
     return SimulationReport(
         scheme=scheme,

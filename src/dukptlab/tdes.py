@@ -21,7 +21,9 @@ A :class:`TdeaCipher` is a loaded key: it builds each cipher context it
 needs once and keeps it for every later message. Only long-lived keys are
 loaded: the fixed-key scheme's permanent key and the Master/Session KEK, each
 by its holder in :mod:`dukptlab.baseline` and once more by a simulation run's
-host side. The one-shots build a context on the same key bundle and drop it,
+host side, and a BDK, in its two IPEK keys, by the host for each key set it
+serves (:func:`~dukptlab.key_hierarchy.load_bdk`, which ``derive_ipek`` shares).
+The one-shots build a context on the same key bundle and drop it,
 so a per-transaction key's contexts end with the call. The kept CBC encryption
 context chains on from the last ciphertext block it produced; that block is
 XORed into the next message's first plaintext block, so every message still starts

@@ -6,9 +6,9 @@ one-way step; the IPEK itself is never stored. The keys live in one table of
 16-byte slots: slot ``q`` serves counter bit ``q``, and an all-zero slot is
 empty. Each transaction consumes the slot of the lowest set bit of the
 freshly advanced counter; the consumed slot is zeroed and the slots below it
-take the consumed key's children. The fresh table and each one after it come
-from :func:`~dukptlab.key_hierarchy.fold_chain`, which states the table rule
-once; the host keeps the same table. Every key the table hands out equals the
+take the consumed key's children. :func:`~dukptlab.key_hierarchy.fold_chain`,
+which states the table rule once, writes the fresh table and each one after it
+in place; the host keeps the same table. Every key the table hands out equals the
 direct derivation chain for the same counter, and the tests hold it to that.
 
 The device line is :meth:`TerminalState.issue` (a counter and its key's 16
@@ -46,6 +46,8 @@ class TerminalState:
     def __init__(self, base_ksn: Ksn, table: bytearray | None = None):
         self._base, self._counter, self.exhausted = base_ksn.base.value, 0, False
         self.table = bytearray(TABLE_BYTES) if table is None else table
+        if len(self.table) != TABLE_BYTES:
+            raise LengthError(f"a future-key table is {TABLE_BYTES} bytes, got {len(self.table)}")
 
     @property
     def base_ksn(self) -> Ksn:
@@ -96,11 +98,11 @@ class TerminalState:
     def issue(self) -> tuple[int, bytes]:
         """Advance the counter and take its key's material from the table.
 
-        The table becomes :func:`~dukptlab.key_hierarchy.fold_chain`'s table at
-        the new counter, from the consumed slot: that slot zeroed, the slots below
-        it refilled, and the run it came in wiped. The counter moves with the
-        table, once the slot is found full. Exhaustion is permanent: the table
-        is zeroed and the device refuses further traffic.
+        :func:`~dukptlab.key_hierarchy.fold_chain` writes this very table over to
+        its table at the new counter, from the consumed slot: that slot zeroed and
+        the slots below it refilled. The counter moves with the table, once the
+        slot is found full. Exhaustion is permanent: the table is zeroed and the
+        device refuses further traffic.
         """
         if self.exhausted:
             raise CounterExhausted("terminal is spent; re-injection required")
@@ -114,9 +116,7 @@ class TerminalState:
         material = bytes(self.table[16 * low : 16 * low + 16])
         if not any(material):
             raise RuntimeError(f"future-key slot {low} is empty")
-        run = fold_chain(material, self._base | counter, low)[1]
-        self.table[: len(run)] = run
-        run[:] = bytes(len(run))
+        fold_chain(material, self._base | counter, low, self.table)
         self._counter = counter
         return counter, material
 
@@ -131,8 +131,9 @@ def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
         raise KeyRoleError(f"terminal init needs an Initial key, got {ipek.role.value}")
     if initial_ksn.counter != 0:
         raise NonZeroCounter(f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
-    table = fold_chain(ipek.material, initial_ksn.value, COUNTER_BITS)[1]
-    return TerminalState(initial_ksn, table=table)
+    terminal = TerminalState(initial_ksn)
+    fold_chain(ipek.material, initial_ksn.value, COUNTER_BITS, terminal.table)
+    return terminal
 
 
 def _check_pin_block(block: bytes | None) -> None:

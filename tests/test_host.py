@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dukptlab import host
+from dukptlab import host, tdes
 from dukptlab.errors import (
     CounterOverweight, DuplicateKeySet, KeyRoleError, UnknownKeySet, WireFormatError,
 )
@@ -199,6 +199,22 @@ def test_format_reply_names(registry, initial_ksn):
     assert format_reply(registry.process_message(msg)) == "ERR|OverweightCounterRejected"
 
 
+@pytest.mark.parametrize("reply,status", [
+    ("OK|1", VerdictStatus.ACCEPTED), ("OK|2097151", VerdictStatus.ACCEPTED),
+    *((f"ERR|{s.value}", s) for s in VerdictStatus if s is not VerdictStatus.ACCEPTED),
+])
+def test_reply_status_reads_a_verdict_reply(reply, status):
+    assert host.reply_status(reply) is status
+
+
+@pytest.mark.parametrize("reply", [
+    "ERR|MalformedMessage", "ERR|UnsupportedScheme", "ERR|Accepted", "OK|", "OK|-1", "OK|1 ",
+    "OK|0x1", "OK|\u0663", "ok|1", "OK 1", "ERR|replayrejected", "", "garbage"])
+def test_reply_status_refuses_any_other_line(reply):
+    with pytest.raises(ValueError):
+        host.reply_status(reply)
+
+
 def test_no_bdk_bytes_in_any_reply(registry, terminal, bdk):
     replies = []
     for _ in range(20):
@@ -339,6 +355,83 @@ def _next_counter(rng, last):
     while not (0 < c <= COUNTER_MASK and c.bit_count() <= MAX_COUNTER_WEIGHT):
         c = rng.randrange(1, 1 << 21)
     return c
+
+
+_bdk_bytes = st.binary(min_size=16, max_size=16)
+
+
+@given(bdks=st.tuples(_bdk_bytes, _bdk_bytes).filter(lambda pair: pair[0] != pair[1]),
+       initial_id=st.integers(0, (1 << 59) - 1),
+       counters=st.lists(st.integers(1, COUNTER_MASK).filter(
+           lambda c: c.bit_count() <= MAX_COUNTER_WEIGHT), min_size=2, max_size=2, unique=True))
+@example(bdks=(bytes(16), bytes(range(16))), initial_id=0, counters=[1, 2])
+@example(bdks=(bytes(range(16)), bytes(16)), initial_id=(1 << 59) - 1, counters=[0x1FF800, 0x7FE])
+@settings(deadline=None)
+def test_first_sight_ipek_matches_derive_ipek(bdks, initial_id, counters):
+    # the host's first-sight key, from the BDK loaded at registration, is the IPEK
+    # route's key; after the BDK is replaced the device is first seen again, and its
+    # fold starts from the new BDK: a line under the old one no longer opens
+    old, new = (TdeaKey(b, KeyRole.BASE_DERIVATION) for b in bdks)
+    base = Ksn((initial_id << 21).to_bytes(10, "big"))
+    registry = HostRegistry()
+    registry.register_bdk(base.key_set_id, old)
+    first, later = sorted(counters)
+
+    def line(bdk, counter):
+        key = derive_key_chain(derive_ipek(bdk, base), base.with_counter(counter))
+        return encode_wire(TransactionMessage(base.with_counter(counter),
+                                              encrypt_pin(key, encode_iso0(*CLEAR_BLOCK_ARGS)),
+                                              encrypt_data(key, b"first sight")))
+
+    for bdk, counter in ((old, first), (new, later)):
+        ksn = base.with_counter(counter)
+        reference = derive_key_chain(derive_ipek(bdk, base), ksn)
+        assert registry.rederive_key(ksn) == reference
+        if bdk is new:
+            assert registry.handle_wire_line(line(old, counter)) == "ERR|DecryptFailed"
+        assert registry.handle_wire_line(line(bdk, counter)) == f"OK|{counter}"
+        table, = registry._tables.values()
+        assert table == _reference_table(
+            lambda k: derive_key_chain(derive_ipek(bdk, base), k), ksn)
+        registry.register_bdk(base.key_set_id, new, overwrite=True)
+        assert not registry._tables
+
+
+def test_each_bdk_is_loaded_once_and_used_under_the_lock(monkeypatch, bdk):
+    # register_bdk builds the BDK's two ciphers; a first-seen device's IPEK, on either
+    # entry point or rederive_key, builds none and runs with the registry lock held
+    loaded = []
+    real_cipher, real_ipek_material = tdes.TdeaCipher, host.ipek_material
+    registry = HostRegistry()
+
+    class CountingCipher(real_cipher):
+        __slots__ = ()
+
+        def __init__(self, key):
+            loaded.append(key)
+            super().__init__(key)
+
+    def locked_ipek_material(*args):
+        assert registry._lock.locked()
+        return real_ipek_material(*args)
+
+    monkeypatch.setattr(tdes, "TdeaCipher", CountingCipher)
+    monkeypatch.setattr(host, "ipek_material", locked_ipek_material)
+    registry.register_bdk(0x123456, bdk)
+    assert len(loaded) == 2
+    terminals = [init_terminal(derive_ipek(bdk, ksn), ksn)
+                 for ksn in (_device_ksn(0x123456, i) for i in range(4))]
+    del loaded[:]
+    for i, terminal in enumerate(terminals):
+        assert registry.rederive_key(terminal.base_ksn) == derive_ipek(bdk, terminal.base_ksn)
+        if i % 2:
+            assert registry.process_message(_message(terminal)).accepted
+        else:
+            assert registry.handle_wire_line(encode_wire(_message(terminal))) == "OK|1"
+    assert len(loaded) == 4 * 2  # derive_ipek's own, for the reference above
+    del loaded[:]
+    registry.register_bdk(0x123456, TdeaKey.from_hex(OTHER_BDK_HEX), overwrite=True)
+    assert len(loaded) == 2
 
 
 def test_cached_folds_match_reference(monkeypatch, bdk):

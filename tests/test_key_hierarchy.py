@@ -19,6 +19,7 @@ from dukptlab.key_hierarchy import (
     COUNTER_MASK,
     COUNTER_SPACE,
     MAX_COUNTER_WEIGHT,
+    TABLE_BYTES,
     KeyRole,
     Ksn,
     TdeaKey,
@@ -307,15 +308,16 @@ def _usable_pairs(draw):
 @example(pair=(0x0FF800, 0x1FF800))
 @example(pair=(0x5A5A5, 0x5A5A6))
 def test_tables_move_from_any_counter_to_a_later_one(ipek, initial_ksn, pair):
-    # the table at last, itself a fold_chain result, folded from the highest bit
-    # where counter and last part, is the device's table at counter
+    # the table at last, itself a fold_chain result, folded in place from the highest
+    # bit where counter and last part, is the device's table at counter
     last, counter = pair
     ksn = initial_ksn.with_counter(counter)
-    table = fold_chain(ipek.material, initial_ksn.with_counter(last).value, 21)[1]
+    table = bytearray(TABLE_BYTES)
+    fold_chain(ipek.material, initial_ksn.with_counter(last).value, 21, table)
     slot = (counter ^ last).bit_length() - 1
-    key, run = fold_chain(bytes(table[16 * slot : 16 * slot + 16]), ksn.value, slot)
-    assert len(run) == 16 * (slot + 1)
-    table[: len(run)] = run
+    above = bytes(table[16 * slot + 16 :])
+    key = fold_chain(bytes(table[16 * slot : 16 * slot + 16]), ksn.value, slot, table)
+    assert len(table) == TABLE_BYTES and table[16 * slot + 16 :] == above
     assert key == derive_key_chain(ipek, ksn).material
     slots = table_counters(counter)
     assert table == b"".join(derive_key_chain(ipek, ksn.with_counter(slots[q])).material
@@ -329,7 +331,18 @@ def test_fold_chain_starts_from_any_slot(ipek, initial_ksn, counter):
     expected = _reference_key(ipek.material, ksn, counter)
     for slot in range(22):
         start = _reference_key(ipek.material, ksn, counter >> slot << slot)
-        assert fold_chain(start, ksn.value, slot)[0] == expected
+        assert fold_chain(start, ksn.value, slot, bytearray(TABLE_BYTES)) == expected
+
+
+@pytest.mark.parametrize("size", [0, 16, TABLE_BYTES - 16, TABLE_BYTES - 1, TABLE_BYTES + 16])
+def test_fold_chain_refuses_a_table_of_another_length_before_a_write(ipek, initial_ksn, size):
+    # slice assignment would resize a bytearray, so a short table would silently grow
+    table = bytearray(range(256)) * 2
+    del table[size:]
+    for counter, slot in ((0, 21), (1, 0), (0x400, 10)):
+        with pytest.raises(LengthError):
+            fold_chain(ipek.material, initial_ksn.with_counter(counter).value, slot, table)
+        assert table == (bytearray(range(256)) * 2)[:size]
 
 
 def test_derive_children_rejects_material_that_is_not_16_bytes(ipek, initial_ksn):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dukptlab import key_hierarchy, tdes
+from dukptlab import key_hierarchy, scenarios, tdes, wire
 from dukptlab.errors import ProfileFormatError, ProfileIncompatible
 from dukptlab.host import HostRegistry, VerdictStatus, format_reply
 from dukptlab.scenarios import (
@@ -291,9 +291,9 @@ def test_simulation_cipher_builds(monkeypatch, scheme, builds):
     assert report.accepted == 100
 
 
-def test_dukpt_simulation_builds_three_key_objects(monkeypatch):
-    # the BDK, the terminal's IPEK and the host's IPEK for the first message;
-    # every transaction key stays bytes on both sides
+def test_dukpt_simulation_builds_two_key_objects(monkeypatch):
+    # the BDK and the terminal's IPEK; the host derives the first message's IPEK
+    # as bytes from its loaded BDK, and every transaction key stays bytes on both sides
     built = 0
     real_post_init = key_hierarchy.TdeaKey.__post_init__
 
@@ -304,8 +304,48 @@ def test_dukpt_simulation_builds_three_key_objects(monkeypatch):
 
     monkeypatch.setattr(key_hierarchy.TdeaKey, "__post_init__", counting_post_init)
     report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 100, seed=0)
-    assert built == 3
+    assert built == 2
     assert report.accepted == 100
+
+
+def test_dukpt_simulation_hands_its_host_the_wire_line(monkeypatch):
+    # one handle_wire_line call per transaction, whose reply gives the status; the
+    # message route (parse_wire, process_message) is never taken
+    lines = []
+    real_handle = HostRegistry.handle_wire_line
+
+    def handle(self, line):
+        lines.append(line)
+        return real_handle(self, line)
+
+    def refuse(*args):
+        raise AssertionError("the DUKPT line took the message route")
+
+    monkeypatch.setattr(HostRegistry, "handle_wire_line", handle)
+    monkeypatch.setattr(HostRegistry, "process_message", refuse)
+    monkeypatch.setattr(scenarios, "parse_wire", refuse)
+    monkeypatch.setattr(wire, "parse_wire", refuse)
+    report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 25, seed=3)
+    assert report.accepted == report.distinct_keys == len(lines) == len(set(lines)) == 25
+
+
+@pytest.mark.parametrize("reply", ["ERR|MalformedMessage", "ERR|UnsupportedScheme", "OK|", "?"])
+def test_a_reply_that_names_no_status_stops_the_simulation(monkeypatch, reply):
+    # a reply outside OK|<n> and the verdict set is an error, not a count
+    monkeypatch.setattr(HostRegistry, "handle_wire_line", lambda self, line: reply)
+    with pytest.raises(ValueError, match="not a verdict reply"):
+        run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 3, seed=3)
+
+
+def test_simulation_counts_each_status_its_host_replies(monkeypatch):
+    replies = iter(["OK|1", "ERR|ReplayRejected", "ERR|DecryptFailed", "OK|4"])
+    monkeypatch.setattr(HostRegistry, "handle_wire_line", lambda self, line: next(replies))
+    report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 4, seed=3)
+    assert report.status_counts == {**{s: 0 for s in VerdictStatus},
+                                    VerdictStatus.ACCEPTED: 2,
+                                    VerdictStatus.REPLAY_REJECTED: 1,
+                                    VerdictStatus.DECRYPT_FAILED: 1}
+    assert report.distinct_keys == 2
 
 
 def test_simulation_rejects_bad_count():

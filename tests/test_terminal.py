@@ -20,6 +20,7 @@ from dukptlab.key_hierarchy import (
     DATA_VARIANT_MASK,
     MAX_COUNTER_WEIGHT,
     PIN_VARIANT_MASK,
+    TABLE_BYTES,
     KeyRole,
     TdeaKey,
     derive_key_chain,
@@ -30,6 +31,7 @@ from dukptlab.key_hierarchy import (
 )
 from dukptlab.pin_block import encode_iso0
 from dukptlab.wire import TransactionMessage
+from dukptlab import terminal as terminal_module
 from dukptlab.terminal import (
     TerminalState,
     decrypt_data,
@@ -46,6 +48,7 @@ from conftest import (
     INTEROP_PAN,
     INTEROP_PIN,
     PUBLISHED_PIN_CT_100000,
+    table_counters,
 )
 
 
@@ -173,6 +176,37 @@ def test_an_empty_slot_is_never_issued(ipek, initial_ksn):
             terminal.next_transaction_key()
         assert terminal.counter == 2
         assert terminal.table == table
+
+
+@pytest.mark.parametrize("size", [0, 16, TABLE_BYTES - 16, TABLE_BYTES + 16])
+def test_a_table_of_another_length_is_refused(initial_ksn, size):
+    # issue() folds into the table in place, where a slice write would resize it
+    with pytest.raises(LengthError):
+        TerminalState(initial_ksn, bytearray(size))
+
+
+def test_issue_folds_into_the_terminal_table_itself(ipek, initial_ksn, monkeypatch):
+    # fold_chain writes the terminal's table object itself, the same one for the
+    # terminal's life, past the refill of 0x4000's 14 slots
+    terminal = init_terminal(ipek, initial_ksn)
+    table = terminal.table
+    tables = []
+    real_fold_chain = key_hierarchy.fold_chain
+
+    def spy(material, ksn, slot, into):
+        tables.append(into)
+        return real_fold_chain(material, ksn, slot, into)
+
+    monkeypatch.setattr(terminal_module, "fold_chain", spy)
+    while terminal.counter < 0x4001:
+        terminal.issue()
+    slots = table_counters(0x4001)
+    assert table == b"".join(derive_key_chain(ipek, initial_ksn.with_counter(slots[q])).material
+                             if q in slots else bytes(16) for q in range(21))
+    assert len(tables) == terminal.counter - sum(
+        c.bit_count() > MAX_COUNTER_WEIGHT for c in range(terminal.counter))
+    assert all(into is table for into in tables)
+    assert terminal.table is table and len(table) == TABLE_BYTES
 
 
 def test_counter_is_read_only(terminal):
