@@ -27,6 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from . import tdes
 from .baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap_session
@@ -35,7 +36,7 @@ from .host import HostRegistry, VerdictStatus, reply_status
 from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek, seal
 from .pin_block import encode_iso0
 from .terminal import TerminalState, init_terminal
-from .wire import Scheme, TransactionMessage, encode_wire, parse_wire
+from .wire import Scheme, encode_fields, parse_fields
 
 
 class SecureStorage(Enum):
@@ -296,6 +297,24 @@ def _host_for(bdk: TdeaKey, term: TerminalState) -> HostRegistry:
     return registry
 
 
+_Sent = tuple[str, bytes | None, bytes | None, bytes]  # line, pin_ct, data_ct, key material
+
+
+def _dukpt_sender(term: TerminalState, clear_pin_block: bytes | None,
+                  data: bytes | None) -> Callable[[], _Sent]:
+    """One device's transactions: each call issues a key, seals the payload under
+    it and writes the line, with no ``Ksn`` or message in between."""
+    base = term.base_ksn.value
+
+    def send() -> _Sent:
+        counter, material = term.issue()
+        pin_ct, data_ct = seal(material, clear_pin_block, data)
+        line = encode_fields((base | counter).to_bytes(10, "big"), pin_ct, data_ct)
+        return line, pin_ct, data_ct, material
+
+    return send
+
+
 def run_simulation(
     scheme: Scheme,
     profile: EndpointProfile,
@@ -310,8 +329,9 @@ def run_simulation(
     same (seed-derived) payload, which is what makes the fixed-key scheme's
     ciphertext reuse — and its absence under per-transaction keys —
     directly observable in the report. ``distinct_keys`` counts the keys
-    the senders used for accepted transactions. Each receiver takes the wire
-    line; the DUKPT status is read from :meth:`HostRegistry.handle_wire_line`'s reply.
+    the senders used for accepted transactions. Each sender writes its line with
+    :func:`~dukptlab.wire.encode_fields`; FIXED and MS receivers read it with ``parse_fields``,
+    and the DUKPT status is read from :meth:`HostRegistry.handle_wire_line`'s reply.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -331,14 +351,11 @@ def run_simulation(
 
     # each branch provisions (its RNG draws, in this order, fix the report for
     # a seed) and defines one transaction's terminal side, which returns the
-    # message with the key it used, and host side, which takes its wire line
+    # line, the ciphertexts and the key it used, and host side, which takes the line
     if scheme is Scheme.DUKPT:
         bdk, term = _provision_dukpt(rng)
         registry = _host_for(bdk, term)
-
-        def send() -> tuple[TransactionMessage, bytes]:
-            material = term.issue()[1]
-            return TransactionMessage(term.ksn, *seal(material, clear_block, payload)), material
+        send = _dukpt_sender(term, clear_block, payload)
 
         def receive(line: str) -> VerdictStatus:
             return reply_status(registry.handle_wire_line(line))
@@ -346,38 +363,33 @@ def run_simulation(
     elif scheme is Scheme.FIXED:
         key = TdeaKey(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         term_fixed = FixedKeyTerminal(key, _random_initial_ksn(rng))
-        host_key = tdes.TdeaCipher(key.material)
+        terminal_id, material = term_fixed.terminal_id.raw, key.material
+        host_key = tdes.TdeaCipher(material)
 
-        def send() -> tuple[TransactionMessage, bytes]:
-            return TransactionMessage(
-                term_fixed.terminal_id,
-                encrypted_data=fixed_encrypt(term_fixed, payload),
-                scheme=Scheme.FIXED,
-            ), key.material
+        def send() -> _Sent:
+            data_ct = fixed_encrypt(term_fixed, payload)
+            return encode_fields(terminal_id, None, data_ct, Scheme.FIXED), None, data_ct, material
 
         def receive(line: str) -> VerdictStatus:
-            host_key.cbc_decrypt(parse_wire(line).encrypted_data)
+            host_key.cbc_decrypt(parse_fields(line)[2])
             return VerdictStatus.ACCEPTED
 
     elif scheme is Scheme.MASTER_SESSION:
         kek = TdeaKey(rng.randbytes(16), KeyRole.BASE_DERIVATION)
         ctx = MasterSessionContext(kek, random_source=rng.randbytes)
-        device_id = _random_initial_ksn(rng)
+        device_id = _random_initial_ksn(rng).raw
         host_kek = tdes.TdeaCipher(kek.material)
 
-        def send() -> tuple[TransactionMessage, bytes]:
+        def send() -> _Sent:
             wrapped, session = ms_wrap_session(ctx)
-            return TransactionMessage(
-                device_id,
-                encrypted_data=tdes.cbc_encrypt(session.material, payload),
-                scheme=Scheme.MASTER_SESSION,
-                wrapped_session_key=wrapped,
-            ), session.material
+            data_ct = tdes.cbc_encrypt(session.material, payload)
+            line = encode_fields(device_id, None, data_ct, Scheme.MASTER_SESSION, wrapped)
+            return line, None, data_ct, session.material
 
         def receive(line: str) -> VerdictStatus:
-            # an MS message holds a 16-byte wrapped key, the check ms_unwrap_session makes
-            msg = parse_wire(line)
-            tdes.cbc_decrypt(host_kek.ecb_decrypt(msg.wrapped_session_key), msg.encrypted_data)
+            # an MS line holds a 16-byte wrapped key, the check ms_unwrap_session makes
+            _, _, data_ct, _, wrapped = parse_fields(line)
+            tdes.cbc_decrypt(host_kek.ecb_decrypt(wrapped), data_ct)
             return VerdictStatus.ACCEPTED
 
     else:
@@ -387,15 +399,15 @@ def run_simulation(
     seen_keys: set[bytes] = set()
     seen_ciphertexts: set[tuple[bytes | None, bytes | None]] = set()
     for _ in range(count):
-        sent, material = send()
+        line, pin_ct, data_ct, material = send()
         try:
-            status = receive(encode_wire(sent))
+            status = receive(line)
         except DecryptFailed:
             status = VerdictStatus.DECRYPT_FAILED
         status_counts[status] += 1
         if status is VerdictStatus.ACCEPTED:
             seen_keys.add(material)
-        seen_ciphertexts.add((sent.encrypted_pin_block, sent.encrypted_data))
+        seen_ciphertexts.add((pin_ct, data_ct))
 
     return SimulationReport(
         scheme=scheme,
@@ -445,23 +457,23 @@ def clone_attack_demo(
     rng = random.Random(seed)
     bdk, legit = _provision_dukpt(rng)
     registry = _host_for(bdk, legit)
-    payload = b"checkout-request"
     replies: list[str] = []
 
-    def send(term: TerminalState) -> str:
+    def send(sender: Callable[[], _Sent]) -> str:
         host = registry if enforce_replay else _host_for(bdk, legit)
-        replies.append(host.handle_wire_line(encode_wire(term.build_message(data=payload))))
+        replies.append(host.handle_wire_line(sender()[0]))
         return replies[-1]
 
-    send(legit)  # the device transacts at least once before the theft
-    clone = copy.deepcopy(legit)
+    legit_sender = _dukpt_sender(legit, None, b"checkout-request")
+    send(legit_sender)  # the device transacts at least once before the theft
+    clone_sender = _dukpt_sender(copy.deepcopy(legit), None, b"checkout-request")
     from_clone: list[str] = []
     from_legit: list[str] = []
     for i in range(max(n_clone, n_legit - 1)):
         if i < n_clone:
-            from_clone.append(send(clone))
+            from_clone.append(send(clone_sender))
         if i < n_legit - 1:
-            from_legit.append(send(legit))
+            from_legit.append(send(legit_sender))
     replay_rejected = f"ERR|{VerdictStatus.REPLAY_REJECTED.value}"
     return CloneAttackReport(
         clone_first_accepted=bool(from_clone) and from_clone[0].startswith("OK|"),

@@ -12,8 +12,8 @@ in place; the host keeps the same table. Every key the table hands out equals th
 direct derivation chain for the same counter, and the tests hold it to that.
 
 The device line is :meth:`TerminalState.issue` (a counter and its key's 16
-bytes), :func:`~dukptlab.key_hierarchy.seal` and :attr:`TerminalState.ksn`, the
-one route to a message's KSN; the host opens the message with
+bytes), :func:`~dukptlab.key_hierarchy.seal` and the KSN, the base KSN ORed with
+that counter (:attr:`TerminalState.ksn` as a ``Ksn``); the host opens the line with
 :func:`~dukptlab.key_hierarchy.unseal`. :meth:`~TerminalState.next_transaction_key`
 and the four key-object payload functions are adapters that check roles.
 

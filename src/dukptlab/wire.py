@@ -7,6 +7,10 @@ Layout (fields in order, ``-`` for an absent payload)::
 where ``<scheme>`` is ``DUKPT``, ``FIXED`` or ``MS``. Master/Session lines
 append a sixth field carrying the wrapped session key (32 hex). Hex is
 accepted in either case and always emitted uppercase.
+
+:func:`encode_fields` writes a line from its fields (the KSN's 10 bytes, the payloads,
+the scheme, the wrapped key) and :func:`parse_fields` reads them back, each checking
+once; :func:`encode_wire` and :func:`parse_wire` do the same for a message.
 """
 
 from __future__ import annotations
@@ -66,21 +70,27 @@ def _check_payload(pin_ct: bytes | None, data_ct: bytes | None, scheme: Scheme,
         raise WireFormatError("only an MS message carries a wrapped session key")
 
 
-def _hex_or_dash(value: bytes | None) -> str:
-    return value.hex().upper() if value is not None else "-"
+def _line(ksn_raw: bytes, pin_ct: bytes | None, data_ct: bytes | None, scheme: Scheme,
+          wrapped: bytes | None) -> str:
+    pin = "-" if pin_ct is None else pin_ct.hex().upper()
+    data = "-" if data_ct is None else data_ct.hex().upper()
+    line = f"{WIRE_TAG}|{ksn_raw.hex().upper()}|{pin}|{data}|{_TAGS[scheme]}"
+    return line if wrapped is None else f"{line}|{wrapped.hex().upper()}"
+
+
+def encode_fields(ksn_raw: bytes, pin_ct: bytes | None, data_ct: bytes | None,
+                  scheme: Scheme = Scheme.DUKPT, wrapped: bytes | None = None) -> str:
+    """The line :func:`parse_fields` reads back as these fields, checked as a message is."""
+    if len(ksn_raw) != 10:
+        raise WireFormatError(f"KSN must be 10 bytes, got {len(ksn_raw)}")
+    _check_payload(pin_ct, data_ct, scheme, wrapped)
+    return _line(ksn_raw, pin_ct, data_ct, scheme, wrapped)
 
 
 def encode_wire(msg: TransactionMessage) -> str:
-    fields = [
-        WIRE_TAG,
-        msg.ksn.hex,
-        _hex_or_dash(msg.encrypted_pin_block),
-        _hex_or_dash(msg.encrypted_data),
-        _TAGS[msg.scheme],
-    ]
-    if msg.wrapped_session_key is not None:
-        fields.append(msg.wrapped_session_key.hex().upper())
-    return "|".join(fields)
+    """:func:`encode_fields` of a message, whose constructor has already checked it."""
+    return _line(msg.ksn.raw, msg.encrypted_pin_block, msg.encrypted_data, msg.scheme,
+                 msg.wrapped_session_key)
 
 
 def _parse_hex(field: str, name: str) -> bytes:

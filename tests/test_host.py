@@ -1,5 +1,6 @@
 """Host engine: registry, re-derivation, replay policy, wire handling."""
 
+import gc
 import random
 import sys
 import threading
@@ -668,6 +669,53 @@ def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
         assert replies == [f"OK|{n}" for n in range(1, 13) for _ in range(8)]
     assert len(registry._tables) == 5
     _assert_cache_matches_reference(registry)
+
+
+def _buffers_outside_tables(registry):
+    """Every bytearray reachable from the registry through ``gc.get_referents``, other
+    than its cached tables: the bytearray values of a mapping it holds. The registry's
+    own attribute dict, where the interpreter keeps one, holds no tables."""
+    attrs = getattr(registry, "__dict__", None)
+    seen, stack, buffers, tables = set(), [registry], [], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if type(obj) is bytearray:
+            buffers.append(obj)
+            continue
+        if isinstance(obj, dict) and obj is not attrs:
+            tables |= {id(v) for v in obj.values() if type(v) is bytearray}
+        stack.extend(gc.get_referents(obj))
+    return [b for b in buffers if id(b) not in tables], len(tables)
+
+
+def test_the_spare_buffer_is_zero_between_lines(monkeypatch, bdk):
+    # the host folds a cached device's line in a spare buffer and copies it over the
+    # table only on an accept; after every line, accepted or not, the spare holds no key
+    monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 2)
+    registry = HostRegistry()
+    registry.register_bdk(0x5A5A5A, bdk)
+    terminals = [init_terminal(derive_ipek(bdk, ksn), ksn)
+                 for ksn in (_device_ksn(0x5A5A5A, i) for i in range(3))]
+    replies = []
+    for n in range(90):
+        # mostly one cached device; the other two take turns, evicting each other
+        terminal = terminals[0] if n % 5 else terminals[1 + n // 5 % 2]
+        msg = _message(terminal)
+        counter = msg.ksn.counter
+        lines = [encode_wire(msg)]
+        if counter % 8 == 4:  # forged first; it folds from slot 2 at least, then fails
+            lines.insert(0, encode_wire(replace(msg, encrypted_data=bytes(16))))
+        elif counter % 16 in (9, 10, 11):
+            continue  # never reaches the host, so the next line is gapped
+        for line in lines:
+            replies.append(registry.handle_wire_line(line))
+            spares, cached = _buffers_outside_tables(registry)
+            assert spares and cached and not any(any(b) for b in spares), replies[-1]
+    assert replies.count("ERR|DecryptFailed") >= 8
+    assert all(r == "ERR|DecryptFailed" or r.startswith("OK|") for r in replies)
 
 
 # --- the two entry points -------------------------------------------------------------

@@ -308,9 +308,12 @@ def test_dukpt_simulation_builds_two_key_objects(monkeypatch):
     assert report.accepted == 100
 
 
-def test_dukpt_simulation_hands_its_host_the_wire_line(monkeypatch):
-    # one handle_wire_line call per transaction, whose reply gives the status; the
-    # message route (parse_wire, process_message) is never taken
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_simulation_lines_take_no_message_object(monkeypatch, scheme):
+    # each sender writes its line with encode_fields and each receiver reads it with
+    # parse_fields or, for DUKPT, one handle_wire_line call per transaction: with the
+    # message route refusing, a run reports exactly what an unpatched run does
+    expected = run_simulation(scheme, BUILTIN_PROFILES["pos"], 25, seed=3)
     lines = []
     real_handle = HostRegistry.handle_wire_line
 
@@ -318,15 +321,19 @@ def test_dukpt_simulation_hands_its_host_the_wire_line(monkeypatch):
         lines.append(line)
         return real_handle(self, line)
 
-    def refuse(*args):
-        raise AssertionError("the DUKPT line took the message route")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulated line took the message route")
 
-    monkeypatch.setattr(HostRegistry, "handle_wire_line", handle)
-    monkeypatch.setattr(HostRegistry, "process_message", refuse)
-    monkeypatch.setattr(scenarios, "parse_wire", refuse)
+    monkeypatch.setattr(wire.TransactionMessage, "__post_init__", refuse)
     monkeypatch.setattr(wire, "parse_wire", refuse)
-    report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 25, seed=3)
-    assert report.accepted == report.distinct_keys == len(lines) == len(set(lines)) == 25
+    monkeypatch.setattr(wire, "encode_wire", refuse)
+    monkeypatch.setattr(HostRegistry, "process_message", refuse)
+    monkeypatch.setattr(HostRegistry, "handle_wire_line", handle)
+    report = run_simulation(scheme, BUILTIN_PROFILES["pos"], 25, seed=3)
+    assert report == expected and report.accepted == 25
+    assert report.table() == expected.table()
+    assert len(lines) == len(set(lines)) == (25 if scheme is Scheme.DUKPT else 0)
+    assert not {"TransactionMessage", "parse_wire", "encode_wire"} & set(vars(scenarios))
 
 
 @pytest.mark.parametrize("reply", ["ERR|MalformedMessage", "ERR|UnsupportedScheme", "OK|", "?"])

@@ -72,6 +72,37 @@ def test_decrypt_failures():
         tdes.cbc_decrypt(KEY16, bytes(12))
 
 
+def _cbc_without_padding(plaintext):
+    """Zero-IV CBC of whole blocks through the public Cipher, so any plaintext shape can
+    be handed to the decrypt routes."""
+    return Cipher(TripleDES(KEY16 + KEY16[:8]), modes.CBC(bytes(8))).encryptor().update(plaintext)
+
+
+_BODIES = [lambda n: bytes(range(n)), lambda n: bytes(n), lambda n: b"\x80" * n]
+
+
+@pytest.mark.parametrize("size", range(1, 25))
+def test_cbc_decrypt_accepts_every_shape_pad_makes(size):
+    # the marker and 0 to 7 zeros, after bodies that themselves end in zeros or markers
+    for body in _BODIES:
+        plaintext = body(size)
+        ciphertext = _cbc_without_padding(tdes.pad(plaintext))
+        assert tdes.cbc_decrypt(KEY16, ciphertext) == plaintext
+        assert tdes.TdeaCipher(KEY16).cbc_decrypt(ciphertext) == plaintext
+
+
+@pytest.mark.parametrize("size", range(0, 25))
+def test_cbc_decrypt_refuses_a_marker_followed_by_a_whole_block_of_zeros(size):
+    # pad puts 0 to 7 zeros after the marker; one more block of zeros makes 8 of them
+    # (after a body of 7, 15 or 23 bytes) to 15, which neither decrypt route may take
+    for body in _BODIES:
+        ciphertext = _cbc_without_padding(body(size) + b"\x80" + bytes(-(size + 1) % 8 + 8))
+        with pytest.raises(DecryptFailed):
+            tdes.cbc_decrypt(KEY16, ciphertext)
+        with pytest.raises(DecryptFailed):
+            tdes.TdeaCipher(KEY16).cbc_decrypt(ciphertext)
+
+
 # --- loaded keys --------------------------------------------------------------
 
 _keys = st.sampled_from([8, 16, 24]).flatmap(lambda n: st.binary(min_size=n, max_size=n))

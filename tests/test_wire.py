@@ -1,12 +1,14 @@
 """Wire line codec: encode/parse round trips and rejection of malformed lines."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dukptlab.errors import EmptyMessage, WireFormatError
 from dukptlab.host import HostRegistry
-from dukptlab.key_hierarchy import parse_ksn
-from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_fields, parse_wire
+from dukptlab.key_hierarchy import Ksn, parse_ksn
+from dukptlab.wire import (
+    Scheme, TransactionMessage, encode_fields, encode_wire, parse_fields, parse_wire,
+)
 
 from conftest import EDIT_TOKENS, MALFORMED_TEMPLATES, edited, malformed_line
 
@@ -206,3 +208,63 @@ def test_parse_fields_reads_lowercase_hex():
                                 st.integers(0, 200), st.sampled_from(EDIT_TOKENS)), max_size=4))
 def test_parse_fields_agrees_with_parse_wire(base, edits):
     _assert_parsers_agree(edited("|".join(base), edits))
+
+
+# --- encode_fields, the inverse of parse_fields ------------------------------------------
+
+_blocks = st.integers(1, 5).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n))
+
+
+@st.composite
+def _valid_fields(draw):
+    """``(ksn_raw, pin_ct, data_ct, scheme, wrapped)`` of a line some scheme may send."""
+    scheme = draw(st.sampled_from(Scheme))
+    pin_ct = draw(st.none() | st.binary(min_size=8, max_size=8))
+    data_ct = draw(_blocks if pin_ct is None else st.none() | _blocks)
+    wrapped = (draw(st.binary(min_size=16, max_size=16)) if scheme is Scheme.MASTER_SESSION
+               else None)
+    return draw(st.binary(min_size=10, max_size=10)), pin_ct, data_ct, scheme, wrapped
+
+
+@given(_valid_fields())
+def test_encode_fields_round_trips_through_parse_fields(fields):
+    line = encode_fields(*fields)
+    assert parse_fields(line) == fields
+    # a message of the same fields is the same line, and the line parses back to it
+    msg = TransactionMessage(Ksn(fields[0]), *fields[1:])
+    assert encode_wire(msg) == line
+    assert parse_wire(line) == msg
+
+
+def _refusal(call, *args):
+    try:
+        call(*args)
+    except WireFormatError as exc:
+        return type(exc)
+    return None
+
+
+def _sized(n, most):
+    """Bytes of length ``n`` or of any length up to ``most``, or None."""
+    return st.none() | st.binary(min_size=n, max_size=n) | st.binary(max_size=most)
+
+
+@given(ksn_raw=st.binary(min_size=10, max_size=10) | st.binary(max_size=12),
+       scheme=st.sampled_from(Scheme), pin_ct=_sized(8, 10), data_ct=st.none() | _blocks
+       | st.binary(max_size=25), wrapped=_sized(16, 17))
+@example(ksn_raw=bytes(10), scheme=Scheme.DUKPT, pin_ct=None, data_ct=None, wrapped=None)
+@example(ksn_raw=bytes(10), scheme=Scheme.FIXED, pin_ct=None, data_ct=b"", wrapped=None)
+@example(ksn_raw=bytes(10), scheme=Scheme.MASTER_SESSION, pin_ct=bytes(8), data_ct=bytes(16),
+         wrapped=bytes(16))
+@example(ksn_raw=bytes(9), scheme=Scheme.DUKPT, pin_ct=bytes(8), data_ct=None, wrapped=None)
+def test_encode_fields_refuses_what_a_message_refuses(ksn_raw, scheme, pin_ct, data_ct, wrapped):
+    # the same payload rule, run once: the same refusal, EmptyMessage included; a KSN
+    # that is not 10 bytes is refused whatever the payload
+    payload = (pin_ct, data_ct, scheme, wrapped)
+    refused = _refusal(encode_fields, ksn_raw, *payload)
+    if len(ksn_raw) != 10:
+        assert refused is WireFormatError
+    else:
+        assert refused is _refusal(TransactionMessage, Ksn(ksn_raw), *payload)
+        if refused is None:
+            assert parse_fields(encode_fields(ksn_raw, *payload)) == (ksn_raw, *payload)
