@@ -20,9 +20,9 @@ keeps, byte for byte, the device's own future-key table after it issued the
 last accepted counter ``L`` (the rule is stated at
 :func:`~dukptlab.key_hierarchy.fold_chain`). A later counter ``c`` is folded
 from slot ``s``, the highest bit where ``c`` and ``L`` part, which holds the
-key of ``c >> s << s``, so the host derives where the device does, into a
-spare buffer copied over the table only on an accept. A device's first
-message and an evicted device start from the BDK, folded into a new table.
+key of ``c >> s << s``, so the host derives where the device does; a new or
+evicted device starts from the BDK. Every line folds into one spare buffer,
+zeroed after it, whose written slots an accept copies into the device's table.
 A table holds later counters' keys only, never a spent key or an IPEK or BDK
 copy, and is zero-overwritten when the device is evicted (least recently
 accepted first) or its BDK is replaced.
@@ -90,17 +90,17 @@ class HostRegistry:
     update are atomic and no BDK replacement or eviction touches a table while
     a message is open; the interpreter's global lock serializes the work
     anyway, and the loaded BDKs' kept cipher contexts are used only under it.
-    A cached device's walk reaches its table only on an accept, so no other
-    verdict changes the table's bytes or its place in the eviction order.
+    Every line folds into one spare buffer that reaches a table only on an accept,
+    so no other verdict makes a table or changes its bytes or eviction place.
     """
 
     def __init__(self) -> None:
         self._bdks: dict[int, LoadedBdk] = {}
         self._device_log: dict[int, int] = {}
         self._lock = threading.Lock()
-        # device -> its TABLE_BYTES key table at the logged counter, LRU order
+        # device -> its key table at the logged counter, made on its first accept; LRU order
         self._tables: OrderedDict[int, bytearray] = OrderedDict()
-        self._spare = bytearray(TABLE_BYTES)  # a cached device's walk, zero between lines
+        self._spare = bytearray(TABLE_BYTES)  # every line's walk, zero between lines
 
     def register_bdk(self, key_set_id: int, bdk: TdeaKey, overwrite: bool = False) -> None:
         """Install the base derivation key serving one key-set identifier.
@@ -165,21 +165,20 @@ class HostRegistry:
             table = self._tables.get(device)
             if table is None:
                 slot, start = COUNTER_BITS, ipek_material(bdk, value)
-                walk = table = bytearray(TABLE_BYTES)
             else:
                 slot = (counter ^ last).bit_length() - 1  # the highest bit where they part
-                start, walk = bytes(table[16 * slot : 16 * slot + 16]), self._spare
-            key = fold_chain(start, value, slot, walk)
+                start = bytes(table[16 * slot : 16 * slot + 16])
+            key = fold_chain(start, value, slot, self._spare)
             try:
                 clear_pin, clear_data = _open(key, pin_ct, data_ct)
             except DecryptFailed:
-                _wipe(walk)
+                _wipe(self._spare)
                 return VerdictStatus.DECRYPT_FAILED, counter, None, None
             self._device_log[device] = counter
-            if walk is not table:
-                table[: 16 * slot + 16] = walk[: 16 * slot + 16]
-                _wipe(walk)
-            self._tables[device] = table
+            if table is None:
+                table = self._tables[device] = bytearray(TABLE_BYTES)
+            table[: 16 * slot + 16] = self._spare[: 16 * slot + 16]  # slots 0 .. min(slot, 20)
+            _wipe(self._spare)
             self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:
                 _wipe(self._tables.popitem(last=False)[1])

@@ -27,13 +27,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from functools import partial
 
 from . import tdes
 from .baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap_session
 from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
 from .host import HostRegistry, VerdictStatus, reply_status
-from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek, seal
+from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek
 from .pin_block import encode_iso0
 from .terminal import TerminalState, init_terminal
 from .wire import Scheme, encode_fields, parse_fields
@@ -300,21 +300,6 @@ def _host_for(bdk: TdeaKey, term: TerminalState) -> HostRegistry:
 _Sent = tuple[str, bytes | None, bytes | None, bytes]  # line, pin_ct, data_ct, key material
 
 
-def _dukpt_sender(term: TerminalState, clear_pin_block: bytes | None,
-                  data: bytes | None) -> Callable[[], _Sent]:
-    """One device's transactions: each call issues a key, seals the payload under
-    it and writes the line, with no ``Ksn`` or message in between."""
-    base = term.base_ksn.value
-
-    def send() -> _Sent:
-        counter, material = term.issue()
-        pin_ct, data_ct = seal(material, clear_pin_block, data)
-        line = encode_fields((base | counter).to_bytes(10, "big"), pin_ct, data_ct)
-        return line, pin_ct, data_ct, material
-
-    return send
-
-
 def run_simulation(
     scheme: Scheme,
     profile: EndpointProfile,
@@ -355,7 +340,7 @@ def run_simulation(
     if scheme is Scheme.DUKPT:
         bdk, term = _provision_dukpt(rng)
         registry = _host_for(bdk, term)
-        send = _dukpt_sender(term, clear_block, payload)
+        send = partial(term.send, clear_block, payload)
 
         def receive(line: str) -> VerdictStatus:
             return reply_status(registry.handle_wire_line(line))
@@ -441,8 +426,8 @@ def clone_attack_demo(
 
     Schedule: the original sends once before the theft; then the two
     alternate, clone first, until the clone has sent ``n_clone`` lines and
-    the original ``n_legit`` in all. Each line goes through
-    :meth:`HostRegistry.handle_wire_line`; the report is read from the replies.
+    the original ``n_legit`` in all. Each line goes through :meth:`TerminalState.send`
+    and :meth:`HostRegistry.handle_wire_line`, its reply through :func:`reply_status`.
 
     Because the clone holds identical key material, its first message is
     cryptographically indistinguishable from the original's and the host
@@ -458,27 +443,27 @@ def clone_attack_demo(
     bdk, legit = _provision_dukpt(rng)
     registry = _host_for(bdk, legit)
     replies: list[str] = []
+    statuses: list[VerdictStatus] = []
 
-    def send(sender: Callable[[], _Sent]) -> str:
+    def send(device: TerminalState) -> VerdictStatus:
         host = registry if enforce_replay else _host_for(bdk, legit)
-        replies.append(host.handle_wire_line(sender()[0]))
-        return replies[-1]
+        replies.append(host.handle_wire_line(device.send(None, b"checkout-request")[0]))
+        statuses.append(reply_status(replies[-1]))
+        return statuses[-1]
 
-    legit_sender = _dukpt_sender(legit, None, b"checkout-request")
-    send(legit_sender)  # the device transacts at least once before the theft
-    clone_sender = _dukpt_sender(copy.deepcopy(legit), None, b"checkout-request")
-    from_clone: list[str] = []
-    from_legit: list[str] = []
+    send(legit)  # the device transacts at least once before the theft
+    clone = copy.deepcopy(legit)
+    from_clone: list[VerdictStatus] = []
+    from_legit: list[VerdictStatus] = []
     for i in range(max(n_clone, n_legit - 1)):
         if i < n_clone:
-            from_clone.append(send(clone_sender))
+            from_clone.append(send(clone))
         if i < n_legit - 1:
-            from_legit.append(send(legit_sender))
-    replay_rejected = f"ERR|{VerdictStatus.REPLAY_REJECTED.value}"
+            from_legit.append(send(legit))
     return CloneAttackReport(
-        clone_first_accepted=bool(from_clone) and from_clone[0].startswith("OK|"),
-        legit_replay_rejected=from_legit[:1] == [replay_rejected],
-        accepted=sum(reply.startswith("OK|") for reply in replies),
-        replay_rejected=replies.count(replay_rejected),
+        clone_first_accepted=from_clone[:1] == [VerdictStatus.ACCEPTED],
+        legit_replay_rejected=from_legit[:1] == [VerdictStatus.REPLAY_REJECTED],
+        accepted=statuses.count(VerdictStatus.ACCEPTED),
+        replay_rejected=statuses.count(VerdictStatus.REPLAY_REJECTED),
         reply_lines=replies,
     )

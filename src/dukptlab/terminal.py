@@ -11,9 +11,9 @@ which states the table rule once, writes the fresh table and each one after it
 in place; the host keeps the same table. Every key the table hands out equals the
 direct derivation chain for the same counter, and the tests hold it to that.
 
-The device line is :meth:`TerminalState.issue` (a counter and its key's 16
-bytes), :func:`~dukptlab.key_hierarchy.seal` and the KSN, the base KSN ORed with
-that counter (:attr:`TerminalState.ksn` as a ``Ksn``); the host opens the line with
+A transaction is one checked step: refuse a bad payload, :meth:`TerminalState.issue`,
+then :func:`~dukptlab.key_hierarchy.seal`. :meth:`~TerminalState.send` writes its line
+and :meth:`~TerminalState.build_message` its message; the host opens either with
 :func:`~dukptlab.key_hierarchy.unseal`. :meth:`~TerminalState.next_transaction_key`
 and the four key-object payload functions are adapters that check roles.
 
@@ -29,7 +29,7 @@ from .key_hierarchy import (
     COUNTER_BITS, TABLE_BYTES, KeyRole, Ksn, TdeaKey, fold_chain, next_counter,
     remaining_counters, seal, unseal,
 )
-from .wire import TransactionMessage
+from .wire import TransactionMessage, encode_fields
 
 
 class TerminalState:
@@ -56,7 +56,7 @@ class TerminalState:
 
     @property
     def ksn(self) -> Ksn:
-        """The KSN of the last issued key, the one its message carries."""
+        """The KSN of the last issued key as a ``Ksn``; :meth:`send` writes it from ints."""
         return Ksn((self._base | self._counter).to_bytes(10, "big"))
 
     @property
@@ -81,19 +81,34 @@ class TerminalState:
     def build_message(
         self, clear_pin_block: bytes | None = None, data: bytes | None = None
     ) -> TransactionMessage:
-        """Run one full transaction: draw a key, encrypt, assemble the message.
+        """Run one transaction (see :meth:`send`) and return it as a message, not a line."""
+        _, pin_ct, data_ct, _ = self._transact(clear_pin_block, data)
+        return TransactionMessage(self.ksn, pin_ct, data_ct)
 
-        A bad payload is refused before a key is drawn, leaving counter and
-        table as they were. The drawn key and its variants are bytes that
-        live only in this call; the table's copy is zeroed before it returns.
+    def send(
+        self, clear_pin_block: bytes | None = None, data: bytes | None = None
+    ) -> tuple[str, bytes | None, bytes | None, bytes]:
+        """Run one transaction and write its line: ``(line, pin_ct, data_ct, key)``.
+
+        A bad payload is refused before a key is drawn, leaving counter and table as
+        they were. ``key`` (the drawn key's 16 bytes) and its variants live only in
+        this call; the table's copy is zeroed before it returns.
         """
+        counter, pin_ct, data_ct, material = self._transact(clear_pin_block, data)
+        line = encode_fields((self._base | counter).to_bytes(10, "big"), pin_ct, data_ct)
+        return line, pin_ct, data_ct, material
+
+    def _transact(self, clear_pin_block: bytes | None,
+                  data: bytes | None) -> tuple[int, bytes | None, bytes | None, bytes]:
+        """The checked step of both routes: ``(counter, pin_ct, data_ct, key)``."""
         if clear_pin_block is None and data is None:
             raise EmptyPlaintext("transaction needs a PIN block or data to send")
         _check_pin_block(clear_pin_block)
         if data is not None and not data:
             raise EmptyPlaintext("refusing to encrypt an empty payload")
-        pin_ct, data_ct = seal(self.issue()[1], clear_pin_block, data)
-        return TransactionMessage(self.ksn, pin_ct, data_ct)
+        counter, material = self.issue()
+        pin_ct, data_ct = seal(material, clear_pin_block, data)
+        return counter, pin_ct, data_ct, material
 
     def issue(self) -> tuple[int, bytes]:
         """Advance the counter and take its key's material from the table.

@@ -16,6 +16,7 @@ from dukptlab.errors import (
 )
 from dukptlab.host import HostRegistry, VerdictStatus, format_reply
 from dukptlab.key_hierarchy import (
+    COUNTER_BITS,
     COUNTER_MASK,
     MAX_COUNTER_WEIGHT,
     KeyRole,
@@ -692,15 +693,34 @@ def _buffers_outside_tables(registry):
 
 
 def test_the_spare_buffer_is_zero_between_lines(monkeypatch, bdk):
-    # the host folds a cached device's line in a spare buffer and copies it over the
-    # table only on an accept; after every line, accepted or not, the spare holds no key
+    # the host folds every line, from a cached device or one with no table, in one
+    # spare buffer and copies it into the device's table only on an accept; after
+    # every line, accepted or not, the spare holds no key
     monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 2)
     registry = HostRegistry()
     registry.register_bdk(0x5A5A5A, bdk)
     terminals = [init_terminal(derive_ipek(bdk, ksn), ksn)
-                 for ksn in (_device_ksn(0x5A5A5A, i) for i in range(3))]
+                 for ksn in (_device_ksn(0x5A5A5A, i) for i in range(4))]
+    stranger = terminals.pop()  # sends forged lines only
+
+    def device(terminal):
+        return terminal.base_ksn.value >> COUNTER_BITS
+
     replies = []
     for n in range(90):
+        if n % 5 == 0:
+            # a forged line from each device with no table, never seen or evicted,
+            # folds from the BDK and fails: no table is kept and the floor stays
+            for outsider in [t for t in (*terminals, stranger)
+                             if device(t) not in registry._tables]:
+                floor = registry.last_accepted_counter(device(outsider))
+                forged = replace(_message(outsider), encrypted_data=bytes(16))
+                replies.append(registry.handle_wire_line(encode_wire(forged)))
+                assert replies[-1] == "ERR|DecryptFailed"
+                assert device(outsider) not in registry._tables
+                assert registry.last_accepted_counter(device(outsider)) == floor
+                spares, _ = _buffers_outside_tables(registry)
+                assert spares and not any(any(b) for b in spares)
         # mostly one cached device; the other two take turns, evicting each other
         terminal = terminals[0] if n % 5 else terminals[1 + n // 5 % 2]
         msg = _message(terminal)
@@ -714,7 +734,8 @@ def test_the_spare_buffer_is_zero_between_lines(monkeypatch, bdk):
             replies.append(registry.handle_wire_line(line))
             spares, cached = _buffers_outside_tables(registry)
             assert spares and cached and not any(any(b) for b in spares), replies[-1]
-    assert replies.count("ERR|DecryptFailed") >= 8
+    # the cached devices' forgeries, the stranger's 18 and the evicted pair's 16
+    assert replies.count("ERR|DecryptFailed") >= 8 + 18 + 16
     assert all(r == "ERR|DecryptFailed" or r.startswith("OK|") for r in replies)
 
 

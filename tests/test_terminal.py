@@ -30,7 +30,7 @@ from dukptlab.key_hierarchy import (
     unseal,
 )
 from dukptlab.pin_block import encode_iso0
-from dukptlab.wire import TransactionMessage
+from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_fields
 from dukptlab import terminal as terminal_module
 from dukptlab.terminal import (
     TerminalState,
@@ -391,10 +391,13 @@ def test_build_message_consumes_its_register(terminal, ipek):
     assert consumed == terminal.counter
 
 
-def test_a_refused_payload_draws_no_key(terminal):
-    terminal.build_message(data=b"payload")
+@pytest.mark.parametrize("route", ["build_message", "send"])
+def test_a_refused_payload_draws_no_key(terminal, route):
+    transact = getattr(terminal, route)
+    transact(data=b"payload")
     counter, table = terminal.counter, bytes(terminal.table)
     refused = [
+        (None, None, EmptyPlaintext),
         (bytes(7), None, LengthError),
         (None, b"", EmptyPlaintext),
         (bytes(7), b"payload", LengthError),
@@ -402,10 +405,31 @@ def test_a_refused_payload_draws_no_key(terminal):
     ]
     for clear_pin_block, data, error in refused:
         with pytest.raises(error):
-            terminal.build_message(clear_pin_block, data)
+            transact(clear_pin_block, data)
         assert terminal.counter == counter
         assert terminal.table == table
-    assert terminal.build_message(data=b"payload").ksn.counter == counter + 1
+    transact(data=b"payload")
+    assert terminal.counter == counter + 1
+
+
+def test_send_writes_the_line_of_the_message(ipek, initial_ksn):
+    # a twin builds the message of each line; 2,100 transactions pass counter 0x800
+    device = init_terminal(ipek, initial_ksn)
+    twin = copy.deepcopy(device)
+    block = encode_iso0(INTEROP_PIN, INTEROP_PAN)
+    for i in range(2_100):
+        pin = None if i % 3 == 1 else block  # PIN only, data only, both
+        data = None if i % 3 == 0 else bytes([i % 251]) * (1 + i % 20)
+        line, pin_ct, data_ct, key = device.send(pin, data)
+        msg = twin.build_message(pin, data)
+        assert line == encode_wire(msg)
+        ksn_raw = (initial_ksn.value | device.counter).to_bytes(10, "big")
+        assert parse_fields(line) == (ksn_raw, pin_ct, data_ct, Scheme.DUKPT, None)
+        assert (pin_ct, data_ct) == (msg.encrypted_pin_block, msg.encrypted_data)
+        if device.counter % 61 == 0 or device.counter & (device.counter - 1) == 0:
+            assert key == derive_key_chain(ipek, msg.ksn).material
+    assert device.counter == twin.counter > 0x800
+    assert device.table == twin.table
 
 
 _pin_blocks = st.lists(st.binary(min_size=8, max_size=8), min_size=1, max_size=8)
