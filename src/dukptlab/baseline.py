@@ -71,16 +71,18 @@ class MasterSessionContext:
         object.__setattr__(self, "cipher", tdes.TdeaCipher(self.kek.material))
 
 
-def ms_wrap_session(ctx: MasterSessionContext) -> tuple[bytes, TdeaKey]:
-    """Generate a fresh session key and return (wrapped form, clear key).
-
-    The wrapped form is the 16 key bytes TDEA-ECB'd under the KEK; only it
-    goes on the wire.
-    """
+def ms_wrap(ctx: MasterSessionContext) -> tuple[bytes, bytes]:
+    """A fresh session key as (wrapped form, its 16 clear bytes); only the wrapped
+    form, the key TDEA-ECB'd under the KEK, goes on the wire."""
     material = ctx.random_source(16)
     if len(material) != 16:
         raise LengthError("random source must supply 16 bytes")
-    wrapped = ctx.cipher.ecb_encrypt(material)
+    return ctx.cipher.ecb_encrypt(material), material
+
+
+def ms_wrap_session(ctx: MasterSessionContext) -> tuple[bytes, TdeaKey]:
+    """:func:`ms_wrap` with the clear session key as a key object."""
+    wrapped, material = ms_wrap(ctx)
     return wrapped, TdeaKey(material, KeyRole.TRANSACTION)
 
 

@@ -60,6 +60,9 @@ class VerdictStatus(Enum):
     UNKNOWN_KEY_SET = "UnknownKeySet"
     DECRYPT_FAILED = "DecryptFailed"
 
+    # members compare by identity, so hash by identity too: Enum.__hash__ is a Python call
+    __hash__ = object.__hash__
+
 
 _DUKPT, _ACCEPTED = Scheme.DUKPT, VerdictStatus.ACCEPTED  # read per line; quicker than a member
 _ERR_REPLIES = {s: f"ERR|{s.value}" for s in VerdictStatus if s is not _ACCEPTED}

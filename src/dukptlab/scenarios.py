@@ -30,7 +30,7 @@ from enum import Enum
 from functools import partial
 
 from . import tdes
-from .baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap_session
+from .baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap
 from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
 from .host import HostRegistry, VerdictStatus, reply_status
 from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek
@@ -366,10 +366,10 @@ def run_simulation(
         host_kek = tdes.TdeaCipher(kek.material)
 
         def send() -> _Sent:
-            wrapped, session = ms_wrap_session(ctx)
-            data_ct = tdes.cbc_encrypt(session.material, payload)
+            wrapped, session = ms_wrap(ctx)
+            data_ct = tdes.cbc_encrypt(session, payload)
             line = encode_fields(device_id, None, data_ct, Scheme.MASTER_SESSION, wrapped)
-            return line, None, data_ct, session.material
+            return line, None, data_ct, session
 
         def receive(line: str) -> VerdictStatus:
             # an MS line holds a 16-byte wrapped key, the check ms_unwrap_session makes

@@ -25,13 +25,13 @@ host side, and a BDK, in its two IPEK keys, by the host for each key set it
 serves (:func:`~dukptlab.key_hierarchy.load_bdk`, which ``derive_ipek`` shares).
 The one-shots build a context on the same key bundle and drop it,
 so a per-transaction key's contexts end with the call. The kept CBC encryption
-context chains on from the last ciphertext block it produced; that block is
-XORed into the next message's first plaintext block, so every message still starts
+context chains on from the last ciphertext block it produced; one int XOR puts that
+block into the next message's first plaintext block, so every message still starts
 from the zero IV and encrypts exactly as a one-shot call would. A context is only
 ever fed whole blocks. CBC decryption under a loaded key keeps no chaining state: it
-runs the kept ECB decryption context and XORs each block with the ciphertext block
-before it. A loaded key still has a single owner: two threads encrypting CBC under
-one key would interleave its chaining state.
+runs the kept ECB decryption context and XORs the result, as one int, with the
+ciphertext shifted right by one block. A loaded key still has a single owner: two
+threads encrypting CBC under one key would interleave its chaining state.
 
 Padding is the 0x80-marker scheme: append one 0x80 byte, then 0x00 bytes up
 to the next 8-byte boundary. It is mandatory, so every ciphertext decrypts
@@ -103,10 +103,11 @@ class TdeaCipher:
 
     def ecb_decrypt(self, data: bytes) -> bytes:
         _whole_blocks(data, LengthError, "ECB payload")
-        dec = self._ecb_dec
-        if dec is None:
-            dec = self._ecb_dec = _cipher(self._key, _ECB, False)
-        return dec.update(data)
+        return (self._ecb_dec or self._load_ecb_dec()).update(data)
+
+    def _load_ecb_dec(self) -> CipherContext:
+        self._ecb_dec = _cipher(self._key, _ECB, False)
+        return self._ecb_dec
 
     def cbc_encrypt(self, plaintext: bytes) -> bytes:
         """TDEA-CBC with mandatory marker padding applied first."""
@@ -115,17 +116,19 @@ class TdeaCipher:
         if enc is None:
             enc = self._cbc_enc = _cipher(self._key, _CBC, True)
         else:
-            # the context chains from its last output block: cancel it
-            data = xor_bytes(data[:BLOCK_SIZE], self._enc_prev[-BLOCK_SIZE:]) + data[BLOCK_SIZE:]
+            # the context chains from its last output block: XOR it into the first block
+            prev = int.from_bytes(self._enc_prev[-BLOCK_SIZE:], "big") << 8 * len(data) - 64
+            data = (int.from_bytes(data, "big") ^ prev).to_bytes(len(data), "big")
         self._enc_prev = out = enc.update(data)
         return out
 
     def cbc_decrypt(self, ciphertext: bytes) -> bytes:
         """Inverse of :meth:`cbc_encrypt`; padding violations raise DecryptFailed."""
         _whole_blocks(ciphertext, DecryptFailed, "ciphertext")
-        # CBC on the kept ECB context: each block XORs the one before it, the first the zero IV
-        data = self.ecb_decrypt(ciphertext)
-        return _unpadded(xor_bytes(data, bytes(BLOCK_SIZE) + ciphertext[:-BLOCK_SIZE]))
+        # CBC on the kept ECB context: XOR the ciphertext one block right (the zero IV first)
+        data = (self._ecb_dec or self._load_ecb_dec()).update(ciphertext)
+        chained = int.from_bytes(data, "big") ^ int.from_bytes(ciphertext, "big") >> 64
+        return _unpadded(chained.to_bytes(len(ciphertext), "big"))
 
 
 def _whole_blocks(data: bytes, error: type[Exception], what: str) -> None:

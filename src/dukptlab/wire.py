@@ -29,6 +29,8 @@ class Scheme(Enum):
     FIXED = "FIXED"
     MASTER_SESSION = "MS"
 
+    __hash__ = object.__hash__  # by identity, as host.VerdictStatus; each line's tag lookup hashes
+
 
 _SCHEMES = {scheme.value: scheme for scheme in Scheme}
 _TAGS = {scheme: tag for tag, scheme in _SCHEMES.items()}  # quicker than the member's .value

@@ -11,6 +11,7 @@ from dukptlab.baseline import (
     fixed_decrypt,
     fixed_encrypt,
     ms_unwrap_session,
+    ms_wrap,
     ms_wrap_session,
 )
 from dukptlab.errors import DecryptFailed, EmptyPlaintext, LengthError
@@ -95,6 +96,21 @@ def test_ms_kek_never_in_outputs():
         wrapped, session = ms_wrap_session(ctx)
         assert KEK.material not in wrapped
         assert KEK.material != session.material
+
+
+def test_ms_wrap_session_is_ms_wrap_as_a_key_object():
+    wrapped, material = ms_wrap(MasterSessionContext(KEK, random_source=random.Random(3).randbytes))
+    assert (wrapped, TdeaKey(material, KeyRole.TRANSACTION)) == ms_wrap_session(
+        MasterSessionContext(KEK, random_source=random.Random(3).randbytes))
+    assert type(material) is bytes and ms_unwrap_session(KEK, wrapped).material == material
+
+
+@pytest.mark.parametrize("wrap", [ms_wrap, ms_wrap_session])
+@pytest.mark.parametrize("size", [15, 8, 24])  # the ECB wrap itself refuses only the first
+def test_ms_wrap_refuses_a_random_source_of_the_wrong_length(wrap, size):
+    ctx = MasterSessionContext(KEK, random_source=lambda n: bytes(size))
+    with pytest.raises(LengthError):
+        wrap(ctx)
 
 
 def test_ms_unwrap_validates_length():

@@ -291,9 +291,14 @@ def test_simulation_cipher_builds(monkeypatch, scheme, builds):
     assert report.accepted == 100
 
 
-def test_dukpt_simulation_builds_two_key_objects(monkeypatch):
+@pytest.mark.parametrize("scheme,built_keys", [
     # the BDK and the terminal's IPEK; the host derives the first message's IPEK
     # as bytes from its loaded BDK, and every transaction key stays bytes on both sides
+    (Scheme.DUKPT, 2),
+    (Scheme.FIXED, 1),  # the permanent key
+    (Scheme.MASTER_SESSION, 1),  # the KEK; the sender takes each session key as bytes
+], ids=["DUKPT", "FIXED", "MS"])
+def test_simulation_key_objects(monkeypatch, scheme, built_keys):
     built = 0
     real_post_init = key_hierarchy.TdeaKey.__post_init__
 
@@ -303,8 +308,8 @@ def test_dukpt_simulation_builds_two_key_objects(monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(key_hierarchy.TdeaKey, "__post_init__", counting_post_init)
-    report = run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 100, seed=0)
-    assert built == 2
+    report = run_simulation(scheme, BUILTIN_PROFILES["pos"], 100, seed=0)
+    assert built == built_keys
     assert report.accepted == 100
 
 

@@ -113,7 +113,7 @@ _messages = st.lists(st.one_of(
 ), max_size=8)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # the example count is the profile's: CI's deep step runs 2,000
 @given(key=_keys, before=_messages, after=_messages)
 def test_loaded_key_matches_one_shot_calls(key, before, after):
     # kept CBC contexts chain across messages; each message must still start
@@ -152,7 +152,7 @@ _many_blocks = st.integers(2, 21).flatmap(lambda n: st.binary(min_size=8 * n, ma
 
 
 @pytest.mark.filterwarnings("ignore::cryptography.utils.CryptographyDeprecationWarning")  # 8/16-byte keys
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)  # the example count is the profile's, as above
 @given(key=_keys, block=st.binary(min_size=8, max_size=8), data=_many_blocks)
 def test_one_shots_match_public_ecb(key, block, data):
     # one block runs as zero-IV CBC and more as ECB: both must be ECB to the public Cipher

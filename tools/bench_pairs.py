@@ -1,14 +1,15 @@
-"""Paired benchmark runs: a parent revision against this checkout, into BENCH_<pr>.json.
+"""Paired benchmark runs: a parent revision against this checkout or another, into BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --parent REV --pr N [--pairs 5] [--seeds 1-5] \
-        [--workload simulate_fixed ...] [--seconds 10]
+    python3 tools/bench_pairs.py --parent REV --pr N [--change REV] [--pairs 5] \
+        [--seeds 1-5] [--workload simulate_fixed ...] [--seconds 10]
 
 Run from anywhere; stdlib only. The parent revision is exported with
 ``git archive`` into a temporary directory, removed on exit, so a killed run
 leaves no worktree record behind; the change is this checkout's working tree,
-uncommitted edits included. Each pair runs ``perfbench/run.py --trace 0`` once on
-each tree with the same seed, and the parent goes first in even pairs, the change
-in odd ones. Seeds are taken from ``--seeds`` in turn (default ``1-<pairs>``);
+uncommitted edits included, or with ``--change`` a second revision exported the
+same way, so two past commits can be compared. Each pair runs
+``perfbench/run.py --trace 0`` once on each tree with the same seed, and the parent
+goes first in even pairs, the change in odd ones. Seeds are taken from ``--seeds`` in turn (default ``1-<pairs>``);
 workloads default to every one ``BENCHMARK.json`` lists, and ``--seconds`` to its
 ``run_seconds``.
 
@@ -126,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pr", required=True, type=int, help="names the file BENCH_<pr>.json")
+    parser.add_argument("--change", help="git revision to run as the change (default: this tree)")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seeds", type=parse_seeds, help="A-B, taken in turn (default 1-<pairs>)")
     parser.add_argument("--workload", action="append", choices=names,
@@ -140,8 +142,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        parent_commit = export(args.parent, scratch)
-        trees = {"parent": scratch, "change": ROOT}
+        trees = {"parent": scratch / "parent", "change": ROOT}
+        parent_commit = export(args.parent, trees["parent"])
+        if args.change:
+            trees["change"] = scratch / "change"
+            change = {"rev": args.change, "commit": export(args.change, trees["change"])}
+        else:
+            change = {"head": git("rev-parse", "HEAD").decode().strip(), "uncommitted_edits":
+                      bool(git("status", "--porcelain", "--untracked-files=no").strip())}
         workloads = {}
         for workload in args.workload or names:
             pairs = []
@@ -159,12 +167,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    head = git("rev-parse", "HEAD").decode().strip()
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     report = {
         "pr": args.pr,
         "parent": {"rev": args.parent, "commit": parent_commit},
-        "change": {"head": head, "uncommitted_edits": dirty},
+        "change": change,
         "settings": {"pairs": args.pairs, "seeds": seeds[:args.pairs], "seconds": args.seconds,
                      "trace": 0},
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(),

@@ -100,6 +100,13 @@ MUTANTS = [
     Mutant("tdes.py", "len(data) - len(body) >= BLOCK_SIZE", "len(data) - len(body) > BLOCK_SIZE",
            "the padding check takes a whole block of zeros after the marker",
            ("test_tdes.py",)),
+    # the loaded key's CBC and the Master/Session wrap
+    Mutant("tdes.py", '(int.from_bytes(data, "big") ^ prev)', 'int.from_bytes(data, "big")',
+           "the kept CBC encryptor skips its chaining cancel", ("test_tdes.py",)),
+    Mutant("tdes.py", '(ciphertext, "big") >> 64', '(ciphertext, "big")',
+           "the kept CBC decryptor XORs the unshifted ciphertext", ("test_tdes.py",)),
+    Mutant("baseline.py", "if len(material) != 16:\n", "if False:\n",
+           "ms_wrap drops its 16-byte check", ("test_baseline.py",)),
 ]
 
 
