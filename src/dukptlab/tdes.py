@@ -5,13 +5,17 @@ one layer up in :mod:`dukptlab.key_hierarchy`. Keys are double-length
 (16 bytes) unless noted. An 8-byte key runs single DES through the EDE
 construction with three equal subkeys, which is the identical permutation.
 Every cipher context is built by :func:`_cipher`; CBC always uses the zero IV.
-It calls the backend factory (``create_encryption_ctx`` or
+It bundles the key and calls the backend factory (``create_encryption_ctx`` or
 ``create_decryption_ctx`` of ``cryptography.hazmat.bindings._rust.openssl.ciphers``)
 that ``Cipher(...).encryptor()`` and ``.decryptor()`` end in, skipping their two
 lookups through cryptography's deprecation-wrapped ``modes`` module: about two
-thirds of a build, which every per-transaction key pays per use. The factory is
-private API, verified on cryptography 48.0.0 (the declared floor); without it,
-importing this module raises ``ImportError`` naming the installed version.
+thirds of a build, which every per-transaction key pays per use. The ``TripleDES``
+it hands the factory is made without its constructor, whose checks repeat
+``_bundle``'s and the factory's (which refuses any key but a 24-byte buffer): only
+``key``, the one attribute the constructor leaves, is set. The factory and that
+constructor state are private detail, verified on cryptography 48.0.0 (the declared
+floor); importing this module checks both and raises ``ImportError`` naming the
+installed version if either differs.
 
 A one-shot over one block builds zero-IV CBC, which on one block is ECB both ways
 (NIST SP 800-38A) and costs the factory three ABC ``isinstance`` checks to ECB's six;
@@ -55,6 +59,9 @@ except (ImportError, AttributeError) as exc:
         ".create_encryption_ctx and .create_decryption_ctx (verified on cryptography"
         f" 48.0.0); the installed cryptography {cryptography.__version__} lacks them"
     ) from exc
+if vars(TripleDES(bytes(24))) != {"key": bytes(24)}:  # all the state _cipher sets
+    raise ImportError("dukptlab.tdes needs a TripleDES constructor that sets only .key (verified"
+                      f" on cryptography 48.0.0); cryptography {cryptography.__version__} sets more")
 
 BLOCK_SIZE = 8
 _ECB = modes.ECB()
@@ -75,9 +82,11 @@ def _bundle(key: bytes) -> bytes:
 
 
 def _cipher(key: bytes, mode: modes.Mode, encrypt: bool) -> CipherContext:
+    algorithm = TripleDES.__new__(TripleDES)  # no constructor: see the module docstring
+    algorithm.key = _bundle(key)
     if encrypt:
-        return _create_encryption_ctx(TripleDES(key), mode)
-    return _create_decryption_ctx(TripleDES(key), mode)
+        return _create_encryption_ctx(algorithm, mode)
+    return _create_decryption_ctx(algorithm, mode)
 
 
 class TdeaCipher:
@@ -148,19 +157,19 @@ def encrypt_block(key: bytes, block: bytes) -> bytes:
     """TDEA-ECB of a single 8-byte block (run as zero-IV CBC); an 8-byte key means single DES."""
     if len(block) != BLOCK_SIZE:
         raise LengthError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return _cipher(_bundle(key), _CBC, True).update(block)
+    return _cipher(key, _CBC, True).update(block)
 
 
 def ecb_encrypt(key: bytes, data: bytes) -> bytes:
     """One-shot :meth:`TdeaCipher.ecb_encrypt`; one block runs as zero-IV CBC."""
     _whole_blocks(data, LengthError, "ECB payload")
-    return _cipher(_bundle(key), _CBC if len(data) == BLOCK_SIZE else _ECB, True).update(data)
+    return _cipher(key, _CBC if len(data) == BLOCK_SIZE else _ECB, True).update(data)
 
 
 def ecb_decrypt(key: bytes, data: bytes) -> bytes:
     """One-shot :meth:`TdeaCipher.ecb_decrypt`; one block runs as zero-IV CBC."""
     _whole_blocks(data, LengthError, "ECB payload")
-    return _cipher(_bundle(key), _CBC if len(data) == BLOCK_SIZE else _ECB, False).update(data)
+    return _cipher(key, _CBC if len(data) == BLOCK_SIZE else _ECB, False).update(data)
 
 
 def pad(data: bytes) -> bytes:
@@ -177,10 +186,10 @@ def pad(data: bytes) -> bytes:
 def cbc_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """One-shot :meth:`TdeaCipher.cbc_encrypt`."""
     data = pad(plaintext)
-    return _cipher(_bundle(key), _CBC, True).update(data)
+    return _cipher(key, _CBC, True).update(data)
 
 
 def cbc_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     """One-shot :meth:`TdeaCipher.cbc_decrypt`."""
     _whole_blocks(ciphertext, DecryptFailed, "ciphertext")
-    return _unpadded(_cipher(_bundle(key), _CBC, False).update(ciphertext))
+    return _unpadded(_cipher(key, _CBC, False).update(ciphertext))

@@ -4,6 +4,7 @@ import importlib.util
 
 import cryptography
 import pytest
+from cryptography.exceptions import UnsupportedAlgorithm
 from cryptography.hazmat.bindings._rust import openssl as _openssl
 from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
 from cryptography.hazmat.primitives.ciphers import Cipher, modes
@@ -136,7 +137,7 @@ def test_loaded_key_matches_one_shot_calls(key, before, after):
 # --- the backend factory ------------------------------------------------------
 
 @pytest.mark.filterwarnings("ignore::cryptography.utils.CryptographyDeprecationWarning")  # 8/16-byte keys
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)  # the example count is the profile's: CI's deep step runs 2,000
 @given(key=_keys, data=_whole_blocks, cbc=st.booleans())
 def test_factory_matches_public_cipher(key, data, cbc):
     # the public Cipher path is the oracle for the private factory _cipher calls
@@ -144,6 +145,37 @@ def test_factory_matches_public_cipher(key, data, cbc):
     public = Cipher(TripleDES(key), mode)
     assert tdes._cipher(key, mode, True).update(data) == public.encryptor().update(data)
     assert tdes._cipher(key, mode, False).update(data) == public.decryptor().update(data)
+
+
+@pytest.mark.filterwarnings("ignore::cryptography.utils.CryptographyDeprecationWarning")  # 8/16-byte keys
+@settings(deadline=None)
+@given(key=_keys, encrypt=st.booleans())
+def test_cipher_algorithm_has_the_public_constructors_state(key, encrypt):
+    # _cipher makes TripleDES without its constructor: what it hands the factory
+    # must carry exactly the state TripleDES(key) leaves
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        for factory in ("_create_encryption_ctx", "_create_decryption_ctx"):
+            patch.setattr(tdes, factory, lambda algorithm, mode: handed.append(algorithm))
+        tdes._cipher(key, modes.ECB(), encrypt)
+    algorithm, = handed
+    assert type(algorithm) is TripleDES and vars(algorithm) == vars(TripleDES(key))
+
+
+@pytest.mark.parametrize("key, error", [(bytes(8), UnsupportedAlgorithm),
+                                        (bytes(16), UnsupportedAlgorithm),
+                                        (bytes(20), UnsupportedAlgorithm),
+                                        (bytes(32), UnsupportedAlgorithm),
+                                        ("0" * 24, TypeError)])
+def test_factory_refuses_any_key_but_a_24_byte_buffer(key, error):
+    # the constructor's key checks no longer run on the build path: the factory
+    # itself refuses any key but a 24-byte buffer, on both calls and in both modes
+    algorithm = TripleDES.__new__(TripleDES)
+    algorithm.key = key
+    for factory in (_openssl.ciphers.create_encryption_ctx, _openssl.ciphers.create_decryption_ctx):
+        for mode in (modes.ECB(), modes.CBC(bytes(8))):
+            with pytest.raises(error):
+                factory(algorithm, mode)
 
 
 # --- one-block one-shots -------------------------------------------------------
@@ -192,4 +224,18 @@ def test_missing_factory_fails_at_import(monkeypatch):
     monkeypatch.delattr(_openssl, "ciphers")
     spec = importlib.util.spec_from_file_location("dukptlab._tdes_without_factory", tdes.__file__)
     with pytest.raises(ImportError, match=f"create_encryption_ctx.*{cryptography.__version__}"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_constructor_with_more_state_fails_at_import(monkeypatch):
+    # _cipher sets only .key: a constructor that leaves more must stop the import
+    real_init = TripleDES.__init__
+
+    def init_with_more_state(self, key):
+        real_init(self, key)
+        self.mode_hint = None
+
+    monkeypatch.setattr(TripleDES, "__init__", init_with_more_state)
+    spec = importlib.util.spec_from_file_location("dukptlab._tdes_with_more_state", tdes.__file__)
+    with pytest.raises(ImportError, match=f"TripleDES.*{cryptography.__version__}"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))

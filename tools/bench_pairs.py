@@ -20,7 +20,9 @@ tied. A metric is ``unresolved`` when the parent's IQR, relative to its median,
 exceeds the metric's bound in ``BENCHMARK.json``: the two trees cannot then be
 told apart by that metric. The file decides nothing else; the bounds and the
 gate stay where they are. It also counts the lines of ``src/``, ``perfbench/``
-and ``tests/`` (``*.py``) on both sides.
+and ``tests/`` (``*.py``) on both sides. At the end the script prints one line per
+workload and metric: both medians, the change's move, the pairs won and lost, and
+``unresolved`` where it holds.
 """
 
 from __future__ import annotations
@@ -184,6 +186,12 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out} in {report['wall_seconds']} s", file=sys.stderr)
+    for workload, result in workloads.items():
+        for name, m in result["metrics"].items():
+            move = "n/a" if m["change_vs_parent"] is None else f"{m['change_vs_parent']:+.1%}"
+            print(f"{workload} {name}: {m['parent_median']:.6g} -> {m['change_median']:.6g}"
+                  f" ({move}), won {m['won']} lost {m['lost']} of {m['pairs']}"
+                  + (", unresolved" if m.get("unresolved") else ""))
     return 0
 
 

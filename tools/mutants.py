@@ -100,6 +100,15 @@ MUTANTS = [
     Mutant("tdes.py", "len(data) - len(body) >= BLOCK_SIZE", "len(data) - len(body) > BLOCK_SIZE",
            "the padding check takes a whole block of zeros after the marker",
            ("test_tdes.py",)),
+    # the key bundle and the cipher builder
+    Mutant("tdes.py", "return (key * 3)[:24]", "return key[:8] * 3",
+           "the bundle makes a 2-key TDEA key single DES", ("test_tdes.py",)),
+    Mutant("tdes.py",
+           "return _create_encryption_ctx(algorithm, mode)\n"
+           "    return _create_decryption_ctx(algorithm, mode)",
+           "return _create_decryption_ctx(algorithm, mode)\n"
+           "    return _create_encryption_ctx(algorithm, mode)",
+           "the builder swaps the encryption and decryption factories", ("test_tdes.py",)),
     # the loaded key's CBC and the Master/Session wrap
     Mutant("tdes.py", '(int.from_bytes(data, "big") ^ prev)', 'int.from_bytes(data, "big")',
            "the kept CBC encryptor skips its chaining cancel", ("test_tdes.py",)),
