@@ -31,11 +31,11 @@ from functools import partial
 
 from . import tdes
 from .baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap
-from .errors import DecryptFailed, ProfileFormatError, ProfileIncompatible
+from .errors import ProfileFormatError, ProfileIncompatible
 from .host import HostRegistry, VerdictStatus, reply_status
 from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek
 from .pin_block import encode_iso0
-from .terminal import TerminalState, init_terminal
+from .terminal import TerminalState
 from .wire import Scheme, encode_fields, parse_fields
 
 
@@ -288,7 +288,7 @@ def _random_initial_ksn(rng: random.Random) -> Ksn:
 def _provision_dukpt(rng: random.Random) -> tuple[TdeaKey, TerminalState]:
     bdk = TdeaKey(rng.randbytes(16), KeyRole.BASE_DERIVATION)
     initial_ksn = _random_initial_ksn(rng)
-    return bdk, init_terminal(derive_ipek(bdk, initial_ksn), initial_ksn)
+    return bdk, TerminalState(derive_ipek(bdk, initial_ksn), initial_ksn)
 
 
 def _host_for(bdk: TdeaKey, term: TerminalState) -> HostRegistry:
@@ -385,10 +385,7 @@ def run_simulation(
     seen_ciphertexts: set[tuple[bytes | None, bytes | None]] = set()
     for _ in range(count):
         line, pin_ct, data_ct, material = send()
-        try:
-            status = receive(line)
-        except DecryptFailed:
-            status = VerdictStatus.DECRYPT_FAILED
+        status = receive(line)
         status_counts[status] += 1
         if status is VerdictStatus.ACCEPTED:
             seen_keys.add(material)

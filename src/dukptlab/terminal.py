@@ -1,8 +1,9 @@
 """Terminal-side engine: the future-key table and per-transaction issuance.
 
-A device is initialized once with its IPEK and immediately converts it into
-21 future keys, one per counter bit position, in one 21-slot run of the
-one-way step; the IPEK itself is never stored. The keys live in one table of
+A device is made once, by ``TerminalState(ipek, initial_ksn)`` (``init_terminal``
+is the same class), and immediately converts its IPEK into 21 future keys, one
+per counter bit position, in one 21-slot run of the one-way step; the IPEK
+itself is never stored. There is no blank device. The keys live in one table of
 16-byte slots: slot ``q`` serves counter bit ``q``, and an all-zero slot is
 empty. Each transaction consumes the slot of the lowest set bit of the
 freshly advanced counter; the consumed slot is zeroed and the slots below it
@@ -33,21 +34,26 @@ from .wire import TransactionMessage, encode_fields
 
 
 class TerminalState:
-    """Single-owner mutable device state; one transaction at a time.
+    """A provisioned device: single-owner mutable state, one transaction at a time.
 
-    ``table`` is the future-key table, :data:`~dukptlab.key_hierarchy.TABLE_BYTES`
-    in the slot layout of :func:`~dukptlab.key_hierarchy.fold_chain`. The base KSN
-    is held as an int; ``base_ksn``, ``ksn`` and ``counter`` are read-only, and only
-    issuance moves the counter, with the table. The default repr shows no key.
+    The Initial key ``ipek`` becomes the 21 future keys of ``initial_ksn`` (a zero
+    counter) and is dropped: no part of the state equals it. ``table`` is the future-key
+    table, :data:`~dukptlab.key_hierarchy.TABLE_BYTES` in the slot layout of
+    :func:`~dukptlab.key_hierarchy.fold_chain`. The base KSN is held as an int;
+    ``base_ksn``, ``ksn`` and ``counter`` are read-only, and only issuance moves the
+    counter, with the table. The default repr shows no key.
     """
 
-    __slots__ = ("_base", "_counter", "table", "exhausted")
+    __slots__ = ("_base", "_counter", "table")
 
-    def __init__(self, base_ksn: Ksn, table: bytearray | None = None):
-        self._base, self._counter, self.exhausted = base_ksn.base.value, 0, False
-        self.table = bytearray(TABLE_BYTES) if table is None else table
-        if len(self.table) != TABLE_BYTES:
-            raise LengthError(f"a future-key table is {TABLE_BYTES} bytes, got {len(self.table)}")
+    def __init__(self, ipek: TdeaKey, initial_ksn: Ksn):
+        if ipek.role is not KeyRole.INITIAL:
+            raise KeyRoleError(f"terminal init needs an Initial key, got {ipek.role.value}")
+        if initial_ksn.counter != 0:
+            raise NonZeroCounter(
+                f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
+        self._base, self._counter, self.table = initial_ksn.value, 0, bytearray(TABLE_BYTES)
+        fold_chain(ipek.material, self._base, COUNTER_BITS, self.table)
 
     @property
     def base_ksn(self) -> Ksn:
@@ -69,8 +75,6 @@ class TerminalState:
 
     def remaining_transactions(self) -> int:
         """Usable counters this device can still burn."""
-        if self.exhausted:
-            return 0
         return remaining_counters(self._counter)
 
     def next_transaction_key(self) -> tuple[Ksn, TdeaKey]:
@@ -116,16 +120,13 @@ class TerminalState:
         :func:`~dukptlab.key_hierarchy.fold_chain` writes this very table over to
         its table at the new counter, from the consumed slot: that slot zeroed and
         the slots below it refilled. The counter moves with the table, once the
-        slot is found full. Exhaustion is permanent: the table is zeroed and the
-        device refuses further traffic.
+        slot is found full. Past the last usable counter every call raises
+        :class:`~dukptlab.errors.CounterExhausted` and zeroes the table.
         """
-        if self.exhausted:
-            raise CounterExhausted("terminal is spent; re-injection required")
         try:
             counter = next_counter(self._counter)
         except CounterExhausted:
             self.table[:] = bytes(len(self.table))
-            self.exhausted = True
             raise
         low = (counter & -counter).bit_length() - 1
         material = bytes(self.table[16 * low : 16 * low + 16])
@@ -136,19 +137,7 @@ class TerminalState:
         return counter, material
 
 
-def init_terminal(ipek: TdeaKey, initial_ksn: Ksn) -> TerminalState:
-    """Provision a device: expand the IPEK into all 21 future keys, drop it.
-
-    ``initial_ksn`` must carry a zero counter. After this returns, no part
-    of the state equals the IPEK; only one-way children of it remain.
-    """
-    if ipek.role is not KeyRole.INITIAL:
-        raise KeyRoleError(f"terminal init needs an Initial key, got {ipek.role.value}")
-    if initial_ksn.counter != 0:
-        raise NonZeroCounter(f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
-    terminal = TerminalState(initial_ksn)
-    fold_chain(ipek.material, initial_ksn.value, COUNTER_BITS, terminal.table)
-    return terminal
+init_terminal = TerminalState
 
 
 def _check_pin_block(block: bytes | None) -> None:

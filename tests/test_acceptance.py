@@ -70,6 +70,12 @@ def full_sweep(ipek, initial_ksn):
             low_weight_checked += 1
             if material != derive_key_chain(ipek, initial_ksn.with_counter(counter)).material:
                 low_weight_mismatches += 1
+    remaining_after = terminal.remaining_transactions()
+    try:
+        terminal.issue()
+        refused_again = False
+    except CounterExhausted:
+        refused_again = True
     return {
         "transactions": transactions,
         "monotone": monotone,
@@ -77,7 +83,8 @@ def full_sweep(ipek, initial_ksn):
         "first_5000": first_5000,
         "low_weight_checked": low_weight_checked,
         "low_weight_mismatches": low_weight_mismatches,
-        "exhausted_flag": terminal.exhausted,
+        "remaining_after": remaining_after,
+        "refused_again": refused_again,
         "final_counter": previous,
     }
 
@@ -133,7 +140,7 @@ def test_c04_counter_space_enumeration(full_sweep):
     # and the stateful terminal burned precisely that space
     assert full_sweep["transactions"] == 1_048_575
     assert full_sweep["monotone"] and full_sweep["weights_ok"]
-    assert full_sweep["exhausted_flag"]
+    assert full_sweep["remaining_after"] == 0 and full_sweep["refused_again"]
     print("ACCEPTANCE C04 PASS: exactly 1048575 usable counters, strictly increasing, then exhausted")
 
 

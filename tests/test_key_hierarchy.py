@@ -54,6 +54,7 @@ def test_key_equality_is_content_only():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
+    assert a.__eq__("x") is NotImplemented and a != "x"
 
 
 def test_key_rejects_wrong_lengths():
@@ -114,6 +115,9 @@ def test_parse_ksn_errors():
         parse_ksn("FFFF9876543210E0000")  # 19 chars
     with pytest.raises(HexInputError):
         parse_ksn("XXFF9876543210E00000")
+    for size in (9, 11):
+        with pytest.raises(LengthError, match=f"^KSN must be 10 bytes, got {size}$"):
+            Ksn(bytes(size))
 
 
 def test_base_ksn_stable_under_counter_updates():
@@ -183,6 +187,9 @@ def test_remaining_counters_endpoints():
     assert remaining_counters(0) == COUNTER_SPACE
     assert remaining_counters(COUNTER_MASK) == 0
     assert remaining_counters(0x1F_F800) == 0
+    for counter in (-1, COUNTER_MASK + 1):
+        with pytest.raises(ValueError, match="out of 21-bit range"):
+            remaining_counters(counter)
 
 
 # --- IPEK derivation ---------------------------------------------------------

@@ -366,6 +366,11 @@ def test_simulation_rejects_bad_count():
         run_simulation(Scheme.DUKPT, BUILTIN_PROFILES["pos"], 0, seed=1)
 
 
+def test_simulation_rejects_an_unknown_scheme():
+    with pytest.raises(ValueError, match="^unknown scheme 'DUKPT'$"):
+        run_simulation("DUKPT", BUILTIN_PROFILES["pos"], 1, seed=1)
+
+
 # --- clone attack -------------------------------------------------------------------------
 
 def test_clone_demo_with_policy():

@@ -25,6 +25,8 @@ which are not gc objects. This test keeps no key in its own frame.
 import gc
 import random
 
+import pytest
+
 from dukptlab import host
 from dukptlab.errors import CounterExhausted
 from dukptlab.host import HostRegistry
@@ -33,7 +35,7 @@ from dukptlab.key_hierarchy import (
     variant_pin_key,
 )
 from dukptlab.pin_block import encode_iso0
-from dukptlab.terminal import TerminalState, init_terminal
+from dukptlab.terminal import init_terminal
 from dukptlab.wire import Scheme, TransactionMessage, encode_wire
 
 from conftest import INTEROP_PAN, MALFORMED_TEMPLATES, malformed_line, table_counters
@@ -51,9 +53,10 @@ def _ksn(key_set, index):
 def _terminal_at(bdk, base, counter):
     """A device that has issued ``counter``, its table built from reference keys."""
     ipek, slots = derive_ipek(bdk, base), table_counters(counter)
-    terminal = TerminalState(base, bytearray(b"".join(
+    terminal = init_terminal(ipek, base)
+    terminal.table[:] = b"".join(
         derive_key_chain(ipek, base.with_counter(slots[q])).material if q in slots
-        else bytes(16) for q in range(21))))
+        else bytes(16) for q in range(21))
     terminal._counter = counter
     return terminal
 
@@ -161,7 +164,9 @@ def test_no_spent_key_is_reachable(monkeypatch):
     # each served device's last terminal (the re-injected one replaces its first)
     served = {t.base_ksn.initial_id: t for bdk, t, _ in devices if bdk is not UNKNOWN_BDK}
     assert all(registry.last_accepted_counter(d) == t.counter for d, t in served.items())
-    assert devices[-1][1].exhausted
+    assert devices[-1][1].remaining_transactions() == 0
+    with pytest.raises(CounterExhausted):
+        devices[-1][1].issue()
     spent = _spent(devices)
     tables = [*registry._tables.values(), *(terminal.table for _, terminal, _ in devices)]
     assert _reachable(spent, tables) == []

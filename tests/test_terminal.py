@@ -1,6 +1,7 @@
 """Terminal engine: future-key table, issuance, erasure, payload crypto."""
 
 import copy
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -66,7 +67,7 @@ def _stored(terminal):
 def test_init_populates_all_registers(terminal):
     assert terminal.occupied_count() == 21
     assert terminal.counter == 0
-    assert not terminal.exhausted
+    assert terminal.remaining_transactions() == COUNTER_SPACE
 
 
 def test_init_registers_hold_chain_keys(terminal, ipek, initial_ksn):
@@ -77,6 +78,13 @@ def test_init_registers_hold_chain_keys(terminal, ipek, initial_ksn):
 
 def test_init_discards_ipek(terminal, ipek):
     assert ipek.material not in _stored(terminal)
+
+
+def test_the_constructor_is_the_one_way_to_make_a_terminal():
+    # no blank device, no table passed in, and no state beside base, counter and table
+    assert init_terminal is TerminalState
+    assert list(inspect.signature(TerminalState).parameters) == ["ipek", "initial_ksn"]
+    assert TerminalState.__slots__ == ("_base", "_counter", "table")
 
 
 def test_init_rejects_nonzero_counter(ipek, initial_ksn):
@@ -160,12 +168,6 @@ def test_register_occupancy_never_exceeds_slots(terminal):
 def test_an_empty_slot_is_never_issued(ipek, initial_ksn):
     # an all-zero slot is empty: issuing from it would hand out a zero key,
     # and the refused issuance moves neither the counter nor the table
-    blank = TerminalState(initial_ksn)
-    for _ in range(2):
-        with pytest.raises(RuntimeError, match="slot 0 is empty"):
-            blank.next_transaction_key()
-        assert blank.counter == 0
-        assert blank.table == bytes(16 * 21)
     terminal = init_terminal(ipek, initial_ksn)
     terminal.next_transaction_key()
     terminal.next_transaction_key()
@@ -176,13 +178,6 @@ def test_an_empty_slot_is_never_issued(ipek, initial_ksn):
             terminal.next_transaction_key()
         assert terminal.counter == 2
         assert terminal.table == table
-
-
-@pytest.mark.parametrize("size", [0, 16, TABLE_BYTES - 16, TABLE_BYTES + 16])
-def test_a_table_of_another_length_is_refused(initial_ksn, size):
-    # issue() folds into the table in place, where a slice write would resize it
-    with pytest.raises(LengthError):
-        TerminalState(initial_ksn, bytearray(size))
 
 
 def test_issue_folds_into_the_terminal_table_itself(ipek, initial_ksn, monkeypatch):
@@ -222,7 +217,6 @@ def test_base_ksn_and_ksn_are_read_only(terminal, initial_ksn):
         with pytest.raises(AttributeError):
             setattr(terminal, name, initial_ksn.with_counter(1))
     assert terminal.base_ksn == terminal.ksn == initial_ksn
-    assert TerminalState(initial_ksn.with_counter(0x1FFFFF)).base_ksn == initial_ksn
 
 
 def test_every_message_ksn_is_the_base_with_its_counter(ipek, initial_ksn, monkeypatch):
@@ -259,11 +253,12 @@ def test_exhaustion_is_permanent(terminal):
     terminal._counter = 0x1FF800
     with pytest.raises(CounterExhausted):
         terminal.next_transaction_key()
-    assert terminal.exhausted
     assert terminal.occupied_count() == 0
     assert terminal.remaining_transactions() == 0
     with pytest.raises(CounterExhausted):
         terminal.next_transaction_key()
+    assert terminal.counter == 0x1FF800
+    assert terminal.occupied_count() == 0
 
 
 # --- payload crypto -----------------------------------------------------------

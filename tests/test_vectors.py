@@ -39,6 +39,11 @@ def test_generate_walks_usable_counters():
     assert 0x7FF not in counters  # would be overweight
 
 
+def test_generate_refuses_a_count_below_one():
+    with pytest.raises(ValueError, match="^count must be at least 1$"):
+        vectors.generate(0)
+
+
 def test_corrupted_key_is_named():
     records = vectors.generate(3)
     bad = records[1]

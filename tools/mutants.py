@@ -80,9 +80,21 @@ MUTANTS = [
            "            if slot < COUNTER_BITS:\n                table[: 16 * slot + 16] =",
            "a device's first accept stores an empty table", HOST_TESTS),
     Mutant("terminal.py",
-           "            self.table[:] = bytes(len(self.table))\n            self.exhausted = True",
-           "            self.exhausted = True",
+           "        except CounterExhausted:\n            self.table[:] = bytes(len(self.table))\n",
+           "        except CounterExhausted:\n",
            "an exhausted device keeps its table", ("test_terminal.py",)),
+    # provisioning and the counter space
+    Mutant("terminal.py", "        if ipek.role is not KeyRole.INITIAL:\n",
+           "        if False:\n",
+           "the constructor skips the Initial-role check", ("test_terminal.py",)),
+    Mutant("terminal.py", "        if initial_ksn.counter != 0:\n", "        if False:\n",
+           "the constructor skips the zero-counter check", ("test_terminal.py",)),
+    Mutant("key_hierarchy.py", "        if len(self.raw) != 10:\n", "        if False:\n",
+           "a Ksn of another length than 10 bytes is made", ("test_key_hierarchy.py",)),
+    Mutant("key_hierarchy.py",
+           "``counter``.\"\"\"\n    if not 0 <= counter <= COUNTER_MASK:",
+           "``counter``.\"\"\"\n    if False:",
+           "remaining_counters drops its range check", ("test_key_hierarchy.py",)),
     # the table rule
     Mutant("key_hierarchy.py", "if counter.bit_count() < MAX_COUNTER_WEIGHT else",
            "if counter.bit_count() <= MAX_COUNTER_WEIGHT else",
