@@ -87,9 +87,23 @@ def test_the_constructor_is_the_one_way_to_make_a_terminal():
     assert TerminalState.__slots__ == ("_base", "_counter", "table")
 
 
+def test_each_terminal_gets_a_table_of_its_own(ipek, initial_ksn):
+    # issue() folds into the table in place, so two devices provisioned alike must
+    # not share one: the first device's issuance leaves the second's table alone
+    first, second = init_terminal(ipek, initial_ksn), init_terminal(ipek, initial_ksn)
+    assert first.table is not second.table
+    assert type(second.table) is bytearray and len(second.table) == TABLE_BYTES
+    before = bytes(second.table)
+    first.next_transaction_key()
+    assert first.table != before
+    assert second.table == before and second.counter == 0
+
+
 def test_init_rejects_nonzero_counter(ipek, initial_ksn):
-    with pytest.raises(NonZeroCounter):
-        init_terminal(ipek, initial_ksn.with_counter(5))
+    # a KSN with counter bits set is refused, never silently cleared
+    for counter in (5, 0x1FFFFF):
+        with pytest.raises(NonZeroCounter):
+            init_terminal(ipek, initial_ksn.with_counter(counter))
 
 
 def test_init_rejects_non_initial_key(initial_ksn):
