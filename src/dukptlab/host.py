@@ -9,10 +9,10 @@ to the one policy path, which reads the KSN once as an int, checks key set,
 counter weight and floor, folds to the 16-byte key, opens the payload with
 :func:`~dukptlab.key_hierarchy.unseal` (a PIN block also with
 :func:`~dukptlab.pin_block.structure_ok`) and commits only on an accept; it
-builds no message, verdict, ``Ksn`` or key object. The reply is
-``OK|<counter>`` or a fixed ``ERR|`` string, read back by :func:`reply_status`.
-:meth:`~HostRegistry.process_message` runs the same path and returns a
-:class:`HostVerdict`; role checks sit at the public entry points.
+builds no message, verdict, ``Ksn`` or key object, and opens the PIN block and only
+the data's last two blocks. The reply is ``OK|<counter>`` or a fixed ``ERR|`` string,
+read back by :func:`reply_status`. :meth:`~HostRegistry.process_message` opens
+everything and returns a :class:`HostVerdict`; role checks sit at the public entry points.
 
 The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
@@ -47,6 +47,7 @@ from .key_hierarchy import (
     load_bdk, unseal,
 )
 from .pin_block import structure_ok
+from .tdes import BLOCK_SIZE
 from .wire import Scheme, TransactionMessage, parse_fields
 
 # devices whose key table is kept; host_scattered's 682 fit
@@ -188,14 +189,17 @@ class HostRegistry:
             return _ACCEPTED, counter, clear_pin, clear_data
 
     def handle_wire_line(self, line: str) -> str:
-        """Process one transport line and produce the reply line."""
+        """One transport line's reply; opens its PIN block and its data's last two blocks."""
         try:
             ksn_raw, pin_ct, data_ct, scheme, _ = parse_fields(line)
         except WireFormatError:
             return "ERR|MalformedMessage"
         if scheme is not _DUKPT:
             return "ERR|UnsupportedScheme"
-        status, counter, _, _ = self._process(ksn_raw, pin_ct, data_ct)
+        # zero-IV CBC: the last clear block, D_K(C_n) xor C_n-1, decides the padding, so the
+        # last two blocks suffice; parse_fields has checked the whole ciphertext's length
+        tail = data_ct and data_ct[-2 * BLOCK_SIZE:]
+        status, counter, _, _ = self._process(ksn_raw, pin_ct, tail)
         return f"OK|{counter}" if status is _ACCEPTED else _ERR_REPLIES[status]
 
 

@@ -311,12 +311,12 @@ def run_simulation(
     The applicability verdict gates per-transaction derivation: profiles it
     does not permit never receive an initial key and the run refuses with
     :class:`ProfileIncompatible`. Every transaction in a run carries the
-    same (seed-derived) payload, which is what makes the fixed-key scheme's
-    ciphertext reuse — and its absence under per-transaction keys —
-    directly observable in the report. ``distinct_keys`` counts the keys
-    the senders used for accepted transactions. Each sender writes its line with
-    :func:`~dukptlab.wire.encode_fields`; FIXED and MS receivers read it with ``parse_fields``,
-    and the DUKPT status is read from :meth:`HostRegistry.handle_wire_line`'s reply.
+    same (seed-derived) payload, which is what makes the fixed-key scheme's ciphertext
+    reuse — and its absence under per-transaction keys — directly observable in the
+    report. ``distinct_keys`` counts the keys the senders used for accepted transactions.
+    Each sender writes its line with :func:`~dukptlab.wire.encode_fields`; FIXED and MS
+    receivers read it with ``parse_fields`` and decrypt the data's last two blocks, and
+    the DUKPT status is read from :meth:`HostRegistry.handle_wire_line`'s reply.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -356,7 +356,9 @@ def run_simulation(
             return encode_fields(terminal_id, None, data_ct, Scheme.FIXED), None, data_ct, material
 
         def receive(line: str) -> VerdictStatus:
-            host_key.cbc_decrypt(parse_fields(line)[2])
+            # zero-IV CBC: the last clear block, D_K(C_n) xor C_n-1, decides the padding, so this
+            # receiver and MS's open the last two blocks; parse_fields checked the whole length
+            host_key.cbc_decrypt(parse_fields(line)[2][-2 * tdes.BLOCK_SIZE:])
             return VerdictStatus.ACCEPTED
 
     elif scheme is Scheme.MASTER_SESSION:
@@ -374,7 +376,7 @@ def run_simulation(
         def receive(line: str) -> VerdictStatus:
             # an MS line holds a 16-byte wrapped key, the check ms_unwrap_session makes
             _, _, data_ct, _, wrapped = parse_fields(line)
-            tdes.cbc_decrypt(host_kek.ecb_decrypt(wrapped), data_ct)
+            tdes.cbc_decrypt(host_kek.ecb_decrypt(wrapped), data_ct[-2 * tdes.BLOCK_SIZE:])
             return VerdictStatus.ACCEPTED
 
     else:

@@ -745,17 +745,23 @@ def test_the_spare_buffer_is_zero_between_lines(monkeypatch, bdk):
 _STREAM_KEY_SETS = {0x5A5A5A: 2, 0xC3C3C3: 2, 0x0F0F0F: 1}
 _STREAM_BDKS = {key_set: TdeaKey.from_bytes(random.Random(key_set).randbytes(16))
                 for key_set in _STREAM_KEY_SETS}
-_STREAM_KINDS = {"honest": 30, "gapped": 8, "replayed": 8, "tampered": 3, "forged": 3,
-                 "overweight": 4, "unknown": 4, "fixed": 3, "ms": 3, "near-miss": 10,
-                 "malformed": 5}
+_STREAM_KINDS = {"honest": 30, "gapped": 8, "replayed": 8, "tampered": 3, "inner": 4,
+                 "forged": 3, "overweight": 4, "unknown": 4, "fixed": 3, "ms": 3,
+                 "near-miss": 10, "malformed": 5}
 
 
 
 def _stream(seed, n_lines=60):
-    """A seeded mix of honest, gapped, replayed, tampered, forged, overweight,
-    unknown-key-set, FIXED and MS, near-miss and malformed lines from five devices
-    over three key sets. A tampered line is an honest one with its last data block
-    zeroed, so its PIN block opens and its data does not."""
+    """A seeded mix of honest, gapped, replayed, tampered, inner-tampered, forged,
+    overweight, unknown-key-set, FIXED and MS, near-miss and malformed lines from five
+    devices over three key sets. A tampered line is an honest one with its last data
+    block zeroed, so its PIN block opens and its data does not. An inner-tampered line
+    is an honest one with one data block other than the last replaced, of 3 to 5:
+    the wire route decrypts only the last two blocks and the message route all of
+    them, yet both refuse it only when the padding breaks. A replaced block before the
+    second-to-last leaves the last clear block as sent, so both routes accept the line,
+    as they did when both decrypted everything; only a MAC over the line (ROADMAP
+    item 1) closes that."""
     rng = random.Random(seed)
     terminals = [init_terminal(derive_ipek(_STREAM_BDKS[key_set], ksn), ksn)
                  for key_set, count in _STREAM_KEY_SETS.items()
@@ -785,6 +791,13 @@ def _stream(seed, n_lines=60):
             msg = _message(term)
             line = encode_wire(replace(msg, encrypted_data=msg.encrypted_data[:-8]
                                        + bytes(8)))
+        elif kind == "inner":
+            msg = term.build_message(encode_iso0(*CLEAR_BLOCK_ARGS) if rng.random() < 0.5
+                                     else None, rng.randbytes(rng.randrange(17, 40)))
+            data = msg.encrypted_data
+            at = 8 * rng.randrange(len(data) // 8 - 1)  # any block but the last
+            line = encode_wire(replace(msg, encrypted_data=data[:at] + rng.randbytes(8)
+                                       + data[at + 8 :]))
         elif kind == "forged":
             line = encode_wire(TransactionMessage(ksn, rng.randbytes(8), rng.randbytes(16)))
         else:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from dukptlab.errors import InvalidPan, InvalidPin, LengthError, MalformedPinBlock
 from dukptlab.pin_block import decode_iso0, encode_iso0, structure_ok
+from dukptlab.tdes import xor_bytes
 
 from conftest import INTEROP_PAN, INTEROP_PIN, ISO0_CLEAR_BLOCK_HEX
 
@@ -68,12 +69,22 @@ def test_decode_rejects_all_ff():
         decode_iso0(b"\xff" * 8, INTEROP_PAN)
 
 
-def test_decode_rejects_bad_length_nibble():
-    # control nibble fine, length nibble 0x3 below minimum
-    block = encode_iso0("1234", INTEROP_PAN)
-    tampered = bytes([0x03]) + block[1:]
-    with pytest.raises(MalformedPinBlock):
-        decode_iso0(tampered, INTEROP_PAN)
+# field 1 as hex, each with one fault that only the named check refuses; the rest is
+# valid, so a block passes decode_iso0 once that one check is deleted
+_ONE_FAULT_FIELDS = [
+    ("141234FFFFFFFFFF", "control nibble"),
+    ("03123FFFFFFFFFFF", "length nibble 3"),
+    ("0D1234567890123F", "length nibble 13"),
+    ("0412A4FFFFFFFFFF", "not all decimal"),
+    ("041234FFFFFFFFFE", "filler"),
+]
+
+
+@pytest.mark.parametrize("field1, reason", _ONE_FAULT_FIELDS)
+def test_decode_refuses_each_structure_fault_with_its_own_check(field1, reason):
+    field2 = xor_bytes(encode_iso0("1234", INTEROP_PAN), bytes.fromhex("041234FFFFFFFFFF"))
+    with pytest.raises(MalformedPinBlock, match=reason):
+        decode_iso0(xor_bytes(bytes.fromhex(field1), field2), INTEROP_PAN)
 
 
 def test_decode_rejects_wrong_block_length():

@@ -134,6 +134,37 @@ def test_loaded_key_matches_one_shot_calls(key, before, after):
     check(after + [("cbc_decrypt", b"last"), ("cbc_encrypt", b"last")])
 
 
+# --- the last two blocks decide the padding --------------------------------------
+
+def _opened(decrypt, ciphertext):
+    try:
+        return decrypt(ciphertext)
+    except DecryptFailed:
+        return None
+
+
+@settings(deadline=None)  # the example count is the profile's: CI's deep step runs 2,000
+@given(key=_keys, payload=st.binary(min_size=1, max_size=80), at=st.integers(0, 10),
+       block=st.binary(min_size=8, max_size=8),
+       noise=st.integers(1, 12).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n)))
+def test_the_last_two_blocks_decide_a_cbc_decrypt(key, payload, at, block, noise):
+    # under the zero IV the last clear block is D_K(C_n) xor C_n-1, so a receiver that only
+    # decides may decrypt C_n-1 || C_n: it must refuse exactly what the whole decrypt
+    # refuses and, when both open, end in the same clear bytes of the last block
+    sealed = tdes.cbc_encrypt(key, payload)
+    at %= len(sealed) // 8
+    tampered = sealed[: 8 * at] + block + sealed[8 * at + 8 :]
+    for decrypt in (lambda ct: tdes.cbc_decrypt(key, ct), tdes.TdeaCipher(key).cbc_decrypt):
+        for ciphertext in (sealed, tampered, noise):
+            whole = _opened(decrypt, ciphertext)
+            tail = _opened(decrypt, ciphertext[-2 * tdes.BLOCK_SIZE :])
+            assert (whole is None) is (tail is None)
+            if whole is not None:
+                # the clear bytes of the last block: what is left past the blocks before it
+                assert whole[len(ciphertext) - 8 :] == tail[min(len(ciphertext), 16) - 8 :]
+        assert decrypt(sealed) == payload
+
+
 # --- the backend factory ------------------------------------------------------
 
 @pytest.mark.filterwarnings("ignore::cryptography.utils.CryptographyDeprecationWarning")  # 8/16-byte keys

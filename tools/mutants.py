@@ -14,7 +14,10 @@ survives, and any other status (a collection error, say) is an error. The script
 prints one line per mutant and exits 0 only when every mutant is killed.
 
 A mutant that no test can kill because it is equivalent to the original code is
-deleted from the list, with its reason given here, not kept as a survivor.
+deleted from the list, with its reason given here, not kept as a survivor:
+
+- ``decode_iso0`` without its 8-byte ``LengthError`` check: ``xor_bytes`` raises the
+  same error on a block of any other length.
 """
 
 from __future__ import annotations
@@ -109,6 +112,14 @@ MUTANTS = [
     Mutant("pin_block.py", "and block[1] >> 4 <= 9 and block[1] & 0xF <= 9)",
            "and block[1] >> 4 <= 9)",
            "the PIN block check skips the second PIN digit", ("test_pin_block.py",)),
+    Mutant("pin_block.py", '    if field1[0] != "0":\n', "    if False:\n",
+           "decode_iso0 skips the control-nibble check", ("test_pin_block.py",)),
+    Mutant("pin_block.py", "    if not _MIN_PIN <= length <= _MAX_PIN:\n", "    if False:\n",
+           "decode_iso0 skips the length check", ("test_pin_block.py",)),
+    Mutant("pin_block.py", "    if not pin.isdigit():\n", "    if False:\n",
+           "decode_iso0 skips the PIN-digit check", ("test_pin_block.py",)),
+    Mutant("pin_block.py", '    if filler.strip("F"):\n', "    if False:\n",
+           "decode_iso0 skips the filler check", ("test_pin_block.py",)),
     Mutant("tdes.py", "len(data) - len(body) >= BLOCK_SIZE", "len(data) - len(body) > BLOCK_SIZE",
            "the padding check takes a whole block of zeros after the marker",
            ("test_tdes.py",)),
@@ -128,6 +139,14 @@ MUTANTS = [
            "the kept CBC decryptor XORs the unshifted ciphertext", ("test_tdes.py",)),
     Mutant("baseline.py", "if len(material) != 16:\n", "if False:\n",
            "ms_wrap drops its 16-byte check", ("test_baseline.py",)),
+    # the receivers that only decide: the last block alone decrypts against the zero IV
+    Mutant("host.py", "data_ct and data_ct[-2 * BLOCK_SIZE:]", "data_ct and data_ct[-BLOCK_SIZE:]",
+           "the wire route decrypts the last data block alone", HOST_TESTS),
+    Mutant("scenarios.py", "parse_fields(line)[2][-2 * tdes.BLOCK_SIZE:]",
+           "parse_fields(line)[2][-tdes.BLOCK_SIZE:]",
+           "the FIXED receiver decrypts the last data block alone", ("test_scenarios.py",)),
+    Mutant("scenarios.py", "data_ct[-2 * tdes.BLOCK_SIZE:])", "data_ct[-tdes.BLOCK_SIZE:])",
+           "the MS receiver decrypts the last data block alone", ("test_scenarios.py",)),
 ]
 
 
