@@ -17,7 +17,7 @@ transaction pays no key setup for it. The host-side calls take a plain
 
 from __future__ import annotations
 
-import secrets
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,14 +57,15 @@ def fixed_decrypt(key: TdeaKey, ciphertext: bytes) -> bytes:
 class MasterSessionContext:
     """Holder of the pre-shared KEK on the terminal side.
 
-    ``random_source`` defaults to the OS CSPRNG; simulations inject a
+    ``random_source`` defaults to the OS CSPRNG, ``os.urandom`` (what
+    ``secrets.token_bytes`` calls); simulations inject a
     seeded source so their reports are reproducible. ``cipher`` is the KEK,
     loaded once at construction; it never shows in the repr. The holder is
     frozen, so the loaded key cannot fall out of step with ``kek``.
     """
 
     kek: TdeaKey
-    random_source: Callable[[int], bytes] = secrets.token_bytes
+    random_source: Callable[[int], bytes] = os.urandom
     cipher: tdes.TdeaCipher = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -22,8 +22,9 @@ cipher mode. State lives in :mod:`dukptlab.terminal` and :mod:`dukptlab.host`:
 
 from __future__ import annotations
 
-import hmac
 import math
+# hmac.compare_digest's own fallback: importing hmac would load a second OpenSSL (_hashlib)
+from _operator import _compare_digest
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -71,7 +72,8 @@ class TdeaKey:
 
     Equality and hashing consider the 16 content bytes only, so two keys
     derived by different routes compare equal exactly when their material
-    matches; comparison runs in constant time.
+    matches; comparison runs in constant time, in CPython's C
+    ``_operator._compare_digest``.
     """
 
     material: bytes
@@ -105,7 +107,7 @@ class TdeaKey:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TdeaKey):
             return NotImplemented
-        return hmac.compare_digest(self.material, other.material)
+        return _compare_digest(self.material, other.material)
 
     def __hash__(self) -> int:
         return hash(self.material)

@@ -1,6 +1,7 @@
 """Predecessor schemes: fixed key and Master/Session."""
 
 import dataclasses
+import os
 import random
 
 import pytest
@@ -59,8 +60,12 @@ def test_fixed_decrypt_flags_tampering(fixed_terminal):
 
 def test_ms_wrap_unwrap_identity():
     ctx = MasterSessionContext(KEK)
+    assert ctx.random_source is os.urandom  # the default, the OS CSPRNG
     wrapped, session = ms_wrap_session(ctx)
     assert ms_unwrap_session(KEK, wrapped) == session
+    wrapped, material = ms_wrap(ctx)
+    assert len(wrapped) == len(material) == 16
+    assert ms_unwrap_session(KEK, wrapped).material == material
 
 
 def test_ms_wrapped_form_differs_from_clear():

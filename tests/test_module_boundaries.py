@@ -3,11 +3,16 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dukptlab
 
 PACKAGE_DIR = Path(dukptlab.__file__).parent
+# each maps the system OpenSSL (_hashlib, _ssl) beside cryptography's own
+SECOND_OPENSSL = {"hmac", "hashlib", "_hashlib", "secrets", "ssl"}
 
 
 def test_no_private_name_imported_across_modules():
@@ -24,22 +29,56 @@ def test_no_private_name_imported_across_modules():
 
 
 def test_one_cipher_builder_and_one_crypto_importer():
-    importers, builds = [], []
+    importers, second_openssl, builds = [], [], []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cryptography"):
-                importers.append(path.name)
-            elif isinstance(node, ast.Import) and any(
-                a.name.split(".")[0] == "cryptography" for a in node.names
-            ):
-                importers.append(path.name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""])
+                tops = {module.split(".")[0] for module in modules}
+                if "cryptography" in tops:
+                    importers.append(path.name)
+                second_openssl += [f"{path.name}: {top}" for top in sorted(tops & SECOND_OPENSSL)]
             elif isinstance(node, ast.Call):
                 name = (getattr(node.func, "id", None) or getattr(node.func, "attr", "")).lstrip("_")
                 if name in {"Cipher", "create_encryption_ctx", "create_decryption_ctx"}:
                     builds.append(f"{path.name}:{name}")
     assert set(importers) == {"tdes.py"}
+    assert second_openssl == []
     # no public Cipher: the backend factory is called once per direction, in _cipher
     assert sorted(builds) == ["tdes.py:create_decryption_ctx", "tdes.py:create_encryption_ctx"], builds
+
+
+FOOTPRINT = """
+import contextlib, io, sys
+import cryptography.hazmat.bindings._rust
+before = set(sys.modules)
+from dukptlab import cli
+from dukptlab.key_hierarchy import KeyRole, TdeaKey
+from dukptlab.scenarios import BUILTIN_PROFILES, Scheme, clone_attack_demo, run_simulation
+for scheme in Scheme:
+    run_simulation(scheme, BUILTIN_PROFILES["pos"], 3, seed=1)
+clone_attack_demo(3, 3, seed=1)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["derive-key", "--bdk", "0123456789ABCDEFFEDCBA9876543210",
+                     "--ksn", "FFFF9876543210E00001"]) == 0
+    assert cli.main(["vectors", "generate", "--count", "3"]) == 0
+    assert cli.main(["vectors", "verify", "--file", sys.argv[1]]) == 0
+assert TdeaKey(bytes(16), KeyRole.INITIAL) == TdeaKey(bytes(16), KeyRole.INITIAL)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_the_package_maps_one_openssl():
+    # a fresh interpreter: this one already holds hashlib, which hypothesis imports
+    vectors = Path(__file__).parent / "data" / "interop_vectors.txt"
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, str(vectors)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "dukptlab.scenarios" in added
+    assert added & SECOND_OPENSSL == set()
 
 
 BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"

@@ -18,6 +18,13 @@ deleted from the list, with its reason given here, not kept as a survivor:
 
 - ``decode_iso0`` without its 8-byte ``LengthError`` check: ``xor_bytes`` raises the
   same error on a block of any other length.
+
+A mutant that a test kills only some of the time is left out of the list too, and
+named here with its kill rate:
+
+- ``HostRegistry._process`` without its lock (``with self._lock:`` made ``if True:``):
+  ``test_host.py::test_threads_over_a_small_cache_accept_in_order_traffic``, with its
+  four threads, failed 4 of 20 runs (Python 3.11, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -147,6 +154,10 @@ MUTANTS = [
            "the FIXED receiver decrypts the last data block alone", ("test_scenarios.py",)),
     Mutant("scenarios.py", "data_ct[-2 * tdes.BLOCK_SIZE:])", "data_ct[-tdes.BLOCK_SIZE:])",
            "the MS receiver decrypts the last data block alone", ("test_scenarios.py",)),
+    # the process footprint: cryptography's OpenSSL is the only one mapped
+    Mutant("key_hierarchy.py", "import math\n", "import hmac\nimport math\n",
+           "key_hierarchy imports hmac, which loads the system OpenSSL",
+           ("test_module_boundaries.py",)),
 ]
 
 
