@@ -9,14 +9,8 @@ with every message, per-transaction derivation ships neither.
 
 import random
 
-from dukptlab import KeyRole, TdeaKey, derive_ipek, init_terminal, parse_ksn
-from dukptlab.baseline import (
-    FixedKeyTerminal,
-    MasterSessionContext,
-    fixed_encrypt,
-    ms_unwrap_session,
-    ms_wrap_session,
-)
+from dukptlab import KeyRole, TdeaKey, TerminalState, derive_ipek, parse_ksn
+from dukptlab.baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap
 from dukptlab.scenarios import BUILTIN_PROFILES, run_simulation
 from dukptlab.wire import Scheme
 from dukptlab import tdes
@@ -40,9 +34,9 @@ print("identical?     :", ct1 == ct2, " <- an observer learns repeat purchases")
 kek = TdeaKey.from_hex("FEDCBA98765432100123456789ABCDEF", KeyRole.BASE_DERIVATION)
 ctx = MasterSessionContext(kek, random_source=random.Random(7).randbytes)
 for sale in (1, 2):
-    wrapped, session = ms_wrap_session(ctx)
-    ct = tdes.cbc_encrypt(session.material, payload)
-    recovered = ms_unwrap_session(kek, wrapped)
+    wrapped, session = ms_wrap(ctx)
+    ct = tdes.cbc_encrypt(session, payload)
+    recovered = tdes.ecb_decrypt(kek.material, wrapped)  # the host unwraps it under the KEK
     print(f"M/S, sale {sale}    : ct={ct.hex().upper()[:16]}... wrapped_key={wrapped.hex().upper()[:16]}...")
     assert recovered == session
 print("fresh keys, but key material rides on every message")
@@ -51,10 +45,10 @@ print("fresh keys, but key material rides on every message")
 
 bdk = TdeaKey.from_hex("0123456789ABCDEFFEDCBA9876543210", KeyRole.BASE_DERIVATION)
 ksn = parse_ksn("FFFF9876543210E00000")
-terminal = init_terminal(derive_ipek(bdk, ksn), ksn)
+terminal = TerminalState(derive_ipek(bdk, ksn), ksn)
 for sale in (1, 2):
-    message = terminal.build_message(data=payload)
-    print(f"derived, sale {sale}: ct={message.encrypted_data.hex().upper()[:16]}... ksn={message.ksn.hex}")
+    _, _, data_ct, _ = terminal.send(data=payload)  # (line, pin_ct, data_ct, key)
+    print(f"derived, sale {sale}: ct={data_ct.hex().upper()[:16]}... ksn={terminal.ksn.hex}")
 print("distinct ciphertexts, and only a counter travels")
 
 # --- the same comparison at simulation scale ------------------------------------

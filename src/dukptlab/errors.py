@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and :func:`read_records`, the record-file reader.
 
 The command-line driver maps these onto exit codes, so new failure modes
-should subclass one of the existing families rather than raising bare
-builtins.
+should subclass one of the existing families rather than raising bare builtins.
 """
+
+from typing import Callable, TypeVar
+
+_Record = TypeVar("_Record")
 
 
 class DukptError(Exception):
@@ -81,3 +84,18 @@ class ProfileFormatError(DukptError, ValueError):
 
 class ProfileIncompatible(DukptError):
     """Requested scheme is not applicable to the endpoint profile."""
+
+
+def read_records(path: str, parse: Callable[[str], _Record]) -> list[_Record]:
+    """``parse`` of each line of the ASCII file at ``path``, blank and ``#`` lines skipped;
+    a line it refuses raises the parser's error again, of its class, after ``path:lineno:``."""
+    records = []
+    with open(path, encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                try:
+                    records.append(parse(stripped))
+                except DukptError as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+    return records

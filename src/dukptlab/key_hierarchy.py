@@ -92,13 +92,7 @@ class TdeaKey:
 
     @classmethod
     def from_hex(cls, text: str, role: KeyRole = KeyRole.BASE_DERIVATION) -> "TdeaKey":
-        if len(text) != 32:
-            raise LengthError(f"key hex must be 32 characters, got {len(text)}")
-        try:
-            material = bytes.fromhex(text)
-        except ValueError as exc:
-            raise HexInputError(f"key is not valid hex: {text!r}") from exc
-        return cls(material, role)
+        return cls(_from_hex(text, 16, "key"), role)
 
     @property
     def hex(self) -> str:
@@ -173,13 +167,20 @@ class Ksn:
 
 def parse_ksn(text: str) -> Ksn:
     """Parse the 20-hex-character canonical KSN encoding."""
-    if len(text) != 20:
-        raise LengthError(f"KSN hex must be 20 characters, got {len(text)}")
+    return Ksn(_from_hex(text, 10, "KSN"))
+
+
+def _from_hex(text: str, size: int, name: str) -> bytes:
+    """``size`` bytes by the wire's rule: two hex digits each, either case, nothing between."""
+    if len(text) != 2 * size:
+        raise LengthError(f"{name} hex must be {2 * size} characters, got {len(text)}")
     try:
-        raw = bytes.fromhex(text)
-    except ValueError as exc:
-        raise HexInputError(f"KSN is not valid hex: {text!r}") from exc
-    return Ksn(raw)
+        raw = bytes.fromhex(text)  # it skips whitespace, so the bytes are counted
+    except ValueError:
+        raw = b""
+    if len(raw) != size:
+        raise HexInputError(f"{name} is not valid hex: {text!r}")
+    return raw
 
 
 def next_counter(counter: int) -> int:

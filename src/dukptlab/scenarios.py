@@ -31,7 +31,7 @@ from functools import partial
 
 from . import tdes
 from .baseline import FixedKeyTerminal, MasterSessionContext, fixed_encrypt, ms_wrap
-from .errors import ProfileFormatError, ProfileIncompatible
+from .errors import ProfileFormatError, ProfileIncompatible, read_records
 from .host import HostRegistry, VerdictStatus, reply_status
 from .key_hierarchy import KeyRole, Ksn, TdeaKey, derive_ipek
 from .pin_block import encode_iso0
@@ -176,40 +176,26 @@ _DEPENDENCY_TOKENS = {
 }
 
 
+def _token(tokens: dict[str, Enum], text: str, what: str) -> Enum:
+    kind = tokens.get(text.strip().casefold())
+    if kind is None:
+        raise ProfileFormatError(f"unknown {what} token {text!r}")
+    return kind
+
+
 def parse_profile_line(line: str) -> EndpointProfile:
     """Parse ``name,storage,origin[,dep1+dep2]``; tokens are case-insensitive."""
     parts = [p.strip() for p in line.split(",")]
     if len(parts) not in (3, 4) or not parts[0]:
         raise ProfileFormatError(f"expected name,storage,origin[,deps]: {line!r}")
-    storage = _STORAGE_TOKENS.get(parts[1].casefold())
-    if storage is None:
-        raise ProfileFormatError(f"unknown storage token {parts[1]!r}")
-    origin = _ORIGIN_TOKENS.get(parts[2].casefold())
-    if origin is None:
-        raise ProfileFormatError(f"unknown origin token {parts[2]!r}")
-    deps: set[Dependency] = set()
-    if len(parts) == 4 and parts[3] not in ("", "-"):
-        for token in parts[3].split("+"):
-            dep = _DEPENDENCY_TOKENS.get(token.strip().casefold())
-            if dep is None:
-                raise ProfileFormatError(f"unknown dependency token {token!r}")
-            deps.add(dep)
-    return EndpointProfile(parts[0], storage, origin, frozenset(deps))
+    deps = [] if len(parts) == 3 or parts[3] in ("", "-") else parts[3].split("+")
+    return EndpointProfile(parts[0], _token(_STORAGE_TOKENS, parts[1], "storage"),
+                           _token(_ORIGIN_TOKENS, parts[2], "origin"),
+                           frozenset(_token(_DEPENDENCY_TOKENS, d, "dependency") for d in deps))
 
 
 def load_profiles_file(path: str) -> list[EndpointProfile]:
-    """One profile per line; ``#`` comments and blank lines are skipped."""
-    profiles = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                profiles.append(parse_profile_line(stripped))
-            except ProfileFormatError as exc:
-                raise ProfileFormatError(f"{path}:{lineno}: {exc}") from exc
-    return profiles
+    return read_records(path, parse_profile_line)
 
 
 def applicability_table(profiles: list[EndpointProfile] | None = None) -> str:

@@ -13,7 +13,7 @@ import string
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Iterable, TextIO
 
-from .errors import KeyRoleError, VectorFormatError
+from .errors import KeyRoleError, VectorFormatError, read_records
 from .key_hierarchy import (
     DATA_VARIANT_MASK,
     PIN_VARIANT_MASK,
@@ -170,14 +170,4 @@ def write_file(records: Iterable[VectorRecord], fh: TextIO) -> None:
 
 
 def read_file(path: str) -> list[VectorRecord]:
-    records = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                records.append(parse_record(stripped))
-            except VectorFormatError as exc:
-                raise VectorFormatError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    return read_records(path, parse_record)

@@ -8,9 +8,9 @@ where ``<scheme>`` is ``DUKPT``, ``FIXED`` or ``MS``. Master/Session lines
 append a sixth field carrying the wrapped session key (32 hex). Hex is
 accepted in either case and always emitted uppercase.
 
-:func:`encode_fields` writes a line from its fields (the KSN's 10 bytes, the payloads,
-the scheme, the wrapped key) and :func:`parse_fields` reads them back, each checking
-once; :func:`encode_wire` and :func:`parse_wire` do the same for a message.
+:func:`encode_fields` writes a line from its fields (the KSN's 10 bytes, the payloads, the
+scheme, the wrapped key) and :func:`parse_fields` reads them back, each checking once;
+:func:`encode_wire` writes a checked message and :func:`parse_wire` makes one of the fields.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def _parse_hex(field: str, name: str) -> bytes:
     raise WireFormatError(f"{name} is not valid even-length hex: {field!r}")
 
 
-def _split(line: str) -> tuple[bytes, bytes | None, bytes | None, Scheme, bytes | None]:
+def parse_fields(line: str) -> tuple[bytes, bytes | None, bytes | None, Scheme, bytes | None]:
+    """``(ksn_raw, pin_ct, data_ct, scheme, wrapped)``, checked as a message is."""
     fields = line.strip().split("|")
     if fields[0] != WIRE_TAG:
         raise WireFormatError(f"line does not start with {WIRE_TAG}")
@@ -121,16 +122,10 @@ def _split(line: str) -> tuple[bytes, bytes | None, bytes | None, Scheme, bytes 
         raise WireFormatError(f"unknown scheme tag {fields[4]!r}")
     # no "-" here: a wrapped session key is sent only when present
     wrapped = _parse_hex(fields[5], "wrapped session key") if len(fields) == 6 else None
+    _check_payload(pin_ct, data_ct, scheme, wrapped)
     return ksn_raw, pin_ct, data_ct, scheme, wrapped
 
 
-def parse_fields(line: str) -> tuple[bytes, bytes | None, bytes | None, Scheme, bytes | None]:
-    """``(ksn_raw, pin_ct, data_ct, scheme, wrapped)``, checked as :func:`parse_wire` checks."""
-    _, pin_ct, data_ct, scheme, wrapped = fields = _split(line)
-    _check_payload(pin_ct, data_ct, scheme, wrapped)
-    return fields
-
-
 def parse_wire(line: str) -> TransactionMessage:
-    ksn_raw, pin_ct, data_ct, scheme, wrapped = _split(line)
+    ksn_raw, pin_ct, data_ct, scheme, wrapped = parse_fields(line)
     return TransactionMessage(Ksn(ksn_raw), pin_ct, data_ct, scheme, wrapped)

@@ -52,6 +52,14 @@ def test_derive_ipek_bad_hex(capsys):
     assert code == 2
 
 
+def test_derive_key_refuses_a_key_with_blanks_in_it(capsys):
+    # 32 characters, but bytes.fromhex would read them as 15 bytes
+    bdk = "0123456789ABCDEF FEDCBA98765432 "
+    code, out, err = run(capsys, "derive-key", "--bdk", bdk, "--ksn", INTEROP_KSN_HEX)
+    assert (code, out) == (2, "")
+    assert "not valid hex" in err
+
+
 # --- derive-key ------------------------------------------------------------------
 
 def test_derive_key_counter_one(capsys):

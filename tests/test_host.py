@@ -672,6 +672,61 @@ def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
     _assert_cache_matches_reference(registry)
 
 
+def test_two_senders_a_device_and_a_rekey_thread_keep_each_floor(bdk):
+    # the registry lock guards the logs, the table cache and the spare: without it,
+    # a rekey pops a table a line is committing, or two lines share the spare
+    registry = HostRegistry()
+    registry.register_bdk(0x5A5A5A, bdk)
+    per_device = []
+    for i in range(4):
+        ksn = _device_ksn(0x5A5A5A, i)
+        terminal = init_terminal(derive_ipek(bdk, ksn), ksn)
+        per_device.append([terminal.send(encode_iso0(*CLEAR_BLOCK_ARGS), b"Sale")[0]
+                           for _ in range(300)])
+    replies: dict[tuple[int, int], list[str]] = {}
+    errors: list[Exception] = []
+    senders_done = threading.Event()
+
+    def send(device, sender):
+        try:
+            replies[device, sender] = [registry.handle_wire_line(line)
+                                       for line in per_device[device]]
+        except Exception as exc:
+            errors.append(exc)
+
+    def rekey():
+        try:
+            while not senders_done.is_set():
+                registry.register_bdk(0x5A5A5A, bdk, overwrite=True)
+        except Exception as exc:
+            errors.append(exc)
+
+    senders = [threading.Thread(target=send, args=(device, sender))
+               for device in range(4) for sender in range(2)]
+    rekeyer = threading.Thread(target=rekey)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rekeyer.start()
+        for t in senders:
+            t.start()
+        for t in senders:
+            t.join(timeout=120)
+    finally:
+        senders_done.set()
+        sys.setswitchinterval(old_interval)
+    rekeyer.join(timeout=120)
+    assert not any(t.is_alive() for t in [*senders, rekeyer])
+    assert errors == []
+    for device in range(4):
+        both = replies[device, 0] + replies[device, 1]
+        assert all(r.startswith("OK|") or r == "ERR|ReplayRejected" for r in both), both
+        accepted = [int(r[3:]) for r in both if r.startswith("OK|")]
+        assert len(set(accepted)) == len(accepted)  # each counter is accepted once
+        assert registry.last_accepted_counter(_device_ksn(0x5A5A5A, device).initial_id) \
+            == max(accepted) == 300
+
+
 def _buffers_outside_tables(registry):
     """Every bytearray reachable from the registry through ``gc.get_referents``, other
     than its cached tables: the bytearray values of a mapping it holds. The registry's

@@ -64,6 +64,9 @@ def test_key_rejects_wrong_lengths():
         TdeaKey.from_hex("AB" * 17)
     with pytest.raises(HexInputError):
         TdeaKey.from_hex("G" * 32)
+    # 32 characters, but bytes.fromhex skips blanks and would read 15 bytes
+    with pytest.raises(HexInputError, match="^key is not valid hex: "):
+        TdeaKey.from_hex("0123456789ABCDEF FEDCBA98765432 ")
 
 
 def test_key_repr_hides_material():
@@ -115,6 +118,8 @@ def test_parse_ksn_errors():
         parse_ksn("FFFF9876543210E0000")  # 19 chars
     with pytest.raises(HexInputError):
         parse_ksn("XXFF9876543210E00000")
+    with pytest.raises(HexInputError, match="^KSN is not valid hex: "):
+        parse_ksn("FFFF 9876543210E000 ")  # 20 characters, 9 bytes
     for size in (9, 11):
         with pytest.raises(LengthError, match=f"^KSN must be 10 bytes, got {size}$"):
             Ksn(bytes(size))

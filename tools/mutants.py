@@ -20,11 +20,7 @@ deleted from the list, with its reason given here, not kept as a survivor:
   same error on a block of any other length.
 
 A mutant that a test kills only some of the time is left out of the list too, and
-named here with its kill rate:
-
-- ``HostRegistry._process`` without its lock (``with self._lock:`` made ``if True:``):
-  ``test_host.py::test_threads_over_a_small_cache_accept_in_order_traffic``, with its
-  four threads, failed 4 of 20 runs (Python 3.11, 2 vCPUs).
+named here with its kill rate; there is none at present.
 """
 
 from __future__ import annotations
@@ -63,6 +59,10 @@ MUTANTS = [
     # policy
     Mutant("host.py", "if counter <= last:", "if counter < last:",
            "the replay check lets a repeated counter through", HOST_TESTS),
+    Mutant("host.py",
+           "        with self._lock:\n            bdk = self._bdks.get(device >> DEVICE_ID_BITS)",
+           "        if True:\n            bdk = self._bdks.get(device >> DEVICE_ID_BITS)",
+           "the policy path runs without the registry lock", HOST_TESTS),
     Mutant("host.py", "if counter.bit_count() > MAX_COUNTER_WEIGHT:",
            "if counter.bit_count() > MAX_COUNTER_WEIGHT + 1:",
            "the weight bound lets a counter of weight 11 through", HOST_TESTS),
@@ -113,6 +113,13 @@ MUTANTS = [
     Mutant("terminal.py", PAYLOAD_CHECKS + DRAW, DRAW + PAYLOAD_CHECKS,
            "send and build_message draw their key before the payload checks",
            ("test_terminal.py",)),
+    # the input boundary: key and KSN hex, and record files
+    Mutant("key_hierarchy.py", "    if len(raw) != size:\n", "    if not raw:\n",
+           "key and KSN hex with blanks in it is read", ("test_key_hierarchy.py",)),
+    Mutant("errors.py", 'raise type(exc)(f"{path}:{lineno}: {exc}") from exc',
+           "raise type(exc)(str(exc)) from exc",
+           "a record file's bad line is reported without its path and line",
+           ("test_scenarios.py", "test_vectors.py")),
     # the wire, the PIN block and the padding
     Mutant("wire.py", "if raw and 2 * len(raw) == len(field):", "if raw:",
            "a hex field with whitespace in it is read", ("test_wire.py",)),
