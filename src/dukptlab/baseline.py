@@ -9,16 +9,17 @@ randomly generated session key which travels in-band with each message.
 Fresh keys per transaction, but at the cost of transporting wrapped key
 material and of the KEK being a long-lived secret on both sides.
 
-Both long-lived keys are loaded once, as a real terminal holds them: each
-holder keeps a :class:`~dukptlab.tdes.TdeaCipher` of its key, so a
-transaction pays no key setup for it. The host-side calls take a plain
-``TdeaKey`` and are one-shot.
+Both long-lived keys are loaded once, as a real terminal holds them: each frozen
+holder's ``cipher``, a :class:`~dukptlab.tdes.TdeaCipher` of its key, is a cached
+property (not a field, so out of repr and equality), and a transaction pays no key
+setup for it. The host-side calls take a plain ``TdeaKey`` and are one-shot.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from . import tdes
@@ -28,19 +29,14 @@ from .key_hierarchy import KeyRole, Ksn, TdeaKey
 
 @dataclass(frozen=True)
 class FixedKeyTerminal:
-    """A terminal welded to one key for its whole service life.
-
-    ``cipher`` is that key, loaded once at construction; it never shows in
-    the repr. The holder is frozen, so the loaded key cannot fall out of
-    step with ``key``.
-    """
+    """A terminal welded to one key for its whole service life."""
 
     key: TdeaKey
     terminal_id: Ksn
-    cipher: tdes.TdeaCipher = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cipher", tdes.TdeaCipher(self.key.material))
+    @cached_property
+    def cipher(self) -> tdes.TdeaCipher:
+        return tdes.TdeaCipher(self.key.material)
 
 
 def fixed_encrypt(terminal: FixedKeyTerminal, payload: bytes) -> bytes:
@@ -59,17 +55,15 @@ class MasterSessionContext:
 
     ``random_source`` defaults to the OS CSPRNG, ``os.urandom`` (what
     ``secrets.token_bytes`` calls); simulations inject a
-    seeded source so their reports are reproducible. ``cipher`` is the KEK,
-    loaded once at construction; it never shows in the repr. The holder is
-    frozen, so the loaded key cannot fall out of step with ``kek``.
+    seeded source so their reports are reproducible.
     """
 
     kek: TdeaKey
     random_source: Callable[[int], bytes] = os.urandom
-    cipher: tdes.TdeaCipher = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cipher", tdes.TdeaCipher(self.kek.material))
+    @cached_property
+    def cipher(self) -> tdes.TdeaCipher:
+        return tdes.TdeaCipher(self.kek.material)
 
 
 def ms_wrap(ctx: MasterSessionContext) -> tuple[bytes, bytes]:

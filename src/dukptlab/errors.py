@@ -87,15 +87,18 @@ class ProfileIncompatible(DukptError):
 
 
 def read_records(path: str, parse: Callable[[str], _Record]) -> list[_Record]:
-    """``parse`` of each line of the ASCII file at ``path``, blank and ``#`` lines skipped;
-    a line it refuses raises the parser's error again, of its class, after ``path:lineno:``."""
+    """``parse`` of each line of the file at ``path``, blank and ``#`` lines skipped undecoded (a
+    comment may hold any byte); a record line not ASCII raises :class:`DukptError` and one
+    ``parse`` refuses raises its error again, of its class, each after ``path:lineno:``."""
     records = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
             stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
+            if stripped and not stripped.startswith(b"#"):
                 try:
-                    records.append(parse(stripped))
+                    records.append(parse(stripped.decode("ascii")))
+                except UnicodeDecodeError as exc:
+                    raise DukptError(f"{path}:{lineno}: record line is not ASCII") from exc
                 except DukptError as exc:
                     raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return records

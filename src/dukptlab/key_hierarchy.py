@@ -98,6 +98,12 @@ class TdeaKey:
     def hex(self) -> str:
         return self.material.hex().upper()
 
+    def require(self, role: KeyRole, use: str) -> bytes:
+        """The key's 16 bytes for ``use``, which only a ``role`` key serves, or KeyRoleError."""
+        if self.role is not role:
+            raise KeyRoleError(f"{use} requires role {role.value}, got {self.role.value}")
+        return self.material
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TdeaKey):
             return NotImplemented
@@ -231,9 +237,8 @@ def remaining_counters(counter: int) -> int:
 
 def load_bdk(bdk: TdeaKey) -> LoadedBdk:
     """A BDK loaded for :func:`ipek_material`: itself, and under :data:`KEY_HALF_MASK`."""
-    if bdk.role is not KeyRole.BASE_DERIVATION:
-        raise KeyRoleError(f"IPEK derivation needs a BaseDerivation key, got {bdk.role.value}")
-    return tdes.TdeaCipher(bdk.material), tdes.TdeaCipher(masked(bdk.material, KEY_HALF_MASK))
+    material = bdk.require(KeyRole.BASE_DERIVATION, "IPEK derivation")
+    return tdes.TdeaCipher(material), tdes.TdeaCipher(masked(material, KEY_HALF_MASK))
 
 
 def ipek_material(loaded: LoadedBdk, ksn: int) -> bytes:
@@ -401,17 +406,11 @@ def unseal(material: bytes, pin_ct: bytes | None, data_ct: bytes | None) -> _Par
 
 def variant_pin_key(transaction_key: TdeaKey) -> TdeaKey:
     """PIN-encryption variant of a transaction key (fixed XOR mask)."""
-    return _variant(transaction_key, "PIN", PIN_VARIANT_MASK, KeyRole.PIN_VARIANT)
+    material = transaction_key.require(KeyRole.TRANSACTION, "PIN variant")
+    return TdeaKey(masked(material, PIN_VARIANT_MASK), KeyRole.PIN_VARIANT)
 
 
 def variant_data_key(transaction_key: TdeaKey) -> TdeaKey:
     """Data-encryption variant of a transaction key (fixed XOR mask)."""
-    return _variant(transaction_key, "data", DATA_VARIANT_MASK, KeyRole.DATA_VARIANT)
-
-
-def _variant(transaction_key: TdeaKey, name: str, mask: int, role: KeyRole) -> TdeaKey:
-    if transaction_key.role is not KeyRole.TRANSACTION:
-        raise KeyRoleError(
-            f"{name} variant requires a Transaction key, got {transaction_key.role.value}"
-        )
-    return TdeaKey(masked(transaction_key.material, mask), role)
+    material = transaction_key.require(KeyRole.TRANSACTION, "data variant")
+    return TdeaKey(masked(material, DATA_VARIANT_MASK), KeyRole.DATA_VARIANT)

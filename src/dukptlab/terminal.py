@@ -25,7 +25,7 @@ spent key material remains reachable from the state) is real.
 
 from __future__ import annotations
 
-from .errors import CounterExhausted, EmptyPlaintext, KeyRoleError, LengthError, NonZeroCounter
+from .errors import CounterExhausted, EmptyPlaintext, LengthError, NonZeroCounter
 from .key_hierarchy import (
     COUNTER_BITS, TABLE_BYTES, KeyRole, Ksn, TdeaKey, fold_chain, next_counter,
     remaining_counters, seal, unseal,
@@ -47,13 +47,12 @@ class TerminalState:
     __slots__ = ("_base", "_counter", "table")
 
     def __init__(self, ipek: TdeaKey, initial_ksn: Ksn):
-        if ipek.role is not KeyRole.INITIAL:
-            raise KeyRoleError(f"terminal init needs an Initial key, got {ipek.role.value}")
+        material = ipek.require(KeyRole.INITIAL, "terminal init")
         if initial_ksn.counter != 0:
             raise NonZeroCounter(
                 f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
         self._base, self._counter, self.table = initial_ksn.value, 0, bytearray(TABLE_BYTES)
-        fold_chain(ipek.material, self._base, COUNTER_BITS, self.table)
+        fold_chain(material, self._base, COUNTER_BITS, self.table)
 
     @property
     def base_ksn(self) -> Ksn:
@@ -69,9 +68,6 @@ class TerminalState:
     def counter(self) -> int:
         """The counter of the last issued key; 0 before the first."""
         return self._counter
-
-    def occupied_count(self) -> int:
-        return sum(1 for q in range(0, len(self.table), 16) if any(self.table[q : q + 16]))
 
     def remaining_transactions(self) -> int:
         """Usable counters this device can still burn."""
@@ -145,28 +141,22 @@ def _check_pin_block(block: bytes | None) -> None:
         raise LengthError(f"PIN block must be 8 bytes, got {len(block)}")
 
 
-def _material(key: TdeaKey) -> bytes:
-    if key.role is not KeyRole.TRANSACTION:
-        raise KeyRoleError(f"payload variants require a Transaction key, got {key.role.value}")
-    return key.material
-
-
 def encrypt_pin(key: TdeaKey, clear_pin_block: bytes) -> bytes:
     """Encrypt one clear PIN block under the PIN variant of ``key``."""
-    return seal(_material(key), clear_pin_block, None)[0]
+    return seal(key.require(KeyRole.TRANSACTION, "PIN encryption"), clear_pin_block, None)[0]
 
 
 def decrypt_pin(key: TdeaKey, encrypted_pin_block: bytes) -> bytes:
     """Inverse of :func:`encrypt_pin`."""
     _check_pin_block(encrypted_pin_block)
-    return unseal(_material(key), encrypted_pin_block, None)[0]
+    return unseal(key.require(KeyRole.TRANSACTION, "PIN decryption"), encrypted_pin_block, None)[0]
 
 
 def encrypt_data(key: TdeaKey, plaintext: bytes) -> bytes:
     """Encrypt a data payload under the data variant (CBC, zero IV, padded)."""
-    return seal(_material(key), None, plaintext)[1]
+    return seal(key.require(KeyRole.TRANSACTION, "data encryption"), None, plaintext)[1]
 
 
 def decrypt_data(key: TdeaKey, ciphertext: bytes) -> bytes:
     """Inverse of :func:`encrypt_data`; bad padding raises DecryptFailed."""
-    return unseal(_material(key), None, ciphertext)[1]
+    return unseal(key.require(KeyRole.TRANSACTION, "data decryption"), None, ciphertext)[1]

@@ -243,6 +243,17 @@ def test_applicability_profiles_file(capsys, tmp_path):
     assert "kiosk" in out and "NotApplicable" in out
 
 
+def test_applicability_profiles_file_reads_any_comment_and_names_a_line_not_ascii(capsys, tmp_path):
+    path = tmp_path / "profiles.txt"
+    path.write_bytes("# café\nkiosk,none,device\n".encode("utf-8"))
+    code, out, _ = run(capsys, "applicability", "--profiles-file", str(path))
+    assert code == 0 and "kiosk" in out
+    path.write_bytes("# café\ncafé,none,device\n".encode("utf-8"))
+    code, out, err = run(capsys, "applicability", "--profiles-file", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:2: record line is not ASCII\n"
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--scheme", "rot13", "--profile", "pos"])

@@ -35,6 +35,9 @@ from dukptlab.key_hierarchy import (
     variant_pin_key,
 )
 
+from dukptlab.host import HostRegistry
+from dukptlab.terminal import TerminalState, decrypt_data, decrypt_pin, encrypt_data, encrypt_pin
+
 from conftest import (
     FROZEN_DATA_VARIANT_1,
     FROZEN_KEYS,
@@ -445,12 +448,43 @@ def test_variant_frozen_vectors(ipek, initial_ksn):
 
 
 def test_variant_roles_enforced(ipek):
-    with pytest.raises(KeyRoleError, match="^PIN variant requires a Transaction key, got Initial$"):
+    with pytest.raises(KeyRoleError, match="^PIN variant requires role Transaction, got Initial$"):
         variant_pin_key(ipek)  # Initial, not Transaction
     tk = TdeaKey.from_bytes(bytes(16), KeyRole.TRANSACTION)
     pin_key = variant_pin_key(tk)
     assert pin_key.role is KeyRole.PIN_VARIANT
     assert variant_data_key(tk).role is KeyRole.DATA_VARIANT
     with pytest.raises(KeyRoleError,
-                       match="^data variant requires a Transaction key, got PinVariant$"):
+                       match="^data variant requires role Transaction, got PinVariant$"):
         variant_data_key(pin_key)  # variants cannot be re-derived
+
+
+# every public entry that takes a key object: the role it requires and the use it names
+TRANSACTION = KeyRole.TRANSACTION
+ROLE_CHECKED = {
+    "register_bdk": (KeyRole.BASE_DERIVATION, "IPEK derivation",
+                     lambda key, ksn: HostRegistry().register_bdk(ksn.key_set_id, key)),
+    "derive_ipek": (KeyRole.BASE_DERIVATION, "IPEK derivation", derive_ipek),
+    "TerminalState": (KeyRole.INITIAL, "terminal init", TerminalState),
+    "variant_pin_key": (TRANSACTION, "PIN variant", lambda key, _: variant_pin_key(key)),
+    "variant_data_key": (TRANSACTION, "data variant", lambda key, _: variant_data_key(key)),
+    "encrypt_pin": (TRANSACTION, "PIN encryption", lambda key, _: encrypt_pin(key, bytes(8))),
+    "decrypt_pin": (TRANSACTION, "PIN decryption", lambda key, _: decrypt_pin(key, bytes(8))),
+    "encrypt_data": (TRANSACTION, "data encryption", lambda key, _: encrypt_data(key, b"data")),
+    "decrypt_data": (TRANSACTION, "data decryption", lambda key, _: decrypt_data(key, bytes(8))),
+}
+
+
+@pytest.mark.parametrize("entry", ROLE_CHECKED)
+def test_each_role_checked_entry_refuses_every_other_role(entry, initial_ksn):
+    role, use, call = ROLE_CHECKED[entry]
+    for wrong in set(KeyRole) - {role}:
+        message = f"^{use} requires role {role.value}, got {wrong.value}$"
+        with pytest.raises(KeyRoleError, match=message):
+            call(TdeaKey(bytes(range(16)), wrong), initial_ksn)
+
+
+def test_require_returns_the_material_of_a_key_of_its_role():
+    for role in KeyRole:
+        key = TdeaKey(bytes(range(16)), role)
+        assert key.require(role, "any use") is key.material

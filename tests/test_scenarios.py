@@ -2,11 +2,12 @@
 
 import copy
 import random
+import re
 
 import pytest
 
 from dukptlab import key_hierarchy, scenarios, tdes, wire
-from dukptlab.errors import ProfileFormatError, ProfileIncompatible
+from dukptlab.errors import DukptError, ProfileFormatError, ProfileIncompatible
 from dukptlab.host import HostRegistry, VerdictStatus, format_reply
 from dukptlab.scenarios import (
     BUILTIN_PROFILES,
@@ -180,17 +181,20 @@ def test_printed_profile_values_parse_back():
 
 def test_load_profiles_file(tmp_path):
     path = tmp_path / "profiles.txt"
-    path.write_text(
-        "# fleet under evaluation\n"
+    path.write_bytes(
+        "# fleet under evaluation at the café\n"  # a comment may hold any byte
         "\n"
         "kiosk,none,device\n"
-        "van_pos,certified,device\n"
+        "van_pos,certified,device\n".encode("utf-8")
     )
     profiles = load_profiles_file(str(path))
     assert [p.name for p in profiles] == ["kiosk", "van_pos"]
     bad = tmp_path / "bad.txt"
     bad.write_text("x,?,device\n")
     with pytest.raises(ProfileFormatError, match="bad.txt:1"):
+        load_profiles_file(str(bad))
+    bad.write_bytes("# café\nkiosk,none,device\ncafé,none,device\n".encode("utf-8"))
+    with pytest.raises(DukptError, match=f"^{re.escape(str(bad))}:3: record line is not ASCII$"):
         load_profiles_file(str(bad))
 
 

@@ -3,13 +3,14 @@
 import dataclasses
 import io
 import itertools
+import re
 import string
 from pathlib import Path
 
 import pytest
 
 from dukptlab import vectors
-from dukptlab.errors import VectorFormatError
+from dukptlab.errors import DukptError, VectorFormatError
 from dukptlab.key_hierarchy import (
     KeyRole,
     TdeaKey,
@@ -110,6 +111,10 @@ def test_read_file_reports_line_numbers(tmp_path):
     path.write_text("# header\nnot a record\n")
     with pytest.raises(VectorFormatError, match="broken.txt:2"):
         vectors.read_file(str(path))
+    line = vectors.generate(1)[0].to_line()
+    path.write_bytes(f"# header\n{line}\n{line}\u00e9\n".encode("utf-8"))
+    with pytest.raises(DukptError, match=f"^{re.escape(str(path))}:3: record line is not ASCII$"):
+        vectors.read_file(str(path))
 
 
 def test_frozen_interop_file_verifies():
@@ -128,8 +133,8 @@ def test_generate_reproduces_frozen_prefix():
 def test_comments_and_blanks_are_skipped(tmp_path):
     records = vectors.generate(2)
     path = tmp_path / "sparse.txt"
-    with open(path, "w") as fh:
-        fh.write("# leading comment\n\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# leading comment, café\n\n")  # a comment may hold any byte
         fh.write(records[0].to_line() + "\n\n# middle\n")
         fh.write(records[1].to_line() + "\n")
     assert vectors.read_file(str(path)) == records

@@ -94,9 +94,9 @@ MUTANTS = [
            "        except CounterExhausted:\n",
            "an exhausted device keeps its table", ("test_terminal.py",)),
     # provisioning and the counter space
-    Mutant("terminal.py", "        if ipek.role is not KeyRole.INITIAL:\n",
-           "        if False:\n",
-           "the constructor skips the Initial-role check", ("test_terminal.py",)),
+    Mutant("key_hierarchy.py", "        if self.role is not role:\n", "        if False:\n",
+           "the one role check lets a key of any role through",
+           ("test_key_hierarchy.py", "test_terminal.py", "test_host.py")),
     Mutant("terminal.py", "        if initial_ksn.counter != 0:\n", "        if False:\n",
            "the constructor skips the zero-counter check", ("test_terminal.py",)),
     Mutant("key_hierarchy.py", "        if len(self.raw) != 10:\n", "        if False:\n",
@@ -119,6 +119,10 @@ MUTANTS = [
     Mutant("errors.py", 'raise type(exc)(f"{path}:{lineno}: {exc}") from exc',
            "raise type(exc)(str(exc)) from exc",
            "a record file's bad line is reported without its path and line",
+           ("test_scenarios.py", "test_vectors.py")),
+    Mutant("errors.py", "enumerate(fh.read().splitlines(), start=1)",
+           'enumerate(fh.read().decode("ascii").encode().splitlines(), start=1)',
+           "a record file is decoded whole, so a non-ASCII comment aborts the read",
            ("test_scenarios.py", "test_vectors.py")),
     # the wire, the PIN block and the padding
     Mutant("wire.py", "if raw and 2 * len(raw) == len(field):", "if raw:",
