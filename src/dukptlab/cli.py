@@ -168,9 +168,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

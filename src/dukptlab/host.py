@@ -47,7 +47,7 @@ from .key_hierarchy import (
     load_bdk, unseal,
 )
 from .pin_block import structure_ok
-from .tdes import BLOCK_SIZE
+from .tdes import PADDING_BLOCKS
 from .wire import Scheme, TransactionMessage, parse_fields
 
 # devices whose key table is kept; host_scattered's 682 fit
@@ -196,9 +196,8 @@ class HostRegistry:
             return "ERR|MalformedMessage"
         if scheme is not _DUKPT:
             return "ERR|UnsupportedScheme"
-        # zero-IV CBC: the last clear block, D_K(C_n) xor C_n-1, decides the padding, so the
-        # last two blocks suffice; parse_fields has checked the whole ciphertext's length
-        tail = data_ct and data_ct[-2 * BLOCK_SIZE:]
+        # parse_fields has checked the whole ciphertext's length
+        tail = data_ct and data_ct[PADDING_BLOCKS]
         status, counter, _, _ = self._process(ksn_raw, pin_ct, tail)
         return f"OK|{counter}" if status is _ACCEPTED else _ERR_REPLIES[status]
 

@@ -342,9 +342,8 @@ def run_simulation(
             return encode_fields(terminal_id, None, data_ct, Scheme.FIXED), None, data_ct, material
 
         def receive(line: str) -> VerdictStatus:
-            # zero-IV CBC: the last clear block, D_K(C_n) xor C_n-1, decides the padding, so this
-            # receiver and MS's open the last two blocks; parse_fields checked the whole length
-            host_key.cbc_decrypt(parse_fields(line)[2][-2 * tdes.BLOCK_SIZE:])
+            # parse_fields has checked the whole ciphertext's length, here and for MS
+            host_key.cbc_decrypt(parse_fields(line)[2][tdes.PADDING_BLOCKS])
             return VerdictStatus.ACCEPTED
 
     elif scheme is Scheme.MASTER_SESSION:
@@ -362,7 +361,7 @@ def run_simulation(
         def receive(line: str) -> VerdictStatus:
             # an MS line holds a 16-byte wrapped key, the check ms_unwrap_session makes
             _, _, data_ct, _, wrapped = parse_fields(line)
-            tdes.cbc_decrypt(host_kek.ecb_decrypt(wrapped), data_ct[-2 * tdes.BLOCK_SIZE:])
+            tdes.cbc_decrypt(host_kek.ecb_decrypt(wrapped), data_ct[tdes.PADDING_BLOCKS])
             return VerdictStatus.ACCEPTED
 
     else:

@@ -64,6 +64,9 @@ if vars(TripleDES(bytes(24))) != {"key": bytes(24)}:  # all the state _cipher se
                       f" on cryptography 48.0.0); cryptography {cryptography.__version__} sets more")
 
 BLOCK_SIZE = 8
+# under the zero IV the last clear block, D_K(C_n) xor C_(n-1), holds all of the padding, so a
+# receiver that only decides slices a whole-block ciphertext with this and decrypts the rest
+PADDING_BLOCKS = slice(-2 * BLOCK_SIZE, None)
 _ECB = modes.ECB()
 _CBC = modes.CBC(bytes(BLOCK_SIZE))  # the zero IV
 

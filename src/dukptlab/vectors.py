@@ -13,7 +13,7 @@ import string
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Iterable, TextIO
 
-from .errors import KeyRoleError, VectorFormatError, read_records
+from .errors import DukptError, VectorFormatError, read_records
 from .key_hierarchy import (
     DATA_VARIANT_MASK,
     PIN_VARIANT_MASK,
@@ -90,9 +90,8 @@ def _derive(record: VectorRecord) -> tuple[VectorRecord, list[str]]:
     are missing or rejected derives to None, and a note says why."""
     bdk = TdeaKey.from_hex(record.bdk, KeyRole.BASE_DERIVATION)
     ksn = parse_ksn(record.ksn).with_counter(record.counter)
-    if record.counter == 0:
-        raise KeyRoleError("counter 0 names the initial key, not a transaction key")
-    material = derive_key_chain(derive_ipek(bdk, ksn), ksn).material
+    key = derive_key_chain(derive_ipek(bdk, ksn), ksn)  # counter 0: the Initial key, refused
+    material = key.require(KeyRole.TRANSACTION, "vector derivation")
     notes = []
     if record.pin_ct is not None and None in (record.pin, record.pan):
         notes.append("pin_ct present without pin/pan")
@@ -149,7 +148,7 @@ def verify(records: Iterable[VectorRecord]) -> list[str]:
     for index, record in enumerate(records, start=1):
         try:
             derived, notes = _derive(record)
-        except Exception as exc:  # derivation itself may reject a bad record
+        except (DukptError, ValueError) as exc:  # derivation itself may reject a bad record
             failures.append(f"record {index}: derivation failed: {exc}")
             continue
         failures += [f"record {index}: {note}" for note in notes]

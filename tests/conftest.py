@@ -69,15 +69,27 @@ def malformed_line(template, ksn_hex, pin_hex):
 
 def edited(line, edits):
     """``line`` after each ``(kind, position, token)`` edit in turn; a kind is
-    ``substitute``, ``insert`` or ``delete``, and a position wraps around the line."""
-    chars = list(line)
+    ``substitute``, ``insert`` or ``delete``, and a position wraps around the line as
+    it stands, so a later edit may land inside an inserted token."""
     for kind, at, token in edits:
-        at %= len(chars) + 1
-        if kind != "insert" and at < len(chars):
-            del chars[at]
-        if kind != "delete":
-            chars.insert(at, token)
-    return "".join(chars)
+        at %= len(line) + 1
+        if kind == "insert":
+            line = line[:at] + token + line[at:]
+        else:
+            line = line[:at] + (token if kind == "substitute" else "") + line[at + 1:]
+    return line
+
+
+def leaked(text, secrets):
+    """The ``secrets`` (bytes) that ``text`` shows, as hex in either case or escaped."""
+    # repr(s)[2:-1] is the escaped body, which also shows inside a longer buffer's repr
+    return [s for s in secrets
+            if repr(s)[2:-1] in text or s.hex() in text or s.hex().upper() in text]
+
+
+def table_slot(table, q):
+    """The 16 bytes of slot ``q`` of a future-key table."""
+    return bytes(table[16 * q : 16 * q + 16])
 
 
 def table_counters(counter):

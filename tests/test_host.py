@@ -32,8 +32,8 @@ from dukptlab.terminal import encrypt_data, encrypt_pin, init_terminal
 from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
 from conftest import (
-    EDIT_TOKENS, INTEROP_PAN, INTEROP_PIN, MALFORMED_TEMPLATES, OTHER_BDK_HEX, edited,
-    malformed_line, table_counters,
+    EDIT_TOKENS, INTEROP_PAN, INTEROP_PIN, MALFORMED_TEMPLATES, OTHER_BDK_HEX, edited, leaked,
+    malformed_line, table_counters, table_slot,
 )
 
 CLEAR_BLOCK_ARGS = (INTEROP_PIN, INTEROP_PAN)
@@ -227,33 +227,27 @@ def test_no_bdk_bytes_in_any_reply(registry, terminal, bdk):
     assert bdk.hex.lower() not in blob.lower()
 
 
-def _leaked(text, secrets):
-    # repr(s)[2:-1] is the escaped body, which also shows inside a longer buffer's repr
-    return [s for s in secrets
-            if repr(s)[2:-1] in text or s.hex() in text or s.hex().upper() in text]
-
-
 def test_no_key_or_clear_block_in_reprs(registry, terminal):
     def table_material():
-        return {_slot(terminal.table, q) for q in range(21)} - {bytes(16)}
+        return {table_slot(terminal.table, q) for q in range(21)} - {bytes(16)}
 
     material = table_material()
     assert len(material) == 21
-    assert not _leaked(repr(terminal), material)
+    assert not leaked(repr(terminal), material)
     for _ in range(3):
         msg = _message(terminal)
     material |= table_material()
-    assert not _leaked(repr(terminal), material)
+    assert not leaked(repr(terminal), material)
 
     verdict = registry.process_message(msg)
     assert verdict.accepted
     clear = {verdict.clear_pin_block, verdict.clear_data}
     assert clear == {encode_iso0(*CLEAR_BLOCK_ARGS), b"Sale: 42.00 USD"}
-    assert not _leaked(repr(verdict), clear | material)
+    assert not leaked(repr(verdict), clear | material)
     table, = registry._tables.values()
-    table_keys = {_slot(table, q) for q in range(21)} - {bytes(16)}
+    table_keys = {table_slot(table, q) for q in range(21)} - {bytes(16)}
     assert len(table_keys) == len(table_counters(msg.ksn.counter))
-    assert not _leaked(repr(registry), table_keys | material)
+    assert not leaked(repr(registry), table_keys | material)
 
 
 # --- concurrency ----------------------------------------------------------------------
@@ -313,10 +307,6 @@ def _reference_table(derive, ksn):
     slots = table_counters(ksn.counter)
     return b"".join(derive(ksn.with_counter(slots[q])).material if q in slots else bytes(16)
                     for q in range(21))
-
-
-def _slot(table, q):
-    return bytes(table[16 * q : 16 * q + 16])
 
 
 def _cache(registry):
@@ -595,9 +585,9 @@ def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
         assert registry.process_message(_message(terminals[0])).accepted
     table, = registry._tables.values()
     device = terminals[0].base_ksn.initial_id
-    key_6, key_8 = _slot(table, 1), _slot(table, 3)
+    key_6, key_8 = table_slot(table, 1), table_slot(table, 3)
     assert registry.last_accepted_counter(device) == 5
-    assert _slot(table, 0) == _slot(table, 2) == bytes(16)  # counters 5 and 4 are spent
+    assert table_slot(table, 0) == table_slot(table, 2) == bytes(16)  # counters 5 and 4 are spent
     assert key_6 != bytes(16) and key_8 != bytes(16)
     for _ in range(2):  # counters 6 and 7 never reach the host
         terminals[0].next_transaction_key()
@@ -606,7 +596,7 @@ def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
     assert registry.last_accepted_counter(device) == 8
     # counter 8 came from slot 3, which it consumes; slot 1 (counter 6) is stale,
     # and the slots below 3 now hold counters 9, 10 and 12
-    assert _slot(table, 3) == bytes(16) and table == terminals[0].table
+    assert table_slot(table, 3) == bytes(16) and table == terminals[0].table
     assert key_6 not in bytes(table) and key_8 not in bytes(table)
     for t in terminals[1:]:
         assert registry.process_message(_message(t)).accepted

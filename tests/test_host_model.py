@@ -55,7 +55,7 @@ from dukptlab.pin_block import encode_iso0, structure_ok
 from dukptlab.terminal import decrypt_data, decrypt_pin, encrypt_data, encrypt_pin, init_terminal
 from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_wire
 
-from conftest import INTEROP_PAN, table_counters
+from conftest import INTEROP_PAN, edited, leaked, table_counters
 
 CACHE_DEVICES = 3
 KEY_SETS = {0x5A5A5A: 3, 0xC3C3C3: 2}  # registered key-set id -> its devices
@@ -100,23 +100,6 @@ def _ipek(bdk: TdeaKey, base: Ksn) -> TdeaKey:
 @functools.lru_cache(maxsize=None)
 def _reference_key(bdk: TdeaKey, ksn: Ksn) -> TdeaKey:
     return derive_key_chain(_ipek(bdk, ksn.base), ksn)
-
-
-def _leaked(text, secrets):
-    # repr(s)[2:-1] is the escaped body, which also shows inside a longer buffer's repr
-    return [s for s in secrets
-            if repr(s)[2:-1] in text or s.hex() in text or s.hex().upper() in text]
-
-
-def _mutate(line, edits):
-    """``line`` with each ``(edit, position, token)`` applied in turn; positions wrap."""
-    for edit, where, token in edits:
-        at = where % (len(line) + 1)
-        if edit == "insert":
-            line = line[:at] + token + line[at:]
-        else:
-            line = line[:at] + (token if edit == "substitute" else "") + line[at + 1:]
-    return line
 
 
 def _random_edits(rng):
@@ -249,7 +232,7 @@ class HostModel(RuleBasedStateMachine):
     @rule(msg=lines, edits=edit_lists)
     def near_miss(self, msg, edits):
         """A sent line, altered on the way; the reference judges what it parses to."""
-        line = _mutate(encode_wire(msg), edits)
+        line = edited(encode_wire(msg), edits)
         reply = _send_near_miss(self.registry, line)
         try:
             parsed = parse_wire(line)
@@ -301,7 +284,7 @@ class HostModel(RuleBasedStateMachine):
             if not any(buffer is table for table in tables):
                 assert not any(buffer), "a dropped table was not wiped"
         self.held = tables
-        assert not _leaked("\n".join(self.texts), self.secrets)
+        assert not leaked("\n".join(self.texts), self.secrets)
         self.texts.clear()
 
 
@@ -331,7 +314,7 @@ def test_refused_near_misses_of_sent_lines_change_nothing():
         for m in range(100):
             if m == 50:
                 _send_near_miss(registry, line)
-            mutant = _mutate(line, _random_edits(rng))
+            mutant = edited(line, _random_edits(rng))
             reply = _send_near_miss(registry, mutant)
             if reply.startswith("OK|"):
                 assert reply == f"OK|{parse_wire(mutant).ksn.counter}"

@@ -50,21 +50,18 @@ from conftest import (
     INTEROP_PIN,
     PUBLISHED_PIN_CT_100000,
     table_counters,
+    table_slot,
 )
-
-
-def _slot(terminal, q):
-    return bytes(terminal.table[16 * q : 16 * q + 16])
 
 
 def _stored(terminal):
     """Every key the table holds; all-zero slots are empty."""
-    return {_slot(terminal, q) for q in range(21)} - {bytes(16)}
+    return {table_slot(terminal.table, q) for q in range(21)} - {bytes(16)}
 
 
 def _occupied(terminal):
     """How many slots of the table hold a key."""
-    return sum(_slot(terminal, q) != bytes(16) for q in range(21))
+    return sum(table_slot(terminal.table, q) != bytes(16) for q in range(21))
 
 
 # --- initialization -----------------------------------------------------------
@@ -78,7 +75,7 @@ def test_init_populates_all_registers(terminal):
 def test_init_registers_hold_chain_keys(terminal, ipek, initial_ksn):
     for q in range(21):
         expected = derive_key_chain(ipek, initial_ksn.with_counter(1 << q))
-        assert _slot(terminal, q) == expected.material
+        assert table_slot(terminal.table, q) == expected.material
 
 
 def test_init_discards_ipek(terminal, ipek):
@@ -129,7 +126,8 @@ def test_third_transaction_uses_replenished_register(terminal, ipek, initial_ksn
     # key(3) enters slot 0 while the counter-2 step runs
     terminal.next_transaction_key()
     terminal.next_transaction_key()
-    assert _slot(terminal, 0) == derive_key_chain(ipek, initial_ksn.with_counter(3)).material
+    expected = derive_key_chain(ipek, initial_ksn.with_counter(3)).material
+    assert table_slot(terminal.table, 0) == expected
     ksn, key = terminal.next_transaction_key()
     assert ksn.counter == 3
     assert key == derive_key_chain(ipek, initial_ksn.with_counter(3))
@@ -147,8 +145,8 @@ def test_worst_case_refill_matches_direct_chain(terminal, ipek, initial_ksn):
     assert key == derive_key_chain(ipek, ksn)
     for pos in range(14):
         expected = derive_key_chain(ipek, initial_ksn.with_counter(0x4000 | 1 << pos))
-        assert _slot(terminal, pos) == expected.material
-    assert _slot(terminal, 14) == bytes(16)
+        assert table_slot(terminal.table, pos) == expected.material
+    assert table_slot(terminal.table, 14) == bytes(16)
     assert terminal.table[16 * 15 :] == untouched
 
 

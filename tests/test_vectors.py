@@ -154,9 +154,21 @@ def test_counter_zero_record_is_named_and_the_walk_goes_on():
     corrupted = dataclasses.replace(records[1], key="00" * 16)
     failures = vectors.verify([initial, corrupted])
     assert failures == [
-        "record 1: derivation failed: counter 0 names the initial key, not a transaction key",
+        "record 1: derivation failed: vector derivation requires role Transaction, got Initial",
         f"record 2 (counter 000002): key expected {'00' * 16}, derived {records[1].key}",
     ]
+
+
+def test_a_programming_error_in_derivation_is_raised_not_reported(monkeypatch):
+    # verify reports the refusals of a bad record; a fault in the code is no failed record
+    records = vectors.generate(1)
+
+    def broken(ipek, ksn):
+        raise TypeError("a fault in derivation")
+
+    monkeypatch.setattr(vectors, "derive_key_chain", broken)
+    with pytest.raises(TypeError, match="^a fault in derivation$"):
+        vectors.verify(records)
 
 
 # --- the record codec and verify against field-by-field reference copies ---

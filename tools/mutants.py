@@ -158,13 +158,10 @@ MUTANTS = [
     Mutant("baseline.py", "if len(material) != 16:\n", "if False:\n",
            "ms_wrap drops its 16-byte check", ("test_baseline.py",)),
     # the receivers that only decide: the last block alone decrypts against the zero IV
-    Mutant("host.py", "data_ct and data_ct[-2 * BLOCK_SIZE:]", "data_ct and data_ct[-BLOCK_SIZE:]",
-           "the wire route decrypts the last data block alone", HOST_TESTS),
-    Mutant("scenarios.py", "parse_fields(line)[2][-2 * tdes.BLOCK_SIZE:]",
-           "parse_fields(line)[2][-tdes.BLOCK_SIZE:]",
-           "the FIXED receiver decrypts the last data block alone", ("test_scenarios.py",)),
-    Mutant("scenarios.py", "data_ct[-2 * tdes.BLOCK_SIZE:])", "data_ct[-tdes.BLOCK_SIZE:])",
-           "the MS receiver decrypts the last data block alone", ("test_scenarios.py",)),
+    Mutant("tdes.py", "PADDING_BLOCKS = slice(-2 * BLOCK_SIZE, None)",
+           "PADDING_BLOCKS = slice(-BLOCK_SIZE, None)",
+           "the receivers that only decide decrypt the last data block alone",
+           ("test_host.py", "test_scenarios.py", "test_tdes.py")),
     # the process footprint: cryptography's OpenSSL is the only one mapped
     Mutant("key_hierarchy.py", "import math\n", "import hmac\nimport math\n",
            "key_hierarchy imports hmac, which loads the system OpenSSL",
