@@ -176,15 +176,19 @@ def parse_ksn(text: str) -> Ksn:
     return Ksn(_from_hex(text, 10, "KSN"))
 
 
-def _from_hex(text: str, size: int, name: str) -> bytes:
-    """``size`` bytes by the wire's rule: two hex digits each, either case, nothing between."""
-    if len(text) != 2 * size:
-        raise LengthError(f"{name} hex must be {2 * size} characters, got {len(text)}")
+def read_hex(text: str) -> bytes:
+    """``text`` read as two hex digits a byte, either case, nothing between; else ``b""``."""
     try:
         raw = bytes.fromhex(text)  # it skips whitespace, so the bytes are counted
     except ValueError:
-        raw = b""
-    if len(raw) != size:
+        return b""
+    return raw if 2 * len(raw) == len(text) else b""
+
+
+def _from_hex(text: str, size: int, name: str) -> bytes:
+    if len(text) != 2 * size:
+        raise LengthError(f"{name} hex must be {2 * size} characters, got {len(text)}")
+    if not (raw := read_hex(text)):
         raise HexInputError(f"{name} is not valid hex: {text!r}")
     return raw
 

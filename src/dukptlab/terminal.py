@@ -30,7 +30,7 @@ from .key_hierarchy import (
     COUNTER_BITS, TABLE_BYTES, KeyRole, Ksn, TdeaKey, fold_chain, next_counter,
     remaining_counters, seal, unseal,
 )
-from .wire import TransactionMessage, encode_fields
+from .wire import MAX_DATA_BYTES, TransactionMessage, encode_fields
 
 
 class TerminalState:
@@ -106,6 +106,8 @@ class TerminalState:
         _check_pin_block(clear_pin_block)
         if data is not None and not data:
             raise EmptyPlaintext("refusing to encrypt an empty payload")
+        if data is not None and len(data) >= MAX_DATA_BYTES:  # padding adds 1 to 8 bytes
+            raise LengthError(f"data must be under {MAX_DATA_BYTES} bytes, got {len(data)}")
         counter, material = self.issue()
         pin_ct, data_ct = seal(material, clear_pin_block, data)
         return counter, pin_ct, data_ct, material

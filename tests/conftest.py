@@ -9,6 +9,7 @@ against these strings; they are never recomputed by the code under test.
 import pytest
 from hypothesis import settings
 
+from dukptlab import tdes
 from dukptlab.host import HostRegistry
 from dukptlab.key_hierarchy import MAX_COUNTER_WEIGHT, KeyRole, TdeaKey, derive_ipek, parse_ksn
 from dukptlab.terminal import init_terminal
@@ -129,6 +130,21 @@ def ipek(bdk, initial_ksn):
 @pytest.fixture
 def terminal(ipek, initial_ksn):
     return init_terminal(ipek, initial_ksn)
+
+
+@pytest.fixture
+def cipher_builds(monkeypatch):
+    """A list that grows by one for each cipher build (``tdes._cipher`` call) from here on;
+    clear it to start a count."""
+    builds = []
+    real_cipher = tdes._cipher
+
+    def counting_cipher(*args):
+        builds.append(None)
+        return real_cipher(*args)
+
+    monkeypatch.setattr(tdes, "_cipher", counting_cipher)
+    return builds
 
 
 @pytest.fixture

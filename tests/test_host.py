@@ -29,7 +29,7 @@ from dukptlab.key_hierarchy import (
 )
 from dukptlab.pin_block import encode_iso0
 from dukptlab.terminal import encrypt_data, encrypt_pin, init_terminal
-from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_wire
+from dukptlab.wire import Scheme, TransactionMessage, encode_fields, encode_wire, parse_wire
 
 from conftest import (
     EDIT_TOKENS, INTEROP_PAN, INTEROP_PIN, MALFORMED_TEMPLATES, OTHER_BDK_HEX, edited, leaked,
@@ -192,6 +192,59 @@ def test_wire_error_replies(registry, terminal):
         )
     )
     assert registry.handle_wire_line(fixed_line) == "ERR|UnsupportedScheme"
+
+
+def test_cipher_builds_per_line_kind(registry, terminal, bdk, initial_ksn, cipher_builds):
+    # the opens: one build for a PIN block, one for the data's last two blocks; a walk
+    # or a refill: two for each derive_children run (one ECB pass a key half)
+    block, data = encode_iso0(*CLEAR_BLOCK_ARGS), b"Sale: 42.00 USD"
+    shapes = [(block, data)] * 4 + [(block, None), (block, data), (None, data)]
+    lines = [terminal.send(pin, clear)[0] for pin, clear in shapes]  # counters 1 to 7
+    late_ksn = _device_ksn(initial_ksn.key_set_id, 7)
+    late = init_terminal(derive_ipek(bdk, late_ksn), late_ksn)
+    for _ in range(11):
+        late.issue()
+    late_line = late.send(block, data)[0]  # counter 12, 0b1100
+    registry.rederive_key(terminal.base_ksn)  # builds the key set's loaded IPEK contexts
+
+    def builds(line):
+        cipher_builds.clear()
+        return registry.handle_wire_line(line), len(cipher_builds)
+
+    assert [builds(line) for line in lines] == [
+        ("OK|1", 2 + 2),  # first seen: one run (bit 0), then the opens
+        ("OK|2", 2 + 2),  # an even counter: its key's child refills slot 0
+        ("OK|3", 2),  # an in-order successor at an odd counter: the opens alone
+        ("OK|4", 2 + 2),  # slots 0 and 1 refilled in one run
+        ("OK|5", 1),  # PIN only
+        ("OK|6", 2 + 2),
+        ("OK|7", 1),  # data only
+    ]
+    # first seen at 12: runs from bits 3 and 2 on the way down, then slots 0 and 1
+    assert builds(late_line) == ("OK|12", 3 * 2 + 2)
+    # every refusal builds nothing
+    ksn_hex, pin_hex = lines[0].split("|")[1:3]
+    next_line = terminal.send(block, data)[0]  # counter 8
+    ksn, pin, data_hex, tag = next_line.split("|")[1:]
+    refusals = [(malformed_line(t, ksn_hex, pin_hex), "ERR|MalformedMessage")
+                for t in MALFORMED_TEMPLATES]
+    refusals += [
+        (encode_fields(terminal.ksn.raw, None, bytes(8), Scheme.FIXED), "ERR|UnsupportedScheme"),
+        (encode_wire(TransactionMessage(_device_ksn(0x123456, 1).with_counter(1), block)),
+         "ERR|UnknownKeySet"),
+        (encode_wire(TransactionMessage(terminal.base_ksn.with_counter(0x7FF), block)),
+         "ERR|OverweightCounterRejected"),
+        (lines[2], "ERR|ReplayRejected"),
+    ]
+    for size in (1 << 10, 8 << 20):  # over the line bound, by 1 KiB and 8 MiB of data
+        pad = size - len(next_line)
+        over = "|".join(["DUKPT1", ksn, pin, data_hex + "0" * pad, tag])
+        assert len(over) == size
+        refusals.append((over, "ERR|MalformedMessage"))
+    for line, reply in refusals:
+        assert builds(line) == (reply, 0), line[:80]
+    # and none of them moved the device: its next line folds from counter 7's table
+    assert builds(next_line) == ("OK|8", 2 + 2)
 
 
 def test_format_reply_names(registry, initial_ksn):

@@ -30,6 +30,7 @@ from dukptlab.key_hierarchy import (
     next_counter,
     nrkgp,
     parse_ksn,
+    read_hex,
     remaining_counters,
     variant_data_key,
     variant_pin_key,
@@ -116,6 +117,18 @@ def test_parse_ksn_counter_against_bit_slice_oracle():
         assert ksn.key_set_id == value >> 56 == 0xFFFF98
 
 
+@pytest.mark.parametrize("text,raw", [
+    ("", b""), ("00", b"\x00"), ("aBcD", b"\xab\xcd"), ("FFFF9876543210E00001", bytes.fromhex(
+        "FFFF9876543210E00001")),
+    # two digits a byte and nothing between: blanks, which bytes.fromhex skips, an odd
+    # digit, a non-ASCII digit, a letter that is not hex, a 0x prefix and a sign
+    ("AB CD", b""), ("ABCD ", b""), (" ABCD", b""), ("AB\tCD", b""), ("ABC", b""),
+    ("\u0660\u0660", b""), ("ABCG", b""), ("0xAB", b""), ("+ABC", b""),
+])
+def test_read_hex_reads_two_digits_a_byte_and_nothing_else(text, raw):
+    assert read_hex(text) == raw
+
+
 def test_parse_ksn_errors():
     with pytest.raises(LengthError):
         parse_ksn("FFFF9876543210E0000")  # 19 chars
@@ -172,8 +185,12 @@ def test_next_counter_exhaustion():
     assert _brute_next(0x1FF800) is None
     with pytest.raises(CounterExhausted):
         next_counter(0x1FF800)
-    with pytest.raises(ValueError):
-        next_counter(-1)
+    # the top of the range is in range, with nothing usable above it
+    with pytest.raises(CounterExhausted):
+        next_counter(COUNTER_MASK)
+    for outside in (-1, COUNTER_MASK + 1):
+        with pytest.raises(ValueError, match="^counter out of 21-bit range"):
+            next_counter(outside)
 
 
 def test_counter_space_constant():

@@ -31,7 +31,7 @@ from dukptlab.key_hierarchy import (
     unseal,
 )
 from dukptlab.pin_block import encode_iso0
-from dukptlab.wire import Scheme, TransactionMessage, encode_wire, parse_fields
+from dukptlab.wire import MAX_DATA_BYTES, Scheme, TransactionMessage, encode_wire, parse_fields
 from dukptlab import terminal as terminal_module
 from dukptlab.terminal import (
     TerminalState,
@@ -414,6 +414,9 @@ def test_a_refused_payload_draws_no_key(terminal, route):
         (None, b"", EmptyPlaintext),
         (bytes(7), b"payload", LengthError),
         (bytes(8), b"", EmptyPlaintext),
+        # data whose padded ciphertext would pass the wire's bound
+        (None, bytes(MAX_DATA_BYTES), LengthError),
+        (bytes(8), bytes(MAX_DATA_BYTES + 100), LengthError),
     ]
     for clear_pin_block, data, error in refused:
         with pytest.raises(error):
@@ -422,6 +425,8 @@ def test_a_refused_payload_draws_no_key(terminal, route):
         assert terminal.table == table
     transact(data=b"payload")
     assert terminal.counter == counter + 1
+    transact(data=bytes(MAX_DATA_BYTES - 1))  # the longest data: one block of padding to the bound
+    assert terminal.counter == counter + 2
 
 
 def test_send_writes_the_line_of_the_message(ipek, initial_ksn):
@@ -476,21 +481,24 @@ def test_build_message_matches_the_key_object_route(ipek, initial_ksn, pins, dat
     assert device.table == twin.table
 
 
-def test_build_message_cipher_builds(terminal, monkeypatch):
+def test_send_cipher_builds_per_payload_shape(terminal, cipher_builds):
+    # one build a part (the PIN block, the data), plus two when the issued key's
+    # children refill the slots below it: at an even counter here, not at an odd one
+    block = encode_iso0(INTEROP_PIN, INTEROP_PAN)
+    for pin, data in [(block, None), (None, INTEROP_DATA), (block, INTEROP_DATA)]:
+        for refill in (False, True):
+            cipher_builds.clear()
+            terminal.send(pin, data)
+            assert terminal.counter % 2 == (not refill)
+            assert len(cipher_builds) == (pin is not None) + (data is not None) + 2 * refill
+
+
+def test_build_message_cipher_builds(terminal, monkeypatch, cipher_builds):
     # two payload builds per message, plus the refill's two single-DES passes
     # whenever the issued key has children; no key object on the way
-    calls = 0
-    real_cipher = tdes._cipher
-
-    def counting_cipher(*args):
-        nonlocal calls
-        calls += 1
-        return real_cipher(*args)
-
     def no_key_object(*args):
         raise AssertionError("build_message made a key object")
 
-    monkeypatch.setattr(tdes, "_cipher", counting_cipher)
     monkeypatch.setattr(TdeaKey, "__post_init__", no_key_object)
     monkeypatch.setattr(tdes.TdeaCipher, "__init__", no_key_object)
     block = encode_iso0(INTEROP_PIN, INTEROP_PAN)
@@ -499,4 +507,4 @@ def test_build_message_cipher_builds(terminal, monkeypatch):
         counter = terminal.build_message(block, INTEROP_DATA).ksn.counter
         low = (counter & -counter).bit_length() - 1
         expected += 2 + 2 * (low > 0 and counter.bit_count() < MAX_COUNTER_WEIGHT)
-    assert calls == expected
+    assert len(cipher_builds) == expected

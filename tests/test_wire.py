@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from dukptlab import wire
 from dukptlab.errors import EmptyMessage, WireFormatError
 from dukptlab.host import HostRegistry
 from dukptlab.key_hierarchy import Ksn, parse_ksn
 from dukptlab.wire import (
-    Scheme, TransactionMessage, encode_fields, encode_wire, parse_fields, parse_wire,
+    MAX_DATA_BYTES, Scheme, TransactionMessage, encode_fields, encode_wire, parse_fields,
+    parse_wire,
 )
 
 from conftest import EDIT_TOKENS, MALFORMED_TEMPLATES, edited, malformed_line
@@ -257,6 +259,10 @@ def _sized(n, most):
 @example(ksn_raw=bytes(10), scheme=Scheme.MASTER_SESSION, pin_ct=bytes(8), data_ct=bytes(16),
          wrapped=bytes(16))
 @example(ksn_raw=bytes(9), scheme=Scheme.DUKPT, pin_ct=bytes(8), data_ct=None, wrapped=None)
+@example(ksn_raw=bytes(10), scheme=Scheme.DUKPT, pin_ct=None, data_ct=bytes(MAX_DATA_BYTES),
+         wrapped=None)
+@example(ksn_raw=bytes(10), scheme=Scheme.DUKPT, pin_ct=None, data_ct=bytes(MAX_DATA_BYTES + 8),
+         wrapped=None)
 def test_encode_fields_refuses_what_a_message_refuses(ksn_raw, scheme, pin_ct, data_ct, wrapped):
     # the same payload rule, run once: the same refusal, EmptyMessage included; a KSN
     # that is not 10 bytes is refused whatever the payload
@@ -268,3 +274,48 @@ def test_encode_fields_refuses_what_a_message_refuses(ksn_raw, scheme, pin_ct, d
         assert refused is _refusal(TransactionMessage, Ksn(ksn_raw), *payload)
         if refused is None:
             assert parse_fields(encode_fields(ksn_raw, *payload)) == (ksn_raw, *payload)
+
+
+# --- the bound on a line's length ---------------------------------------------------------
+
+# the longest line the field rule allows: an MS line with a PIN block and the longest data
+_LONGEST = "|".join(["DUKPT1", "FFFF9876543210E00001", "AA" * 8, "00" * MAX_DATA_BYTES, "MS",
+                     "DD" * 16])
+
+
+def _no_hex_read(text):
+    raise AssertionError(f"a hex field of {len(text)} characters was read")
+
+
+def test_the_longest_line_is_read_and_one_character_more_is_not(monkeypatch):
+    assert len(_LONGEST) == 7 + 21 + 17 + 2 * MAX_DATA_BYTES + 1 + 3 + 32 == 593
+    msg = parse_wire(_LONGEST)
+    assert msg.encrypted_data == parse_fields(_LONGEST)[2] == bytes(MAX_DATA_BYTES)
+    assert parse_wire(f" {_LONGEST}\r\n") == msg  # the whitespace around a line is not counted
+    host = HostRegistry()
+    assert host.handle_wire_line(_LONGEST) == "ERR|UnsupportedScheme"  # read, then refused
+    # one character more is refused before any field is read, on both routes
+    monkeypatch.setattr(wire, "read_hex", _no_hex_read)
+    for over in (_LONGEST + "D", "D" + _LONGEST, _LONGEST[:40] + " " + _LONGEST[40:]):
+        with pytest.raises(WireFormatError, match="^line is longer than 593 characters$"):
+            parse_wire(over)
+        assert host.handle_wire_line(over) == "ERR|MalformedMessage"
+
+
+def test_data_over_the_bound_is_refused_on_both_routes(registry, terminal):
+    line, _, data_ct, _ = terminal.send(data=bytes(MAX_DATA_BYTES - 1))  # padded to the bound
+    assert len(data_ct) == MAX_DATA_BYTES
+    ksn, pin, data, tag = line.split("|")[1:]
+    over = "|".join(["DUKPT1", ksn, pin, data + "00" * 8, tag])
+    for route in (parse_wire, parse_fields):
+        with pytest.raises(WireFormatError, match="^encrypted data must be whole blocks, 8 to 256"):
+            route(over)
+    assert registry.handle_wire_line(over) == "ERR|MalformedMessage"
+    assert parse_wire(line).encrypted_data == data_ct
+    assert registry.handle_wire_line(line) == "OK|1"
+    # and on encode: every writer states the same rule
+    for write in (lambda d: encode_fields(bytes(10), None, d),
+                  lambda d: TransactionMessage(KSN, encrypted_data=d)):
+        write(bytes(MAX_DATA_BYTES))
+        with pytest.raises(WireFormatError):
+            write(bytes(MAX_DATA_BYTES + 8))
