@@ -18,11 +18,11 @@ The fold does not always start from the device's initial key. For each of
 up to :data:`TABLE_CACHE_DEVICES` recently accepted devices the registry
 keeps, byte for byte, the device's own future-key table after it issued the
 last accepted counter ``L`` (the rule is stated at
-:func:`~dukptlab.key_hierarchy.fold_chain`). A later counter ``c`` is folded
-from slot ``s``, the highest bit where ``c`` and ``L`` part, which holds the
-key of ``c >> s << s``, so the host derives where the device does; a new or
-evicted device starts from the BDK. Every line folds into one spare buffer,
-zeroed after it, whose written slots an accept copies into the device's table.
+:func:`~dukptlab.key_hierarchy.fold_chain`). A later counter is reached by the
+device's own step, :func:`~dukptlab.key_hierarchy.advance` from ``L``, so the
+host derives where the device does; a new or evicted device folds from its IPEK,
+as the device did when it was made. Every line folds into one spare buffer,
+zeroed after it, which an accept copies whole into the device's table.
 A table holds later counters' keys only, never a spent key or an IPEK or BDK
 copy, and is zero-overwritten when the device is evicted (least recently
 accepted first) or its BDK is replaced.
@@ -43,8 +43,8 @@ from enum import Enum
 from .errors import DecryptFailed, DuplicateKeySet, UnknownKeySet, WireFormatError
 from .key_hierarchy import (
     COUNTER_BITS, COUNTER_MASK, DEVICE_ID_BITS, KEY_SET_ID_BITS, MAX_COUNTER_WEIGHT,
-    TABLE_BYTES, KeyRole, Ksn, LoadedBdk, TdeaKey, derive_key_chain, fold_chain, ipek_material,
-    load_bdk, unseal,
+    TABLE_BYTES, KeyRole, Ksn, LoadedBdk, TdeaKey, advance, derive_key_chain, fold_chain,
+    ipek_material, load_bdk, unseal,
 )
 from .pin_block import structure_ok
 from .tdes import PADDING_BLOCKS
@@ -88,7 +88,7 @@ class HostRegistry:
     """BDK store, per-device replay log and per-device key tables.
 
     A device's table is its own after it issued its logged counter ``L``; a line
-    at ``c`` folds from the slot of the highest bit where ``c`` and ``L`` part.
+    at ``c`` moves a copy of it from ``L`` to ``c``.
     One lock guards all three, held by the policy path from the BDK lookup to
     the commit, so a device's counter check, decrypt, log update and table
     update are atomic and no BDK replacement or eviction touches a table while
@@ -168,11 +168,10 @@ class HostRegistry:
                 return VerdictStatus.REPLAY_REJECTED, counter, None, None
             table = self._tables.get(device)
             if table is None:
-                slot, start = COUNTER_BITS, ipek_material(bdk, value)
+                key = fold_chain(ipek_material(bdk, value), value, COUNTER_BITS, self._spare)
             else:
-                slot = (counter ^ last).bit_length() - 1  # the highest bit where they part
-                start = bytes(table[16 * slot : 16 * slot + 16])
-            key = fold_chain(start, value, slot, self._spare)
+                self._spare[:] = table
+                key = advance(self._spare, value, last)
             try:
                 clear_pin, clear_data = _open(key, pin_ct, data_ct)
             except DecryptFailed:
@@ -181,7 +180,7 @@ class HostRegistry:
             self._device_log[device] = counter
             if table is None:
                 table = self._tables[device] = bytearray(TABLE_BYTES)
-            table[: 16 * slot + 16] = self._spare[: 16 * slot + 16]  # slots 0 .. min(slot, 20)
+            table[:] = self._spare
             _wipe(self._spare)
             self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:

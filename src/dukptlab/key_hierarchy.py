@@ -17,7 +17,7 @@ future-key table.
 Each key is split into a PIN variant and a data variant by a fixed XOR
 mask; :func:`seal` and :func:`unseal` are the one place a variant meets a
 cipher mode. State lives in :mod:`dukptlab.terminal` and :mod:`dukptlab.host`:
-:func:`fold_chain` writes the table it is handed, and the rest is pure.
+:func:`fold_chain` and :func:`advance` write the table handed them; the rest is pure.
 """
 
 from __future__ import annotations
@@ -374,6 +374,19 @@ def fold_chain(material: bytes, ksn: int, slot: int, table: bytearray) -> bytes:
     table[: 16 * slot] = (derive_children(material, ksn, counter, 0, slot)
                           if counter.bit_count() < MAX_COUNTER_WEIGHT else bytes(16 * slot))
     return material
+
+
+def advance(table: bytearray, ksn: int, last: int) -> bytes:
+    """Move a device's ``table`` in place from counter ``last`` to the later counter ``c``
+    of the KSN ``ksn`` (the int :attr:`Ksn.value`) and return ``key(c)``: :func:`fold_chain`
+    from slot ``s``, the highest bit where ``c`` and ``last`` part, which holds
+    ``key(c >> s << s)``. An empty slot ``s`` (at a ``c`` not above ``last``, say) raises
+    ``RuntimeError`` before a write."""
+    slot = ((ksn & COUNTER_MASK) ^ last).bit_length() - 1
+    material = bytes(table[16 * slot : 16 * slot + 16])
+    if not any(material):
+        raise RuntimeError(f"future-key slot {slot} is empty")
+    return fold_chain(material, ksn, slot, table)
 
 
 def _key_int(material: bytes) -> int:

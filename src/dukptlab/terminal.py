@@ -5,12 +5,11 @@ is the same class), and immediately converts its IPEK into 21 future keys, one
 per counter bit position, in one 21-slot run of the one-way step; the IPEK
 itself is never stored. There is no blank device. The keys live in one table of
 16-byte slots: slot ``q`` serves counter bit ``q``, and an all-zero slot is
-empty. Each transaction consumes the slot of the lowest set bit of the
-freshly advanced counter; the consumed slot is zeroed and the slots below it
-take the consumed key's children. :func:`~dukptlab.key_hierarchy.fold_chain`,
-which states the table rule once, writes the fresh table and each one after it
-in place; the host keeps the same table. Every key the table hands out equals the
-direct derivation chain for the same counter, and the tests hold it to that.
+empty. :func:`~dukptlab.key_hierarchy.fold_chain`, which states the table rule
+once, writes the fresh table, and each transaction moves it to the freshly
+advanced counter in place with :func:`~dukptlab.key_hierarchy.advance`, the step
+the host takes too; the host keeps the same table. Every key the table hands out
+equals the direct derivation chain for the same counter, and the tests hold it to that.
 
 A transaction is one checked step: refuse a bad payload, :meth:`TerminalState.issue`,
 then :func:`~dukptlab.key_hierarchy.seal`. :meth:`~TerminalState.send` writes its line
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from .errors import CounterExhausted, EmptyPlaintext, LengthError, NonZeroCounter
 from .key_hierarchy import (
-    COUNTER_BITS, TABLE_BYTES, KeyRole, Ksn, TdeaKey, fold_chain, next_counter,
+    COUNTER_BITS, TABLE_BYTES, KeyRole, Ksn, TdeaKey, advance, fold_chain, next_counter,
     remaining_counters, seal, unseal,
 )
 from .wire import MAX_DATA_BYTES, TransactionMessage, encode_fields
@@ -115,10 +114,9 @@ class TerminalState:
     def issue(self) -> tuple[int, bytes]:
         """Advance the counter and take its key's material from the table.
 
-        :func:`~dukptlab.key_hierarchy.fold_chain` writes this very table over to
-        its table at the new counter, from the consumed slot: that slot zeroed and
-        the slots below it refilled. The counter moves with the table, once the
-        slot is found full. Past the last usable counter every call raises
+        :func:`~dukptlab.key_hierarchy.advance` moves this very table to its table
+        at the new counter. The counter moves with the table, once the step finds
+        its slot full. Past the last usable counter every call raises
         :class:`~dukptlab.errors.CounterExhausted` and zeroes the table.
         """
         try:
@@ -126,11 +124,7 @@ class TerminalState:
         except CounterExhausted:
             self.table[:] = bytes(len(self.table))
             raise
-        low = (counter & -counter).bit_length() - 1
-        material = bytes(self.table[16 * low : 16 * low + 16])
-        if not any(material):
-            raise RuntimeError(f"future-key slot {low} is empty")
-        fold_chain(material, self._base | counter, low, self.table)
+        material = advance(self.table, self._base | counter, self._counter)
         self._counter = counter
         return counter, material
 

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dukptlab import host, tdes
+from dukptlab import host, key_hierarchy, tdes
 from dukptlab.errors import (
     CounterOverweight, DuplicateKeySet, KeyRoleError, UnknownKeySet, WireFormatError,
 )
@@ -509,6 +509,25 @@ def test_cached_folds_match_reference(monkeypatch, bdk):
     assert accepted > 150 // 3
     assert len(registry._tables) == 3
     _assert_cache_matches_reference(registry)
+
+
+def test_a_cached_line_advances_the_spare_and_a_first_seen_one_folds_from_the_ipek(
+        registry, terminal, monkeypatch):
+    # the host takes the device's own step on a copy of a cached table, once a line;
+    # a device with no table folds from its IPEK, as the terminal constructor does
+    steps = []
+    real_advance = key_hierarchy.advance
+
+    def spy(table, ksn, last):
+        steps.append((table, ksn, last))
+        return real_advance(table, ksn, last)
+
+    monkeypatch.setattr(host, "advance", spy)
+    first, _, third = (encode_wire(_message(terminal)) for _ in range(3))  # 2 is lost
+    assert registry.handle_wire_line(first) == "OK|1" and steps == []
+    assert registry.handle_wire_line(third) == "OK|3"
+    [(table, ksn, last)] = steps
+    assert table is registry._spare and (ksn, last) == (terminal.ksn.value, 1)
 
 
 def test_host_table_mirrors_the_terminal_table(bdk, ipek, initial_ksn):

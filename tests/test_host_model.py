@@ -23,13 +23,15 @@ replies to one must be ``OK|<counter>`` or a fixed ``ERR|`` name, and a
 reply other than ``OK`` must leave every floor, every table's bytes and the
 eviction order as they were; a seeded bulk test sends 20,000 of them.
 
-40 examples of up to 40 steps each run in about 2 s (2 vCPUs, Python 3.11).
+40 examples of up to 40 steps each, the count under hypothesis's default
+profile, run in about 2 s (2 vCPUs, Python 3.11); the "deep" profile runs 800.
 """
 
 import functools
 import random
 import re
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     Bundle,
@@ -288,11 +290,13 @@ class HostModel(RuleBasedStateMachine):
         self.texts.clear()
 
 
+@pytest.mark.hypothesis  # so that the deep run, -m hypothesis, selects it
 def test_host_matches_reference_model(monkeypatch):
+    # two fifths of the active profile's examples: 40 by default, 800 under "deep"
     monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", CACHE_DEVICES)
     run_state_machine_as_test(HostModel, settings=settings(
-        max_examples=40, stateful_step_count=40, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow]))
+        max_examples=settings.default.max_examples * 2 // 5, stateful_step_count=40,
+        deadline=None, suppress_health_check=[HealthCheck.too_slow]))
 
 
 def test_refused_near_misses_of_sent_lines_change_nothing():

@@ -23,6 +23,7 @@ from dukptlab.key_hierarchy import (
     KeyRole,
     Ksn,
     TdeaKey,
+    advance,
     derive_children,
     derive_ipek,
     derive_key_chain,
@@ -257,7 +258,8 @@ def test_nrkgp_distinguishes_counters(ipek, initial_ksn):
 
 
 def test_nrkgp_rejects_zero_counter(ipek, initial_ksn):
-    with pytest.raises(ValueError):
+    # the full message: with no check, the slot rule's negative shift raises ValueError too
+    with pytest.raises(ValueError, match=r"^nrkgp needs a KSN with at least one counter bit set$"):
         nrkgp(ipek, initial_ksn)
 
 
@@ -340,20 +342,35 @@ def _usable_pairs(draw):
 @example(pair=(0x0FF800, 0x1FF800))
 @example(pair=(0x5A5A5, 0x5A5A6))
 def test_tables_move_from_any_counter_to_a_later_one(ipek, initial_ksn, pair):
-    # the table at last, itself a fold_chain result, folded in place from the highest
-    # bit where counter and last part, is the device's table at counter
+    # the table at last, itself a fold_chain result, advanced in place to counter, is
+    # the device's table at counter
     last, counter = pair
     ksn = initial_ksn.with_counter(counter)
     table = bytearray(TABLE_BYTES)
     fold_chain(ipek.material, initial_ksn.with_counter(last).value, 21, table)
-    slot = (counter ^ last).bit_length() - 1
-    above = bytes(table[16 * slot + 16 :])
-    key = fold_chain(bytes(table[16 * slot : 16 * slot + 16]), ksn.value, slot, table)
-    assert len(table) == TABLE_BYTES and table[16 * slot + 16 :] == above
-    assert key == derive_key_chain(ipek, ksn).material
+    assert advance(table, ksn.value, last) == derive_key_chain(ipek, ksn).material
+    assert len(table) == TABLE_BYTES
     slots = table_counters(counter)
     assert table == b"".join(derive_key_chain(ipek, ksn.with_counter(slots[q])).material
                              if q in slots else bytes(16) for q in range(21))
+
+
+@given(pair=_usable_pairs())
+@example(pair=(0, 1))
+@example(pair=(0, 0x1FF800))
+@example(pair=(0x7FE, 0x800))
+def test_advance_refuses_a_counter_not_above_last_before_a_write(ipek, initial_ksn, pair):
+    # from the table at later, neither earlier nor later itself is a later counter: the
+    # slot where it parts from later is spent (or there is none), and nothing is written
+    earlier, later = pair
+    table = bytearray(TABLE_BYTES)
+    fold_chain(ipek.material, initial_ksn.with_counter(later).value, 21, table)
+    before = bytes(table)
+    for counter in (earlier, later):
+        slot = (counter ^ later).bit_length() - 1
+        with pytest.raises(RuntimeError, match=rf"^future-key slot {slot} is empty$"):
+            advance(table, initial_ksn.with_counter(counter).value, later)
+        assert table == before
 
 
 @given(counter=_weighted_counters)

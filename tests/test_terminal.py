@@ -198,18 +198,18 @@ def test_an_empty_slot_is_never_issued(ipek, initial_ksn):
 
 
 def test_issue_folds_into_the_terminal_table_itself(ipek, initial_ksn, monkeypatch):
-    # fold_chain writes the terminal's table object itself, the same one for the
-    # terminal's life, past the refill of 0x4000's 14 slots
+    # each issuance is one advance of the terminal's table object itself, the same one
+    # for the terminal's life, past the refill of 0x4000's 14 slots
     terminal = init_terminal(ipek, initial_ksn)
     table = terminal.table
     tables = []
-    real_fold_chain = key_hierarchy.fold_chain
+    real_advance = key_hierarchy.advance
 
-    def spy(material, ksn, slot, into):
+    def spy(into, ksn, last):
         tables.append(into)
-        return real_fold_chain(material, ksn, slot, into)
+        return real_advance(into, ksn, last)
 
-    monkeypatch.setattr(terminal_module, "fold_chain", spy)
+    monkeypatch.setattr(terminal_module, "advance", spy)
     while terminal.counter < 0x4001:
         terminal.issue()
     slots = table_counters(0x4001)

@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 
 
 HOST_TESTS = ("test_host.py",)
+STEP_TESTS = ("test_key_hierarchy.py", "test_terminal.py", "test_host.py")
 PAYLOAD_CHECKS = """\
         if clear_pin_block is None and data is None:
             raise EmptyPlaintext("transaction needs a PIN block or data to send")
@@ -87,12 +88,11 @@ MUTANTS = [
            "            _wipe(self._spare)\n            self._tables.move_to_end(device)",
            "            self._tables.move_to_end(device)",
            "an accepted line leaves a second copy of the table in the spare", HOST_TESTS),
-    Mutant("host.py", "table[: 16 * slot + 16] = self._spare[: 16 * slot + 16]",
-           "table[: 16 * slot] = self._spare[: 16 * slot]",
+    Mutant("host.py", "table[:] = self._spare", "table[:-16] = self._spare[:-16]",
            "the commit copies one slot too few", HOST_TESTS),
-    Mutant("host.py", "            table[: 16 * slot + 16] =",
-           "            if slot < COUNTER_BITS:\n                table[: 16 * slot + 16] =",
-           "a device's first accept stores an empty table", HOST_TESTS),
+    Mutant("host.py", "                self._spare[:] = table\n", "",
+           "a cached line advances the spare without first copying its table there",
+           HOST_TESTS),
     Mutant("terminal.py",
            "        except CounterExhausted:\n            self.table[:] = bytes(len(self.table))\n",
            "        except CounterExhausted:\n",
@@ -118,7 +118,17 @@ MUTANTS = [
            "    c = counter + 1\n",
            "next_counter refuses the top of the counter range as out of range",
            ("test_key_hierarchy.py",)),
-    # the table rule
+    Mutant("key_hierarchy.py",
+           '        raise ValueError("nrkgp needs a KSN with at least one counter bit set")\n',
+           "        pass\n",
+           "nrkgp skips its counter-0 check", ("test_key_hierarchy.py",)),
+    # the table rule and its one step
+    Mutant("key_hierarchy.py", "slot = ((ksn & COUNTER_MASK) ^ last).bit_length() - 1",
+           "slot = (ksn & COUNTER_MASK).bit_length() - 1",
+           "advance starts from the counter's top bit, not where the counters part",
+           STEP_TESTS),
+    Mutant("key_hierarchy.py", "    if not any(material):\n", "    if False:\n",
+           "advance folds from an empty slot", STEP_TESTS),
     Mutant("key_hierarchy.py", "if counter.bit_count() < MAX_COUNTER_WEIGHT else",
            "if counter.bit_count() <= MAX_COUNTER_WEIGHT else",
            "a key at weight 10 refills the slots below it",
