@@ -380,9 +380,11 @@ def advance(table: bytearray, ksn: int, last: int) -> bytes:
     """Move a device's ``table`` in place from counter ``last`` to the later counter ``c``
     of the KSN ``ksn`` (the int :attr:`Ksn.value`) and return ``key(c)``: :func:`fold_chain`
     from slot ``s``, the highest bit where ``c`` and ``last`` part, which holds
-    ``key(c >> s << s)``. An empty slot ``s`` (at a ``c`` not above ``last``, say) raises
-    ``RuntimeError`` before a write."""
-    slot = ((ksn & COUNTER_MASK) ^ last).bit_length() - 1
+    ``key(c >> s << s)``. A ``c`` not above ``last``, or an empty slot ``s`` (a table that
+    disagrees with ``last``), raises ``RuntimeError`` before a write."""
+    if (c := ksn & COUNTER_MASK) <= last:
+        raise RuntimeError(f"counter {c:#x} is not above last {last:#x}")
+    slot = (c ^ last).bit_length() - 1
     material = bytes(table[16 * slot : 16 * slot + 16])
     if not any(material):
         raise RuntimeError(f"future-key slot {slot} is empty")

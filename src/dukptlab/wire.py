@@ -102,7 +102,7 @@ def encode_wire(msg: TransactionMessage) -> str:
 
 def parse_fields(line: str) -> tuple[bytes, bytes | None, bytes | None, Scheme, bytes | None]:
     """``(ksn_raw, pin_ct, data_ct, scheme, wrapped)``, checked as a message is."""
-    if len(line := line.strip()) > _MAX_LINE:  # the longest valid line; refused unsplit
+    if len(line) > _MAX_LINE:  # the line as handed: longer than any valid one, refused unsplit
         raise WireFormatError(f"line is longer than {_MAX_LINE} characters")
     fields = line.split("|")
     if fields[0] != WIRE_TAG:

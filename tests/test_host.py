@@ -241,6 +241,8 @@ def test_cipher_builds_per_line_kind(registry, terminal, bdk, initial_ksn, ciphe
         over = "|".join(["DUKPT1", ksn, pin, data_hex + "0" * pad, tag])
         assert len(over) == size
         refusals.append((over, "ERR|MalformedMessage"))
+    # a valid line followed by 8 Mi spaces is over the bound too: whitespace counts
+    refusals.append((next_line + " " * (8 << 20), "ERR|MalformedMessage"))
     for line, reply in refusals:
         assert builds(line) == (reply, 0), line[:80]
     # and none of them moved the device: its next line folds from counter 7's table

@@ -360,17 +360,31 @@ def test_tables_move_from_any_counter_to_a_later_one(ipek, initial_ksn, pair):
 @example(pair=(0, 0x1FF800))
 @example(pair=(0x7FE, 0x800))
 def test_advance_refuses_a_counter_not_above_last_before_a_write(ipek, initial_ksn, pair):
-    # from the table at later, neither earlier nor later itself is a later counter: the
-    # slot where it parts from later is spent (or there is none), and nothing is written
+    # from the table at later, neither earlier nor later itself is a later counter: both
+    # counters are named, no slot is taken, and nothing is written
     earlier, later = pair
     table = bytearray(TABLE_BYTES)
     fold_chain(ipek.material, initial_ksn.with_counter(later).value, 21, table)
     before = bytes(table)
     for counter in (earlier, later):
-        slot = (counter ^ later).bit_length() - 1
-        with pytest.raises(RuntimeError, match=rf"^future-key slot {slot} is empty$"):
+        with pytest.raises(RuntimeError,
+                           match=rf"^counter {counter:#x} is not above last {later:#x}$"):
             advance(table, initial_ksn.with_counter(counter).value, later)
         assert table == before
+
+
+@given(pair=_usable_pairs())
+@example(pair=(0, 1))
+@example(pair=(0x7FE, 0x800))
+def test_advance_refuses_an_empty_slot_before_a_write(initial_ksn, pair):
+    # a table that disagrees with last (here, one never filled) holds nothing at the slot
+    # where counter parts from last, so a later counter is refused too, naming that slot
+    last, counter = pair
+    table = bytearray(TABLE_BYTES)
+    slot = (counter ^ last).bit_length() - 1
+    with pytest.raises(RuntimeError, match=rf"^future-key slot {slot} is empty$"):
+        advance(table, initial_ksn.with_counter(counter).value, last)
+    assert table == bytes(TABLE_BYTES)
 
 
 @given(counter=_weighted_counters)

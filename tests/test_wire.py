@@ -140,7 +140,7 @@ def test_parse_rejects_malformed(line):
 
 @pytest.mark.parametrize("tag", ["dukpt", "Dukpt", " DUKPT", "MS ", ""])
 def test_unknown_scheme_tags_are_malformed(tag):
-    # as the fifth of six fields, no strip() of the line can touch the tag
+    # as the fifth of six fields, the tag is not at the line's edge
     six = "|".join(_MS_FIELDS[:4] + [tag] + _MS_FIELDS[5:])
     with pytest.raises(WireFormatError, match="unknown scheme tag"):
         parse_wire(six)
@@ -291,7 +291,8 @@ def test_the_longest_line_is_read_and_one_character_more_is_not(monkeypatch):
     assert len(_LONGEST) == 7 + 21 + 17 + 2 * MAX_DATA_BYTES + 1 + 3 + 32 == 593
     msg = parse_wire(_LONGEST)
     assert msg.encrypted_data == parse_fields(_LONGEST)[2] == bytes(MAX_DATA_BYTES)
-    assert parse_wire(f" {_LONGEST}\r\n") == msg  # the whitespace around a line is not counted
+    with pytest.raises(WireFormatError, match="^line is longer than 593 characters$"):
+        parse_wire(f" {_LONGEST}\r\n")  # the whitespace around a line is counted
     host = HostRegistry()
     assert host.handle_wire_line(_LONGEST) == "ERR|UnsupportedScheme"  # read, then refused
     # one character more is refused before any field is read, on both routes
@@ -300,6 +301,46 @@ def test_the_longest_line_is_read_and_one_character_more_is_not(monkeypatch):
         with pytest.raises(WireFormatError, match="^line is longer than 593 characters$"):
             parse_wire(over)
         assert host.handle_wire_line(over) == "ERR|MalformedMessage"
+
+
+# ASCII and Unicode whitespace that str.strip() would take off a line's ends
+_FRAMES = [" ", "\r\n", "\t", "\x0b", "\x85", "\u2028", "\u3000"]
+
+
+@pytest.mark.parametrize("frame", _FRAMES)
+def test_a_line_framed_by_whitespace_is_refused_on_both_routes(registry, terminal, frame):
+    # the line is read as handed: a transport strips its own terminator
+    line = terminal.send(data=b"framed")[0]
+    ms_line = "|".join(_MS_FIELDS)
+    parse_fields(ms_line)  # read unframed; framed, its wrapped key is at the line's end
+    for valid in (line, ms_line):
+        for framed in (frame + valid, valid + frame):
+            for route in (parse_fields, parse_wire):
+                with pytest.raises(WireFormatError):
+                    route(framed)
+            assert registry.handle_wire_line(framed) == "ERR|MalformedMessage"
+    assert registry.handle_wire_line(line) == "OK|1"  # no framed copy moved the device
+
+
+@pytest.mark.parametrize("blank", [" ", "\u3000"])
+def test_megabytes_of_trailing_whitespace_are_refused_unread(monkeypatch, registry, terminal,
+                                                            initial_ksn, blank):
+    def state():
+        return (registry.last_accepted_counter(initial_ksn.initial_id),
+                {device: bytes(table) for device, table in registry._tables.items()})
+
+    assert registry.handle_wire_line(terminal.send(data=b"first")[0]) == "OK|1"
+    before = state()
+    line = terminal.send(data=b"second")[0]
+    padded = line + blank * (8 << 20)  # 8 Mi characters over a valid line
+    monkeypatch.setattr(wire, "read_hex", _no_hex_read)
+    for route in (parse_fields, parse_wire):
+        with pytest.raises(WireFormatError, match="^line is longer than 593 characters$"):
+            route(padded)
+    assert registry.handle_wire_line(padded) == "ERR|MalformedMessage"
+    assert state() == before and before[0] == 1
+    monkeypatch.undo()
+    assert registry.handle_wire_line(line) == "OK|2"
 
 
 def test_data_over_the_bound_is_refused_on_both_routes(registry, terminal):

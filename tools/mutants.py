@@ -123,10 +123,12 @@ MUTANTS = [
            "        pass\n",
            "nrkgp skips its counter-0 check", ("test_key_hierarchy.py",)),
     # the table rule and its one step
-    Mutant("key_hierarchy.py", "slot = ((ksn & COUNTER_MASK) ^ last).bit_length() - 1",
-           "slot = (ksn & COUNTER_MASK).bit_length() - 1",
+    Mutant("key_hierarchy.py", "slot = (c ^ last).bit_length() - 1", "slot = c.bit_length() - 1",
            "advance starts from the counter's top bit, not where the counters part",
            STEP_TESTS),
+    Mutant("key_hierarchy.py", "    if (c := ksn & COUNTER_MASK) <= last:\n",
+           "    c = ksn & COUNTER_MASK\n    if False:\n",
+           "advance drops its guard on a counter not above last", STEP_TESTS),
     Mutant("key_hierarchy.py", "    if not any(material):\n", "    if False:\n",
            "advance folds from an empty slot", STEP_TESTS),
     Mutant("key_hierarchy.py", "if counter.bit_count() < MAX_COUNTER_WEIGHT else",
@@ -150,9 +152,11 @@ MUTANTS = [
            "a record file is decoded whole, so a non-ASCII comment aborts the read",
            ("test_scenarios.py", "test_vectors.py")),
     # the wire, the PIN block and the padding
-    Mutant("wire.py", "if len(line := line.strip()) > _MAX_LINE:",
-           "if len(line := line.strip()) > 2 ** 62:",
+    Mutant("wire.py", "if len(line) > _MAX_LINE:", "if len(line) > 2 ** 62:",
            "the line bound is dropped, so a longer line is split and its fields read",
+           ("test_wire.py",)),
+    Mutant("wire.py", "if len(line) > _MAX_LINE:", "if len(line := line.strip()) > _MAX_LINE:",
+           "line.strip() is put back before the bound, so a framed line is read",
            ("test_wire.py",)),
     Mutant("pin_block.py", "and block[1] >> 4 <= 9 and block[1] & 0xF <= 9)",
            "and block[1] >> 4 <= 9)",
