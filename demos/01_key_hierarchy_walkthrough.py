@@ -15,8 +15,9 @@ from dukptlab import (
     next_counter,
     parse_ksn,
     remaining_counters,
+    variant_data_key,
+    variant_pin_key,
 )
-from dukptlab.key_hierarchy import DATA_VARIANT_MASK, PIN_VARIANT_MASK, masked
 
 # The acquirer owns one base derivation key; the same BDK can serve an
 # entire fleet of devices. This is the published interoperability value.
@@ -44,8 +45,8 @@ for counter in (1, 2, 3):
 # One transaction key never encrypts two kinds of traffic directly: fixed
 # XOR masks split it into a PIN-block variant and a data variant.
 key_1 = derive_key_chain(ipek, initial_ksn.with_counter(1))
-print("PIN variant    :", masked(key_1.material, PIN_VARIANT_MASK).hex().upper())
-print("data variant   :", masked(key_1.material, DATA_VARIANT_MASK).hex().upper())
+print("PIN variant    :", variant_pin_key(key_1).hex)
+print("data variant   :", variant_data_key(key_1).hex)
 
 # The counter does not simply increment: values with more than ten set
 # bits are skipped. 0x3FF already has ten bits, so eight candidates are

@@ -24,8 +24,7 @@ import sys
 from . import vectors as vectors_mod
 from .errors import CounterExhausted, CounterOverweight, DukptError, ProfileIncompatible
 from .key_hierarchy import (
-    DATA_VARIANT_MASK, PIN_VARIANT_MASK, KeyRole, TdeaKey, derive_ipek, derive_key_chain, masked,
-    parse_ksn,
+    KeyRole, TdeaKey, derive_ipek, derive_key_chain, parse_ksn, variant_data_key, variant_pin_key,
 )
 from .scenarios import (
     BUILTIN_PROFILES, EndpointProfile, applicability_table, load_profiles_file, run_simulation,
@@ -101,8 +100,8 @@ def _cmd_derive_key(args: argparse.Namespace) -> int:
     if ksn.counter == 0:
         print("note=counter is zero; this is the initial key (diagnostic only)")
         return EXIT_OK
-    print(f"pin_variant={masked(key.material, PIN_VARIANT_MASK).hex().upper()}")
-    print(f"data_variant={masked(key.material, DATA_VARIANT_MASK).hex().upper()}")
+    print(f"pin_variant={variant_pin_key(key).hex}")
+    print(f"data_variant={variant_data_key(key).hex}")
     return EXIT_OK
 
 

@@ -14,9 +14,9 @@ transaction counter. Counters with more than ten set bits are skipped,
 which is exactly what lets a device cover the whole space with a 21-slot
 future-key table.
 
-Each key is split into a PIN variant and a data variant by a fixed XOR
-mask; :func:`seal` and :func:`unseal` are the one place a variant meets a
-cipher mode. State lives in :mod:`dukptlab.terminal` and :mod:`dukptlab.host`:
+Each key is split into a PIN variant and a data variant by a fixed XOR mask, both
+made by one private step; :func:`seal` and :func:`unseal` are the one place a variant
+meets a cipher mode. State lives in :mod:`dukptlab.terminal` and :mod:`dukptlab.host`:
 :func:`fold_chain` and :func:`advance` write the table handed them; the rest is pure.
 """
 
@@ -42,7 +42,7 @@ MAX_COUNTER_WEIGHT = 10
 TABLE_BYTES = 16 * COUNTER_BITS
 _EMPTY_SLOT = bytes(16)
 
-# masks applied to key halves / whole keys during derivation, XORed by masked()
+# the key-half mask (IPEK, one-way step) and the variant masks; no other module applies them
 KEY_HALF_MASK = 0xC0C0C0C000000000C0C0C0C000000000
 PIN_VARIANT_MASK = 0x00000000000000FF00000000000000FF
 DATA_VARIANT_MASK = 0x0000000000FF00000000000000FF0000
@@ -242,7 +242,8 @@ def remaining_counters(counter: int) -> int:
 def load_bdk(bdk: TdeaKey) -> LoadedBdk:
     """A BDK loaded for :func:`ipek_material`: itself, and under :data:`KEY_HALF_MASK`."""
     material = bdk.require(KeyRole.BASE_DERIVATION, "IPEK derivation")
-    return tdes.TdeaCipher(material), tdes.TdeaCipher(masked(material, KEY_HALF_MASK))
+    half_masked = (int.from_bytes(material, "big") ^ KEY_HALF_MASK).to_bytes(16, "big")
+    return tdes.TdeaCipher(material), tdes.TdeaCipher(half_masked)
 
 
 def ipek_material(loaded: LoadedBdk, ksn: int) -> bytes:
@@ -397,39 +398,37 @@ def _key_int(material: bytes) -> int:
     return int.from_bytes(material, "big")
 
 
-def masked(material: bytes, mask: int) -> bytes:
-    """16-byte key material XORed with one of this module's 128-bit masks."""
-    return (_key_int(material) ^ mask).to_bytes(16, "big")
+def _variants(material: bytes) -> tuple[bytes, bytes]:
+    """The PIN and data variants of a transaction key's 16 bytes, read once as an int."""
+    key = _key_int(material)
+    pin, data = key ^ PIN_VARIANT_MASK, key ^ DATA_VARIANT_MASK
+    return pin.to_bytes(16, "big"), data.to_bytes(16, "big")
 
 
 def seal(material: bytes, clear_pin_block: bytes | None, data: bytes | None) -> _Parts:
     """Encrypt the PIN block (one TDEA block) and the data (padded CBC, zero IV) under
     the PIN and data variants of a transaction key's 16 bytes; an absent part stays None."""
-    key = _key_int(material)
-    pin_ct = None if clear_pin_block is None else tdes.encrypt_block(
-        (key ^ PIN_VARIANT_MASK).to_bytes(16, "big"), clear_pin_block)
-    data_ct = None if data is None else tdes.cbc_encrypt(
-        (key ^ DATA_VARIANT_MASK).to_bytes(16, "big"), data)
+    pin_key, data_key = _variants(material)
+    pin_ct = None if clear_pin_block is None else tdes.encrypt_block(pin_key, clear_pin_block)
+    data_ct = None if data is None else tdes.cbc_encrypt(data_key, data)
     return pin_ct, data_ct
 
 
 def unseal(material: bytes, pin_ct: bytes | None, data_ct: bytes | None) -> _Parts:
     """Inverse of :func:`seal`; bad padding on the data raises DecryptFailed."""
-    key = _key_int(material)
-    clear_pin = None if pin_ct is None else tdes.ecb_decrypt(
-        (key ^ PIN_VARIANT_MASK).to_bytes(16, "big"), pin_ct)
-    clear_data = None if data_ct is None else tdes.cbc_decrypt(
-        (key ^ DATA_VARIANT_MASK).to_bytes(16, "big"), data_ct)
+    pin_key, data_key = _variants(material)
+    clear_pin = None if pin_ct is None else tdes.ecb_decrypt(pin_key, pin_ct)
+    clear_data = None if data_ct is None else tdes.cbc_decrypt(data_key, data_ct)
     return clear_pin, clear_data
 
 
 def variant_pin_key(transaction_key: TdeaKey) -> TdeaKey:
     """PIN-encryption variant of a transaction key (fixed XOR mask)."""
     material = transaction_key.require(KeyRole.TRANSACTION, "PIN variant")
-    return TdeaKey(masked(material, PIN_VARIANT_MASK), KeyRole.PIN_VARIANT)
+    return TdeaKey(_variants(material)[0], KeyRole.PIN_VARIANT)
 
 
 def variant_data_key(transaction_key: TdeaKey) -> TdeaKey:
     """Data-encryption variant of a transaction key (fixed XOR mask)."""
     material = transaction_key.require(KeyRole.TRANSACTION, "data variant")
-    return TdeaKey(masked(material, DATA_VARIANT_MASK), KeyRole.DATA_VARIANT)
+    return TdeaKey(_variants(material)[1], KeyRole.DATA_VARIANT)

@@ -15,16 +15,15 @@ from typing import Iterable, TextIO
 
 from .errors import DukptError, VectorFormatError, read_records
 from .key_hierarchy import (
-    DATA_VARIANT_MASK,
-    PIN_VARIANT_MASK,
     KeyRole,
     TdeaKey,
     derive_ipek,
     derive_key_chain,
-    masked,
     next_counter,
     parse_ksn,
     seal,
+    variant_data_key,
+    variant_pin_key,
 )
 from .pin_block import encode_iso0
 
@@ -111,9 +110,9 @@ def _derive(record: VectorRecord) -> tuple[VectorRecord, list[str]]:
                            decoded("data_ct", bytes.fromhex, record.data))
     return replace(
         record,
-        key=material.hex().upper(),
-        pin_variant=masked(material, PIN_VARIANT_MASK).hex().upper(),
-        data_variant=masked(material, DATA_VARIANT_MASK).hex().upper(),
+        key=key.hex,
+        pin_variant=variant_pin_key(key).hex,
+        data_variant=variant_data_key(key).hex,
         pin_ct=pin_ct and pin_ct.hex().upper(),
         data_ct=data_ct and data_ct.hex().upper(),
     ), notes

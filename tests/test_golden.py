@@ -36,6 +36,9 @@ CASES = {
     "applicability_builtin": ["applicability"],
     "applicability_one_profile": ["applicability", "--profile", "browser"],
     "applicability_profiles_file": ["applicability", "--profiles-file", "inputs/profiles.txt"],
+    "derive_ipek": ["derive-ipek", "--bdk", BDK, "--ksn", KSN],
+    "derive_key_counter1": ["derive-key", "--bdk", BDK, "--ksn", KSN[:-1] + "1"],
+    "derive_key_counter0": ["derive-key", "--bdk", BDK, "--ksn", KSN],  # the note= path
     # the documented error paths: exit 1, 2 (input), 3 (counter policy), 4 (gating)
     "error_vectors_verify_data_not_hex": [
         "vectors", "verify", "--file", "inputs/data_not_hex.txt"],

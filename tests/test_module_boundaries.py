@@ -28,6 +28,23 @@ def test_no_private_name_imported_across_modules():
     assert offenders == []
 
 
+# the KSN layout's COUNTER_MASK is shared; these are applied in key_hierarchy alone
+KEY_MASKS = {"KEY_HALF_MASK", "PIN_VARIANT_MASK", "DATA_VARIANT_MASK"}
+
+
+def test_no_module_but_key_hierarchy_takes_a_key_mask():
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "key_hierarchy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in KEY_MASKS]
+            elif isinstance(node, ast.Attribute) and node.attr in KEY_MASKS:
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert offenders == []
+
+
 def test_one_cipher_builder_and_one_crypto_importer():
     importers, second_openssl, builds = [], [], []
     for path in sorted(PACKAGE_DIR.glob("*.py")):

@@ -1,17 +1,21 @@
-"""Mutation smoke: each listed fault, applied alone to a copy of the tree, must fail a test.
+"""Mutation smoke: each listed or generated fault, applied alone to a copy of the tree,
+must fail a test.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py     # the hand-placed list, then the generated mutants
 
-Stdlib only; run from anywhere, with pytest and hypothesis installed. The script
-copies this checkout's ``src/``, ``tests/`` and ``pyproject.toml`` (uncommitted
-edits included) into a temporary directory, removed on exit. There the test
-modules named by any mutant first run on the unmutated copy and must pass, so a
+Stdlib only; run from anywhere, with pytest and hypothesis installed. ``run(MUTANTS)``
+and ``run(generated())`` judge one half alone, as CI's two mutation steps do. The
+script copies this checkout's ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml``
+(uncommitted edits included) into a temporary directory, removed on exit. There the
+test modules named by any mutant first run on the unmutated copy and must pass, so a
 kill below is the mutant's doing. Then, one mutant at a time, the mutant's ``old``
-text, which must occur exactly once in its file, is replaced by its ``new`` text,
-only the test modules named for it run, and the file is put back. A mutant is
-killed when pytest reports a failed test (exit status 1); a mutant that passes
-survives, and any other status (a collection error, say) is an error. The script
-prints one line per mutant and exits 0 only when every mutant is killed.
+text, which must occur exactly once in its file (a generated mutant's: at its offset),
+is replaced by its ``new`` text, only the test modules named for it run, in the order
+named, and the file is put back. A mutant is killed when pytest reports a failed test
+(exit status 1), when the mutated module no longer imports, or when its tests run
+longer than ``TIMEOUT`` seconds; a mutant that passes survives, and any other status
+(a collection error, say) is an error. The script prints one line per mutant and exits
+0 only when every mutant is killed.
 
 A mutant that no test can kill because it is equivalent to the original code is
 deleted from the list, with its reason given here, not kept as a survivor:
@@ -23,11 +27,35 @@ deleted from the list, with its reason given here, not kept as a survivor:
 
 A mutant that a test kills only some of the time is left out of the list too, and
 named here with its kill rate; there is none at present.
+
+Beside the hand-placed list the script generates mutants with :mod:`ast`, one per site
+of three operators in each module ``GENERATED`` names: a comparison operator flipped to
+its negation (``<`` to ``>=``, ``==`` to ``!=``, ``is`` to ``is not``, ``in`` to
+``not in``, and back), an ``and`` made ``or`` or an ``or`` made ``and``, and a ``raise``
+statement made ``pass``. A generated mutant replaces the site's source at its offset with
+the site unparsed after the one change, and is named by its module, the function that
+holds it and the change. It runs the test modules ``GENERATED`` maps its module to: the
+module's own and the ones that reach it through other modules, since a fault in a shared
+function can show only where a caller's output is checked.
+
+A generated mutant that is equivalent to the code is skipped, named by its site as the
+script prints it, with its reason:
+
+- ``pin_block.py: decode_iso0: raise LengthError -> pass``: ``xor_bytes`` raises the
+  same ``LengthError`` on a block of any other length (the hand-placed list's first
+  equivalent above).
+- ``tdes.py: <module>: raise ImportError -> pass``: the guard on cryptography's private
+  cipher factory, which never fires on a supported release; with ``pass`` the module
+  imports, and fails only at the first cipher build.
+- ``tdes.py: <module>: raise ImportError -> pass #2``: the guard on ``TripleDES``'s
+  constructor state, which never fires on a supported release.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -37,6 +65,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds for one mutant's tests; the longest kill takes about a tenth of it
 
 
 class Mutant(NamedTuple):
@@ -45,9 +74,11 @@ class Mutant(NamedTuple):
     new: str
     why: str
     tests: tuple[str, ...]  # modules under tests/
+    at: int = -1  # a generated mutant's offset of ``old``; -1: ``old`` occurs once
 
 
 HOST_TESTS = ("test_host.py",)
+VECTOR_TESTS = ("test_key_hierarchy.py", "test_vectors.py", "test_cli.py")
 STEP_TESTS = ("test_key_hierarchy.py", "test_terminal.py", "test_host.py")
 PAYLOAD_CHECKS = """\
         if clear_pin_block is None and data is None:
@@ -193,6 +224,14 @@ MUTANTS = [
            "PADDING_BLOCKS = slice(-BLOCK_SIZE, None)",
            "the receivers that only decide decrypt the last data block alone",
            ("test_host.py", "test_scenarios.py", "test_tdes.py")),
+    # the fixed masks of the IPEK and the variants
+    Mutant("key_hierarchy.py", "pin, data = key ^ PIN_VARIANT_MASK, key ^ DATA_VARIANT_MASK",
+           "pin, data = key ^ DATA_VARIANT_MASK, key ^ PIN_VARIANT_MASK",
+           "the one variant step swaps the PIN and data masks", VECTOR_TESTS),
+    Mutant("key_hierarchy.py",
+           'half_masked = (int.from_bytes(material, "big") ^ KEY_HALF_MASK).to_bytes(16, "big")',
+           "half_masked = material",
+           "load_bdk drops KEY_HALF_MASK, so every IPEK's right half changes", VECTOR_TESTS),
     # the process footprint: cryptography's OpenSSL is the only one mapped
     Mutant("key_hierarchy.py", "import math\n", "import hmac\nimport math\n",
            "key_hierarchy imports hmac, which loads the system OpenSSL",
@@ -200,42 +239,153 @@ MUTANTS = [
 ]
 
 
-def pytest(tree: Path, modules: set[str] | tuple[str, ...]) -> int:
+# per module, the test modules its generated mutants run: its own first, then those that
+# check it through a caller (the four "is None" flips in seal and unseal pass
+# test_key_hierarchy and fail test_terminal and test_demos, the two in seal test_baseline)
+GENERATED = {
+    "host.py": ("test_host.py", "test_host_model.py", "test_scenarios.py", "test_spent_keys.py"),
+    "wire.py": ("test_wire.py", "test_host.py", "test_scenarios.py", "test_terminal.py"),
+    "terminal.py": ("test_terminal.py", "test_host.py", "test_scenarios.py", "test_spent_keys.py"),
+    "pin_block.py": ("test_pin_block.py", "test_host.py", "test_terminal.py", "test_vectors.py"),
+    "tdes.py": ("test_tdes.py", "test_baseline.py", "test_terminal.py", "test_host.py"),
+    "key_hierarchy.py": ("test_key_hierarchy.py", "test_terminal.py", "test_host.py",
+                         "test_baseline.py", "test_demos.py", "test_vectors.py"),
+}
+_NEGATED = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt, ast.Gt: ast.LtE,
+            ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+            ast.In: ast.NotIn, ast.NotIn: ast.In}
+# the docstring's skipped sites: the part of each bullet between its double backquotes
+EQUIVALENT = re.findall(r"^- ``(.+?)``:", __doc__.partition("is skipped")[2], re.M)
+
+
+class _Sites(ast.NodeVisitor):
+    """The generated mutants of one module's source, in source order."""
+
+    def __init__(self, file: str, tests: tuple[str, ...]) -> None:
+        self.file, self.tests = file, tests
+        self.text = (ROOT / "src" / "dukptlab" / file).read_text(encoding="utf-8")
+        self.lines = self.text.split("\n")
+        self.starts = [0]
+        for line in self.lines:
+            self.starts.append(self.starts[-1] + len(line) + 1)
+        self.scope: list[str] = []
+        self.mutants: list[Mutant] = []
+        self.visit(ast.parse(self.text))
+
+    def _offset(self, lineno: int, col: int) -> int:  # ast counts a column in UTF-8 bytes
+        return self.starts[lineno - 1] + len(self.lines[lineno - 1].encode()[:col].decode())
+
+    def _add(self, node: ast.AST, new: str, change: str) -> None:
+        start = self._offset(node.lineno, node.col_offset)
+        old = self.text[start:self._offset(node.end_lineno, node.end_col_offset)]
+        why = f"{'.'.join(self.scope) or '<module>'}: {change}"
+        repeats = sum(m.why == why or m.why.startswith(why + " #") for m in self.mutants)
+        why += f" #{repeats + 1}" if repeats else ""
+        self.mutants.append(Mutant(self.file, old, new, why, self.tests, start))
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.ClassDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        for i, op in enumerate(node.ops):
+            ops = [*node.ops[:i], _NEGATED[type(op)](), *node.ops[i + 1:]]
+            new = ast.unparse(ast.Compare(node.left, ops, node.comparators))
+            self._add(node, new, f"{ast.unparse(node)} -> {new}")
+        self.generic_visit(node)
+
+    def visit_BoolOp(self, node: ast.BoolOp) -> None:
+        new = ast.unparse(ast.BoolOp(ast.Or() if isinstance(node.op, ast.And) else ast.And(),
+                                     node.values))
+        self._add(node, new, f"{ast.unparse(node)} -> {new}")
+        self.generic_visit(node)
+
+    def visit_Raise(self, node: ast.Raise) -> None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        change = f"raise {ast.unparse(exc)} -> pass" if exc else "raise -> pass"
+        self._add(node, "pass", change)
+        self.generic_visit(node)
+
+
+def generated() -> list[Mutant]:
+    """Every generated mutant of this checkout's ``src/`` but the docstring's equivalents,
+    each of which must name a generated site."""
+    every = [m for file, tests in GENERATED.items() for m in _Sites(file, tests).mutants]
+    missing = set(EQUIVALENT) - {f"{m.file}: {m.why}" for m in every}
+    if missing:
+        raise ValueError(f"listed as equivalent, but not generated: {sorted(missing)}")
+    return [m for m in every if f"{m.file}: {m.why}" not in EQUIVALENT]
+
+
+def python(tree: Path, *args: str) -> int | None:
+    """The exit status of Python run on ``args`` in ``tree``, or None past ``TIMEOUT``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               *(f"tests/{m}" for m in sorted(modules))]
-    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, timeout=900).returncode
+    try:
+        return subprocess.run([sys.executable, *args], cwd=tree, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
-def main() -> int:
+def pytest(tree: Path, modules: list[str] | tuple[str, ...]) -> int | None:
+    # in the order given: a mutant's own module first, so most kills come early
+    return python(tree, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                  *(f"tests/{m}" for m in modules))
+
+
+def judge(tree: Path, mutant: Mutant) -> str:
+    """The mutant applied alone to ``tree``, its tests run, and the file put back."""
+    path = tree / "src" / "dukptlab" / mutant.file
+    original = path.read_text(encoding="utf-8")
+    start = original.find(mutant.old) if mutant.at < 0 else mutant.at
+    if (original.count(mutant.old) != 1 if mutant.at < 0
+            else original[start:start + len(mutant.old)] != mutant.old):
+        return "stale"  # the code moved: the entry no longer names one place
+    path.write_text(original[:start] + mutant.new + original[start + len(mutant.old):],
+                    encoding="utf-8")
+    try:
+        began = time.perf_counter()
+        status = pytest(tree, mutant.tests)
+        if status is None:
+            outcome = f"killed: ran past {TIMEOUT} s"
+        elif status in (0, 1):
+            outcome = {0: "SURVIVED", 1: "killed"}[status]
+        else:
+            module = f"dukptlab.{mutant.file.removesuffix('.py')}"
+            imports = python(tree, "-c", f"import {module}") == 0
+            outcome = f"error {status}" if imports else "killed: no import"
+        return f"{outcome} in {time.perf_counter() - began:.1f} s"
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+
+def run(mutants: list[Mutant]) -> int:
+    """Judge each of ``mutants`` alone in a copy of this checkout; 0 when every one is killed."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "demos"):
             shutil.copytree(ROOT / name, tree / name, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", tree)
-        modules = {m for mutant in MUTANTS for m in mutant.tests}
+        modules = sorted({m for mutant in mutants for m in mutant.tests})
         if pytest(tree, modules) != 0:
             print("the unmutated tree fails its tests; no mutant was run")
             return 1
         failed = 0
-        for mutant in MUTANTS:
-            path = tree / "src" / "dukptlab" / mutant.file
-            original = path.read_text(encoding="utf-8")
-            if original.count(mutant.old) != 1:
-                outcome = "stale"  # the code moved: the entry no longer names one place
-            else:
-                path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
-                start = time.perf_counter()
-                status = pytest(tree, mutant.tests)
-                path.write_text(original, encoding="utf-8")
-                outcome = {0: "SURVIVED", 1: "killed"}.get(status, f"error {status}")
-                outcome += f" in {time.perf_counter() - start:.1f} s"
+        for mutant in mutants:
+            outcome = judge(tree, mutant)
             failed += not outcome.startswith("killed")
             print(f"{mutant.file}: {mutant.why}: {outcome}", flush=True)
-        print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+        print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")
         return 1 if failed else 0
+
+
+def main() -> int:
+    return run(MUTANTS + generated())
 
 
 if __name__ == "__main__":
