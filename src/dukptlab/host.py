@@ -21,8 +21,8 @@ last accepted counter ``L`` (the rule is stated at
 :func:`~dukptlab.key_hierarchy.fold_chain`). A later counter is reached by the
 device's own step, :func:`~dukptlab.key_hierarchy.advance` from ``L``, so the
 host derives where the device does; a new or evicted device folds from its IPEK,
-as the device did when it was made. Every line folds into one spare buffer,
-zeroed after it, which an accept copies whole into the device's table.
+as the device did when it was made. Each line walks its own buffer: a refusal
+wipes it, and an accept keeps it as the device's table, wiping the one it replaces.
 A table holds later counters' keys only, never a spent key or an IPEK or BDK
 copy, and is zero-overwritten when the device is evicted (least recently
 accepted first) or its BDK is replaced.
@@ -87,15 +87,14 @@ class HostVerdict:
 class HostRegistry:
     """BDK store, per-device replay log and per-device key tables.
 
-    A device's table is its own after it issued its logged counter ``L``; a line
-    at ``c`` moves a copy of it from ``L`` to ``c``.
     One lock guards all three, held by the policy path from the BDK lookup to
     the commit, so a device's counter check, decrypt, log update and table
     update are atomic and no BDK replacement or eviction touches a table while
     a message is open; the interpreter's global lock serializes the work
     anyway, and the loaded BDKs' kept cipher contexts are used only under it.
-    Every line folds into one spare buffer that reaches a table only on an accept,
-    so no other verdict makes a table or changes its bytes or eviction place.
+    A device's table is its own after it issued its logged counter ``L``; each line at
+    ``c`` walks its own copy from ``L`` to ``c``, which becomes the table only on an
+    accept, so no other verdict makes a table or changes its bytes or eviction place.
     """
 
     def __init__(self) -> None:
@@ -104,7 +103,6 @@ class HostRegistry:
         self._lock = threading.Lock()
         # device -> its key table at the logged counter, made on its first accept; LRU order
         self._tables: OrderedDict[int, bytearray] = OrderedDict()
-        self._spare = bytearray(TABLE_BYTES)  # every line's walk, zero between lines
 
     def register_bdk(self, key_set_id: int, bdk: TdeaKey, overwrite: bool = False) -> None:
         """Install the base derivation key serving one key-set identifier.
@@ -168,20 +166,20 @@ class HostRegistry:
                 return VerdictStatus.REPLAY_REJECTED, counter, None, None
             table = self._tables.get(device)
             if table is None:
-                key = fold_chain(ipek_material(bdk, value), value, COUNTER_BITS, self._spare)
+                walk = bytearray(TABLE_BYTES)
+                key = fold_chain(ipek_material(bdk, value), value, COUNTER_BITS, walk)
             else:
-                self._spare[:] = table
-                key = advance(self._spare, value, last)
+                walk = bytearray(table)
+                key = advance(walk, value, last)
             try:
                 clear_pin, clear_data = _open(key, pin_ct, data_ct)
             except DecryptFailed:
-                _wipe(self._spare)
+                _wipe(walk)
                 return VerdictStatus.DECRYPT_FAILED, counter, None, None
             self._device_log[device] = counter
-            if table is None:
-                table = self._tables[device] = bytearray(TABLE_BYTES)
-            table[:] = self._spare
-            _wipe(self._spare)
+            if table is not None:
+                _wipe(table)
+            self._tables[device] = walk
             self._tables.move_to_end(device)
             while len(self._tables) > TABLE_CACHE_DEVICES:
                 _wipe(self._tables.popitem(last=False)[1])

@@ -317,20 +317,20 @@ def nrkgp(current_key: TdeaKey, ksn: Ksn) -> TdeaKey:
 def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
     """Fold the one-way step over the counter's set bits, MSB first.
 
-    ``key(0)`` is the IPEK itself; for each set bit, taken from most to
-    least significant, the accumulated counter names one derivation step of
-    one child. This is the reference route to any transaction key, which the
-    terminal's future-key table and the host's walk must agree with.
+    ``key(0)`` is the IPEK itself; for each set bit, taken from most to least significant,
+    the accumulated counter names one derivation step of one child: the reference route to
+    any transaction key, which the terminal's future-key table and the host's walk agree with.
 
-    Raises :class:`CounterOverweight` for counters with more than
-    :data:`MAX_COUNTER_WEIGHT` set bits; such KSNs are never honored.
+    Raises :class:`KeyRoleError` for a key that is not an Initial key, and
+    :class:`CounterOverweight` for counters with more than :data:`MAX_COUNTER_WEIGHT`
+    set bits; such KSNs are never honored.
     """
+    material, prefix = ipek.require(KeyRole.INITIAL, "transaction key derivation"), 0
     counter = ksn.counter
     if counter.bit_count() > MAX_COUNTER_WEIGHT:
         raise CounterOverweight(f"counter {counter:#07x} has {counter.bit_count()} set bits")
     if counter == 0:
         return ipek
-    material, prefix = ipek.material, 0
     while prefix != counter:
         bit = (counter ^ prefix).bit_length() - 1
         material = derive_children(material, ksn.value, prefix, bit, bit + 1)

@@ -423,6 +423,8 @@ def clone_attack_demo(
     """
     if n_legit < 1:
         raise ValueError("n_legit must be at least 1")
+    if n_clone < 0:
+        raise ValueError("n_clone must be at least 0")
     rng = random.Random(seed)
     bdk, legit = _provision_dukpt(rng)
     registry = _host_for(bdk, legit)

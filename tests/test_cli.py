@@ -17,6 +17,7 @@ from conftest import (
 )
 
 INTEROP_FILE = str(Path(__file__).parent / "data" / "interop_vectors.txt")
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -88,34 +89,18 @@ def test_derive_key_overweight_counter(capsys):
 
 # --- simulate ---------------------------------------------------------------------
 
-# exact records at the default --count and seed 0
-SIMULATE_RECORDS = {
-    "dukpt": (
-        "scheme=DUKPT profile=pos transactions=100 accepted=100 rejected_ReplayRejected=0 "
-        "rejected_OverweightCounterRejected=0 rejected_UnknownKeySet=0 rejected_DecryptFailed=0 "
-        "distinct_keys=100 ciphertext_reuse=no"
-    ),
-    "fixed": (
-        "scheme=FIXED profile=pos transactions=100 accepted=100 rejected_ReplayRejected=0 "
-        "rejected_OverweightCounterRejected=0 rejected_UnknownKeySet=0 rejected_DecryptFailed=0 "
-        "distinct_keys=1 ciphertext_reuse=yes"
-    ),
-    "ms": (
-        "scheme=MS profile=pos transactions=100 accepted=100 rejected_ReplayRejected=0 "
-        "rejected_OverweightCounterRejected=0 rejected_UnknownKeySet=0 rejected_DecryptFailed=0 "
-        "distinct_keys=100 ciphertext_reuse=no"
-    ),
-}
-
-
-@pytest.mark.parametrize("scheme", sorted(SIMULATE_RECORDS))
+@pytest.mark.parametrize("scheme", ["dukpt", "fixed", "ms"])
 def test_simulate_deterministic_stdout(capsys, scheme):
+    # two in-process runs print the recorded stdout of the default --count, 100
+    recorded = (GOLDEN / f"simulate_{scheme}_pos_records_seed0_count100.txt").read_text(
+        encoding="utf-8")
+    stdout = recorded.partition("--- stdout\n")[2].partition("--- stderr\n")[0]
     args = ("simulate", "--scheme", scheme, "--profile", "pos", "--format", "records",
             "--seed", "0")
     code_a, out_a, err_a = run(capsys, *args)
     code_b, out_b, _ = run(capsys, *args)
     assert code_a == code_b == 0
-    assert out_a == out_b == SIMULATE_RECORDS[scheme] + "\n"
+    assert stdout and out_a == out_b == stdout
     assert "elapsed_seconds=" in err_a  # wall time goes to stderr only
 
 

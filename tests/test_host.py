@@ -1,6 +1,5 @@
 """Host engine: registry, re-derivation, replay policy, wire handling."""
 
-import gc
 import random
 import sys
 import threading
@@ -513,10 +512,10 @@ def test_cached_folds_match_reference(monkeypatch, bdk):
     _assert_cache_matches_reference(registry)
 
 
-def test_a_cached_line_advances_the_spare_and_a_first_seen_one_folds_from_the_ipek(
-        registry, terminal, monkeypatch):
-    # the host takes the device's own step on a copy of a cached table, once a line;
-    # a device with no table folds from its IPEK, as the terminal constructor does
+def test_a_cached_line_advances_a_copy_that_becomes_the_table(registry, terminal, monkeypatch):
+    # the host takes the device's own step on a copy of a cached table, once a line, and
+    # an accept keeps that copy; a device with no table folds from its IPEK, as the
+    # terminal constructor does
     steps = []
     real_advance = key_hierarchy.advance
 
@@ -528,8 +527,9 @@ def test_a_cached_line_advances_the_spare_and_a_first_seen_one_folds_from_the_ip
     first, _, third = (encode_wire(_message(terminal)) for _ in range(3))  # 2 is lost
     assert registry.handle_wire_line(first) == "OK|1" and steps == []
     assert registry.handle_wire_line(third) == "OK|3"
-    [(table, ksn, last)] = steps
-    assert table is registry._spare and (ksn, last) == (terminal.ksn.value, 1)
+    [(walk, ksn, last)] = steps
+    assert walk is registry._tables[terminal.base_ksn.initial_id]
+    assert (ksn, last) == (terminal.ksn.value, 1)
 
 
 def test_host_table_mirrors_the_terminal_table(bdk, ipek, initial_ksn):
@@ -665,8 +665,10 @@ def test_evicted_tables_and_spent_slots_are_wiped(monkeypatch, bdk):
     assert key_6 != bytes(16) and key_8 != bytes(16)
     for _ in range(2):  # counters 6 and 7 never reach the host
         terminals[0].next_transaction_key()
+    replaced = table
     assert registry.process_message(_message(terminals[0])).derived_counter == 8
-    assert registry._tables[device] is table  # in place
+    table = registry._tables[device]
+    assert table is not replaced and not any(replaced)  # the accept wiped the table it replaced
     assert registry.last_accepted_counter(device) == 8
     # counter 8 came from slot 3, which it consumes; slot 1 (counter 6) is stale,
     # and the slots below 3 now hold counters 9, 10 and 12
@@ -703,6 +705,33 @@ def test_rejected_line_keeps_its_device_in_eviction_order(monkeypatch, bdk, reje
     assert registry._tables[devices[1]] is table_b and any(table_b)
 
 
+@pytest.mark.parametrize("kind", ["forged", "forged far", "replayed", "overweight"])
+def test_a_refused_line_leaves_its_cached_table_as_it_was(bdk, kind):
+    # a refusal from a cached device keeps that device's table object, its bytes and its
+    # place in the eviction order; the least recently accepted device sends it
+    registry = HostRegistry()
+    registry.register_bdk(0x5A5A5A, bdk)
+    a, b = (init_terminal(derive_ipek(bdk, ksn), ksn)
+            for ksn in (_device_ksn(0x5A5A5A, i) for i in range(2)))
+    for terminal in (a, a, a, b):
+        assert registry.process_message(_message(terminal)).accepted
+    tables = list(registry._tables.items())
+    contents = [bytes(table) for _, table in tables]
+    refused, status = {
+        "forged": (replace(_message(a), encrypted_data=bytes(16)), VerdictStatus.DECRYPT_FAILED),
+        "forged far": (TransactionMessage(a.ksn.with_counter(0x1234), b"\x42" * 8),
+                       VerdictStatus.DECRYPT_FAILED),
+        "replayed": (TransactionMessage(a.ksn.with_counter(2), b"\x42" * 8),
+                     VerdictStatus.REPLAY_REJECTED),
+        "overweight": (TransactionMessage(a.ksn.with_counter(0x7FF), b"\x42" * 8),
+                       VerdictStatus.OVERWEIGHT_COUNTER_REJECTED),
+    }[kind]
+    assert registry.process_message(refused).status is status
+    assert list(registry._tables) == [device for device, _ in tables]  # the same order
+    assert all(registry._tables[device] is table for device, table in tables)
+    assert [bytes(table) for _, table in tables] == contents
+
+
 def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
     monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 5)
     registry = HostRegistry()
@@ -737,8 +766,8 @@ def test_threads_over_a_small_cache_accept_in_order_traffic(monkeypatch, bdk):
 
 
 def test_two_senders_a_device_and_a_rekey_thread_keep_each_floor(bdk):
-    # the registry lock guards the logs, the table cache and the spare: without it,
-    # a rekey pops a table a line is committing, or two lines share the spare
+    # the registry lock guards the logs and the table cache: without it, a rekey pops
+    # a table a line is committing, or two lines of a device commit from one table
     registry = HostRegistry()
     registry.register_bdk(0x5A5A5A, bdk)
     per_device = []
@@ -791,30 +820,18 @@ def test_two_senders_a_device_and_a_rekey_thread_keep_each_floor(bdk):
             == max(accepted) == 300
 
 
-def _buffers_outside_tables(registry):
-    """Every bytearray reachable from the registry through ``gc.get_referents``, other
-    than its cached tables: the bytearray values of a mapping it holds. The registry's
-    own attribute dict, where the interpreter keeps one, holds no tables."""
-    attrs = getattr(registry, "__dict__", None)
-    seen, stack, buffers, tables = set(), [registry], [], set()
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, type):
-            continue
-        seen.add(id(obj))
-        if type(obj) is bytearray:
-            buffers.append(obj)
-            continue
-        if isinstance(obj, dict) and obj is not attrs:
-            tables |= {id(v) for v in obj.values() if type(v) is bytearray}
-        stack.extend(gc.get_referents(obj))
-    return [b for b in buffers if id(b) not in tables], len(tables)
+def test_every_walk_is_a_table_or_zero_between_lines(monkeypatch, bdk):
+    # the host walks every line, from a cached device or one with no table, in a
+    # buffer of its own that becomes the device's table only on an accept; after
+    # every line, accepted or not, each buffer the host made is a cached table or
+    # holds no key: a refused walk and a replaced table are wiped
+    made = []
 
+    def recorded(*args):
+        made.append(bytearray(*args))
+        return made[-1]
 
-def test_the_spare_buffer_is_zero_between_lines(monkeypatch, bdk):
-    # the host folds every line, from a cached device or one with no table, in one
-    # spare buffer and copies it into the device's table only on an accept; after
-    # every line, accepted or not, the spare holds no key
+    monkeypatch.setattr(host, "bytearray", recorded, raising=False)
     monkeypatch.setattr(host, "TABLE_CACHE_DEVICES", 2)
     registry = HostRegistry()
     registry.register_bdk(0x5A5A5A, bdk)
@@ -824,6 +841,13 @@ def test_the_spare_buffer_is_zero_between_lines(monkeypatch, bdk):
 
     def device(terminal):
         return terminal.base_ksn.value >> COUNTER_BITS
+
+    def loose_buffers():
+        """The buffers the host made that are no cached table, each all zero."""
+        cached = {id(t) for t in registry._tables.values()}
+        loose = [b for b in made if id(b) not in cached]
+        assert not any(any(b) for b in loose), replies[-1]
+        return loose
 
     replies = []
     for n in range(90):
@@ -838,8 +862,7 @@ def test_the_spare_buffer_is_zero_between_lines(monkeypatch, bdk):
                 assert replies[-1] == "ERR|DecryptFailed"
                 assert device(outsider) not in registry._tables
                 assert registry.last_accepted_counter(device(outsider)) == floor
-                spares, _ = _buffers_outside_tables(registry)
-                assert spares and not any(any(b) for b in spares)
+                assert loose_buffers()
         # mostly one cached device; the other two take turns, evicting each other
         terminal = terminals[0] if n % 5 else terminals[1 + n // 5 % 2]
         msg = _message(terminal)
@@ -851,11 +874,12 @@ def test_the_spare_buffer_is_zero_between_lines(monkeypatch, bdk):
             continue  # never reaches the host, so the next line is gapped
         for line in lines:
             replies.append(registry.handle_wire_line(line))
-            spares, cached = _buffers_outside_tables(registry)
-            assert spares and cached and not any(any(b) for b in spares), replies[-1]
+            assert loose_buffers() and registry._tables
     # the cached devices' forgeries, the stranger's 18 and the evicted pair's 16
     assert replies.count("ERR|DecryptFailed") >= 8 + 18 + 16
     assert all(r == "ERR|DecryptFailed" or r.startswith("OK|") for r in replies)
+    # one buffer a line: each line that reached a walk made one, and nothing else did
+    assert len(made) == len(replies)
 
 
 # --- the two entry points -------------------------------------------------------------

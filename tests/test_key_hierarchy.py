@@ -514,6 +514,10 @@ ROLE_CHECKED = {
                      lambda key, ksn: HostRegistry().register_bdk(ksn.key_set_id, key)),
     "derive_ipek": (KeyRole.BASE_DERIVATION, "IPEK derivation", derive_ipek),
     "TerminalState": (KeyRole.INITIAL, "terminal init", TerminalState),
+    # unchecked, a BDK grew a Transaction key, and at counter 0 came back as itself
+    "derive_key_chain": (KeyRole.INITIAL, "transaction key derivation", derive_key_chain),
+    "derive_key_chain@1": (KeyRole.INITIAL, "transaction key derivation",
+                           lambda key, ksn: derive_key_chain(key, ksn.with_counter(1))),
     "variant_pin_key": (TRANSACTION, "PIN variant", lambda key, _: variant_pin_key(key)),
     "variant_data_key": (TRANSACTION, "data variant", lambda key, _: variant_data_key(key)),
     "encrypt_pin": (TRANSACTION, "PIN encryption", lambda key, _: encrypt_pin(key, bytes(8))),

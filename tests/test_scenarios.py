@@ -458,5 +458,7 @@ def test_clone_demo_matches_the_reference_schedule(n_legit, n_clone, seed, enfor
 
 
 def test_clone_demo_validates_args():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_legit must be at least 1$"):
         clone_attack_demo(0, 5, seed=1)
+    with pytest.raises(ValueError, match="^n_clone must be at least 0$"):
+        clone_attack_demo(2, -3, seed=1)
