@@ -4,8 +4,8 @@ The registry is a software stand-in for the HSM that would normally hold
 base derivation keys: a BDK goes in through :meth:`HostRegistry.register_bdk`,
 which loads it once (:func:`~dukptlab.key_hierarchy.load_bdk`), and never
 comes out through any reply, verdict, or log. :meth:`~HostRegistry.handle_wire_line`
-hands the KSN's 10 bytes and the payloads from :func:`~dukptlab.wire.parse_fields`
-to the one policy path, which reads the KSN once as an int, checks key set,
+reads the KSN's 10 bytes from :func:`~dukptlab.wire.parse_fields` once as an int and
+hands it, with the payloads, to the one policy path, which checks key set,
 counter weight and floor, folds to the 16-byte key, opens the payload with
 :func:`~dukptlab.key_hierarchy.unseal` (a PIN block also with
 :func:`~dukptlab.pin_block.structure_ok`) and commits only on an accept; it
@@ -145,13 +145,13 @@ class HostRegistry:
         """Authenticate-by-derivation: re-derive, decrypt, enforce policy."""
         if msg.scheme is not _DUKPT:
             raise ValueError(f"host engine processes DUKPT messages, got {msg.scheme.value}")
-        return HostVerdict(*self._process(msg.ksn.raw, msg.encrypted_pin_block,
+        return HostVerdict(*self._process(msg.ksn.value, msg.encrypted_pin_block,
                                           msg.encrypted_data))
 
-    def _process(self, ksn_raw: bytes, pin_ct: bytes | None,
+    def _process(self, value: int, pin_ct: bytes | None,
                  data_ct: bytes | None) -> tuple[VerdictStatus, int, bytes | None, bytes | None]:
-        """The one policy path: a verdict's fields for a DUKPT message's parts."""
-        value = int.from_bytes(ksn_raw, "big")
+        """The one policy path: a verdict's fields for a DUKPT message's parts, the KSN
+        ``value`` an int (:attr:`~dukptlab.key_hierarchy.Ksn.value`)."""
         counter = value & COUNTER_MASK
         device = value >> COUNTER_BITS
         with self._lock:
@@ -195,7 +195,7 @@ class HostRegistry:
             return "ERR|UnsupportedScheme"
         # parse_fields has checked the whole ciphertext's length
         tail = data_ct and data_ct[PADDING_BLOCKS]
-        status, counter, _, _ = self._process(ksn_raw, pin_ct, tail)
+        status, counter, _, _ = self._process(int.from_bytes(ksn_raw, "big"), pin_ct, tail)
         return f"OK|{counter}" if status is _ACCEPTED else _ERR_REPLIES[status]
 
 

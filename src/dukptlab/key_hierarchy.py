@@ -80,9 +80,10 @@ class TdeaKey:
     role: KeyRole
 
     def __post_init__(self) -> None:
-        # own an immutable copy, so a caller's bytearray cannot change the key
+        # own an immutable copy, so a caller's bytearray cannot change the key; the
+        # memoryview refuses an int or a str, which bytes() would take as zeros or text
         if not isinstance(self.material, bytes):
-            object.__setattr__(self, "material", bytes(self.material))
+            object.__setattr__(self, "material", bytes(memoryview(self.material)))
         if len(self.material) != 16:
             raise LengthError(f"key must be 16 bytes, got {len(self.material)}")
 
@@ -117,26 +118,26 @@ class TdeaKey:
         return f"TdeaKey(role={self.role.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Ksn:
-    """An 80-bit key serial number.
+    """An 80-bit key serial number, held as the int ``value``.
 
-    ``raw`` is the canonical 10-byte big-endian form. The rightmost 21 bits
-    are the transaction counter; everything above is the initial-KSN
-    identifier (key-set id in the top 24 bits, device id below).
+    ``Ksn(raw)`` reads 10 bytes, big-endian, once; ``raw`` and ``hex`` are derived
+    from ``value``. The rightmost 21 bits are the transaction counter; everything
+    above is the initial-KSN identifier (key-set id in the top 24 bits, device id below).
     """
 
-    raw: bytes
+    value: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.raw, bytes):
-            object.__setattr__(self, "raw", bytes(self.raw))
-        if len(self.raw) != 10:
-            raise LengthError(f"KSN must be 10 bytes, got {len(self.raw)}")
+    def __init__(self, raw: bytes) -> None:
+        value = int.from_bytes(raw, "big")  # refuses an int or a str, of any length
+        if len(raw) != 10:
+            raise LengthError(f"KSN must be 10 bytes, got {len(raw)}")
+        object.__setattr__(self, "value", value)
 
     @property
-    def value(self) -> int:
-        return int.from_bytes(self.raw, "big")
+    def raw(self) -> bytes:
+        return self.value.to_bytes(10, "big")
 
     @property
     def counter(self) -> int:
@@ -155,20 +156,29 @@ class Ksn:
     @property
     def base(self) -> "Ksn":
         """This KSN with all counter bits cleared; stable across updates."""
-        return self.with_counter(0)
+        return _ksn(self.value & ~COUNTER_MASK)
 
     def with_counter(self, counter: int) -> "Ksn":
         if not 0 <= counter <= COUNTER_MASK:
             raise ValueError(f"counter out of 21-bit range: {counter:#x}")
-        value = (self.value & ~COUNTER_MASK) | counter
-        return Ksn(value.to_bytes(10, "big"))
+        return _ksn(self.value & ~COUNTER_MASK | counter)
 
     @property
     def hex(self) -> str:
-        return self.raw.hex().upper()
+        return self.value.to_bytes(10, "big").hex().upper()  # quicker than "%020X" % value
 
     def __repr__(self) -> str:
         return f"Ksn({self.hex})"
+
+
+_new_ksn, _set_ksn_value = object.__new__, Ksn.value.__set__  # the slot's own setter
+
+
+def _ksn(value: int) -> Ksn:
+    """The ``Ksn`` of an 80-bit int ``value``, with no bytes read."""
+    ksn = _new_ksn(Ksn)
+    _set_ksn_value(ksn, value)
+    return ksn
 
 
 def parse_ksn(text: str) -> Ksn:
@@ -326,14 +336,14 @@ def derive_key_chain(ipek: TdeaKey, ksn: Ksn) -> TdeaKey:
     set bits; such KSNs are never honored.
     """
     material, prefix = ipek.require(KeyRole.INITIAL, "transaction key derivation"), 0
-    counter = ksn.counter
+    counter = (value := ksn.value) & COUNTER_MASK
     if counter.bit_count() > MAX_COUNTER_WEIGHT:
         raise CounterOverweight(f"counter {counter:#07x} has {counter.bit_count()} set bits")
     if counter == 0:
         return ipek
     while prefix != counter:
         bit = (counter ^ prefix).bit_length() - 1
-        material = derive_children(material, ksn.value, prefix, bit, bit + 1)
+        material = derive_children(material, value, prefix, bit, bit + 1)
         prefix |= 1 << bit
     return TdeaKey(material, KeyRole.TRANSACTION)
 

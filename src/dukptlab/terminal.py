@@ -38,9 +38,9 @@ class TerminalState:
     The Initial key ``ipek`` becomes the 21 future keys of ``initial_ksn`` (a zero
     counter) and is dropped: no part of the state equals it. ``table`` is the future-key
     table, :data:`~dukptlab.key_hierarchy.TABLE_BYTES` in the slot layout of
-    :func:`~dukptlab.key_hierarchy.fold_chain`. The base KSN is held as an int;
-    ``base_ksn``, ``ksn`` and ``counter`` are read-only, and only issuance moves the
-    counter, with the table. The default repr shows no key.
+    :func:`~dukptlab.key_hierarchy.fold_chain`. The initial KSN is held as the ``Ksn``
+    given; ``base_ksn``, ``ksn`` and ``counter`` are read-only, and only issuance moves
+    the counter, with the table. The default repr shows no key.
     """
 
     __slots__ = ("_base", "_counter", "table")
@@ -50,18 +50,18 @@ class TerminalState:
         if initial_ksn.counter != 0:
             raise NonZeroCounter(
                 f"initial KSN must have a zero counter, got {initial_ksn.counter:#x}")
-        self._base, self._counter, self.table = initial_ksn.value, 0, bytearray(TABLE_BYTES)
-        fold_chain(material, self._base, COUNTER_BITS, self.table)
+        self._base, self._counter, self.table = initial_ksn, 0, bytearray(TABLE_BYTES)
+        fold_chain(material, initial_ksn.value, COUNTER_BITS, self.table)
 
     @property
     def base_ksn(self) -> Ksn:
         """The device's initial KSN: its identifier with a zero counter."""
-        return Ksn(self._base.to_bytes(10, "big"))
+        return self._base
 
     @property
     def ksn(self) -> Ksn:
         """The KSN of the last issued key as a ``Ksn``; :meth:`send` writes it from ints."""
-        return Ksn((self._base | self._counter).to_bytes(10, "big"))
+        return self._base.with_counter(self._counter)
 
     @property
     def counter(self) -> int:
@@ -94,7 +94,7 @@ class TerminalState:
         this call; the table's copy is zeroed before it returns.
         """
         counter, pin_ct, data_ct, material = self._transact(clear_pin_block, data)
-        line = encode_fields((self._base | counter).to_bytes(10, "big"), pin_ct, data_ct)
+        line = encode_fields((self._base.value | counter).to_bytes(10, "big"), pin_ct, data_ct)
         return line, pin_ct, data_ct, material
 
     def _transact(self, clear_pin_block: bytes | None,
@@ -124,7 +124,7 @@ class TerminalState:
         except CounterExhausted:
             self.table[:] = bytes(len(self.table))
             raise
-        material = advance(self.table, self._base | counter, self._counter)
+        material = advance(self.table, self._base.value | counter, self._counter)
         self._counter = counter
         return counter, material
 

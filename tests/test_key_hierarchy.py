@@ -1,6 +1,9 @@
 """Derivation math: KSN structure, counter walk, IPEK, one-way chain, variants."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -90,6 +93,20 @@ def test_key_and_ksn_own_their_bytes():
     assert ksn.hex == INTEROP_KSN_HEX
     assert hash(key) == hash(TdeaKey(bytes(range(16)), KeyRole.TRANSACTION))
     assert hash(ksn) == hash(parse_ksn(INTEROP_KSN_HEX))
+    # a memoryview is copied too
+    assert TdeaKey(memoryview(bytes(range(16))), KeyRole.TRANSACTION) == key
+    assert Ksn(memoryview(bytes.fromhex(INTEROP_KSN_HEX))) == ksn
+
+
+@pytest.mark.parametrize("make", [
+    lambda material: TdeaKey(material, KeyRole.BASE_DERIVATION),
+    Ksn,
+], ids=["TdeaKey", "Ksn"])
+@pytest.mark.parametrize("material", [10, 16, "0123456789", "0123456789ABCDEF"])
+def test_key_and_ksn_refuse_an_int_or_a_str(make, material):
+    # bytes(16) is 16 zero bytes: an int must not pass the length check as an all-zero value
+    with pytest.raises(TypeError):
+        make(material)
 
 
 # --- KSN parsing and views --------------------------------------------------
@@ -149,11 +166,29 @@ def test_base_ksn_stable_under_counter_updates():
         ksn.with_counter(0x200000)
 
 
-@given(st.integers(min_value=0, max_value=2**80 - 1))
-def test_ksn_views_partition_the_raw_value(value):
-    ksn = Ksn(value.to_bytes(10, "big"))
+@given(st.integers(min_value=0, max_value=2**80 - 1), st.integers(0, COUNTER_MASK))
+def test_ksn_views_partition_the_raw_value(value, counter):
+    raw = value.to_bytes(10, "big")
+    ksn = Ksn(raw)
+    assert ksn.value == value
     assert (ksn.initial_id << 21) | ksn.counter == value
+    assert ksn.raw == raw and ksn.hex == raw.hex().upper()
     assert parse_ksn(ksn.hex) == ksn
+    moved = ksn.with_counter(counter)
+    expected = Ksn(((value & ~COUNTER_MASK) | counter).to_bytes(10, "big"))
+    assert moved == expected and hash(moved) == hash(expected)
+    assert moved.counter == counter and moved.initial_id == ksn.initial_id
+    assert ksn.base.counter == 0 and ksn.base == ksn.with_counter(0)
+
+
+def test_ksn_is_frozen_and_survives_copy_and_pickle():
+    # clone_attack_demo deep-copies devices, and a FixedKeyTerminal holds a Ksn
+    ksn = parse_ksn(INTEROP_KSN_HEX).with_counter(5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ksn.value = 0
+    for twin in (copy.copy(ksn), copy.deepcopy(ksn), pickle.loads(pickle.dumps(ksn))):
+        assert twin == ksn and hash(twin) == hash(ksn) and repr(twin) == repr(ksn)
+        assert twin.raw == ksn.raw and twin.counter == 5
 
 
 # --- counter walk ------------------------------------------------------------

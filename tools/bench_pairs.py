@@ -18,11 +18,14 @@ machine speed factor and ``correct``) and, per workload and metric, both sides'
 medians, the parent's quartiles and IQR, and the pairs the change won, lost or
 tied. A metric is ``unresolved`` when the parent's IQR, relative to its median,
 exceeds the metric's bound in ``BENCHMARK.json``: the two trees cannot then be
-told apart by that metric. The file decides nothing else; the bounds and the
-gate stay where they are. It also counts the lines of ``src/``, ``perfbench/``
+told apart by that metric. ``gain_shown`` states the rule a claimed gain must
+meet: the change won at least 9 of every 10 pairs, and its median is better than
+the parent's, in the metric's direction, by more than the parent's IQR (never
+with one pair). The file decides nothing else; the bounds and the gate stay
+where they are. It also counts the lines of ``src/``, ``perfbench/``
 and ``tests/`` (``*.py``) on both sides. At the end the script prints one line per
-workload and metric: both medians, the change's move, the pairs won and lost, and
-``unresolved`` where it holds.
+workload and metric: both medians, the change's move, the pairs won and lost,
+``gain_shown``, and ``unresolved`` where it holds.
 """
 
 from __future__ import annotations
@@ -107,10 +110,13 @@ def summarize(pairs: list[dict], bounds: dict[str, tuple[str, float]]) -> dict:
             "change_vs_parent": change_median / median - 1 if median else None,
             "pairs": len(parent), "won": won, "lost": lost, "tied": len(parent) - won - lost,
         }
+        entry["gain_shown"] = False  # one pair has no spread to beat
         if len(parent) >= 2:
             q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
             entry.update(parent_q1=q1, parent_q3=q3, parent_iqr=q3 - q1,
-                         unresolved=bool(median) and (q3 - q1) / abs(median) > bound)
+                         unresolved=bool(median) and (q3 - q1) / abs(median) > bound,
+                         gain_shown=10 * won >= 9 * len(parent)
+                         and sign * (change_median - median) > q3 - q1)
         out[name] = entry
     return out
 
@@ -190,7 +196,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, m in result["metrics"].items():
             move = "n/a" if m["change_vs_parent"] is None else f"{m['change_vs_parent']:+.1%}"
             print(f"{workload} {name}: {m['parent_median']:.6g} -> {m['change_median']:.6g}"
-                  f" ({move}), won {m['won']} lost {m['lost']} of {m['pairs']}"
+                  f" ({move}), won {m['won']} lost {m['lost']} of {m['pairs']},"
+                  f" gain_shown {m['gain_shown']}"
                   + (", unresolved" if m.get("unresolved") else ""))
     return 0
 

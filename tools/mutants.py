@@ -26,7 +26,7 @@ deleted from the list, with its reason given here, not kept as a survivor:
   has weight 21, so the loop never returns it and the two bounds end the same walk.
 
 A mutant that a test kills only some of the time is left out of the list too, and
-named here with its kill rate; there is none at present. The list holds 45 mutants.
+named here with its kill rate; there is none at present. The list holds 47 mutants.
 
 Beside the hand-placed list the script generates mutants with :mod:`ast`, one per site
 of three operators in each module ``GENERATED`` names: a comparison operator flipped to
@@ -141,8 +141,13 @@ MUTANTS = [
            "the clone demo runs with a negative clone count", ("test_scenarios.py",)),
     Mutant("terminal.py", "        if initial_ksn.counter != 0:\n", "        if False:\n",
            "the constructor skips the zero-counter check", ("test_terminal.py",)),
-    Mutant("key_hierarchy.py", "        if len(self.raw) != 10:\n", "        if False:\n",
+    Mutant("key_hierarchy.py", "        if len(raw) != 10:\n", "        if False:\n",
            "a Ksn of another length than 10 bytes is made", ("test_key_hierarchy.py",)),
+    Mutant("key_hierarchy.py", "return _ksn(self.value & ~COUNTER_MASK | counter)",
+           "return _ksn(self.value | counter)",
+           "with_counter keeps the old counter bits under the new ones", ("test_key_hierarchy.py",)),
+    Mutant("key_hierarchy.py", "bytes(memoryview(self.material))", "bytes(self.material)",
+           "a TdeaKey takes an int as that many zero bytes", ("test_key_hierarchy.py",)),
     Mutant("key_hierarchy.py",
            "``counter``.\"\"\"\n    if not 0 <= counter <= COUNTER_MASK:",
            "``counter``.\"\"\"\n    if False:",
